@@ -83,6 +83,8 @@ class EmbeddingCodebook:
 
     vectors: np.ndarray
     _unit: np.ndarray = field(init=False, repr=False, compare=False)
+    # nearest_neighbors results, keyed by (t, k).
+    _neighbors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=np.float64)
@@ -97,6 +99,7 @@ class EmbeddingCodebook:
             raise DegenerateVector("codebook contains a zero row")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_unit", vecs / norms[:, None])
+        object.__setattr__(self, "_neighbors", {})
 
     @property
     def size(self) -> int:
@@ -106,22 +109,29 @@ class EmbeddingCodebook:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def unit(self, t: int) -> np.ndarray:
+    def unit(self, t: int | np.ndarray) -> np.ndarray:
         return self._unit[t]
 
 
 def nearest_neighbors(codebook: EmbeddingCodebook, t: int, k: int) -> list[int]:
-    """The k tokens closest to t by cosine, t itself first, ties to smaller id."""
+    """The k tokens closest to t by cosine, t itself first, ties to smaller id.
+
+    Memoised per codebook by (t, k): only the k ids of each call are kept,
+    not a V x V ranking.
+    """
     V = codebook.size
     if not 0 <= t < V:
         raise RejectedInput(f"token {t} outside vocabulary of size {V}")
     if not 1 <= k <= V:
         raise RejectedInput(f"k={k} outside [1, {V}]")
-    sims = codebook._unit @ codebook.unit(t)
-    ids = np.arange(V)
-    order = np.lexsort((ids, -sims))
-    ranked = [int(i) for i in order if i != t]
-    return [t] + ranked[: k - 1]
+    found = codebook._neighbors.get((t, k))
+    if found is None:
+        sims = codebook._unit @ codebook.unit(t)
+        ids = np.arange(V)
+        order = np.lexsort((ids, -sims))
+        ranked = [int(i) for i in order if i != t]
+        found = codebook._neighbors[(t, k)] = (t, *ranked[: k - 1])
+    return list(found)
 
 
 @dataclass

@@ -167,10 +167,6 @@ class _Streams:
         return gen
 
 
-def _streams(config: EngineConfig) -> _Streams:
-    return _Streams(config)
-
-
 def _make_prompt(config: EngineConfig, rng: np.random.Generator) -> list[int]:
     # Fixed-length seeded prompt; length = context window so the drafter's
     # sliding window is always full.
@@ -181,7 +177,7 @@ def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
     """One target forward pass per generated token; TPF is exactly 1."""
     config.validate()
     target = models[0] if models else make_model_pair(config)[0]
-    streams = _streams(config)
+    streams = _Streams(config)
     prompt = _make_prompt(config, streams["prompt"])
     context = list(prompt)
     tokens = TokenSequence()
@@ -206,7 +202,7 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
     analysis mode (pure-SD only)."""
     config.validate()
     target, draft = models if models else make_model_pair(config)
-    streams = _streams(config)
+    streams = _Streams(config)
     prompt = _make_prompt(config, streams["prompt"])
     policy = config.skip_policy()
     selection = config.selection_policy()

@@ -18,7 +18,7 @@ import numpy as np
 from .core import cosine, rng_stream
 from .engine import (FRESH, EngineConfig, compute_metrics, config_from_mapping,
                      speculative_decode, vanilla_ar, vvs_generate)
-from .errors import CacheUnderflow, RejectedInput
+from .errors import RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
 from .tree import build_tree, enumerate_paths
@@ -248,15 +248,7 @@ def staleness_sweep(config: EngineConfig, offsets, reps: int = 20) -> list[Resul
         for rep in range(reps):
             cfg = replace(config, policy="never",
                           feature_schedule=(offset,), run=config.run + rep)
-            try:
-                metrics = compute_metrics(speculative_decode(cfg))
-            except CacheUnderflow as exc:
-                rows.append(ResultRow(name="staleness", cell=f"s={offset}", rep=rep,
-                                      seed=cfg.seed, pipeline="sd", n_tok=0, n_fwd=0,
-                                      tpf=float("nan"), mal=float("nan"),
-                                      skip_fraction=0.0, quality_proxy=float("nan"),
-                                      extra=f"cache_underflow:{exc.deficit}"))
-                continue
+            metrics = compute_metrics(speculative_decode(cfg))
             mals.append(metrics.mal)
             rows.append(ResultRow(name="staleness", cell=f"s={offset}", rep=rep,
                                   seed=cfg.seed, pipeline="sd", n_tok=metrics.n_tok,

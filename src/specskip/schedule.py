@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import EmbeddingCodebook, cosine
+# cosine is unused here, but bench/tracing.py wraps specskip.schedule.cosine
+# by name.
+from .core import EmbeddingCodebook, cosine  # noqa: F401
 from .errors import RejectedInput
 from .tree import TokenPath
 
@@ -74,24 +76,24 @@ def path_similarity(paths: list[TokenPath], codebook: EmbeddingCodebook,
     The stride down-samples the path list (every stride-th path from the
     first); depth runs to the shortest retained path.  A lone retained path
     is trivially self-consistent: sentinel 1.0, flagged degenerate.
+
+    With the n retained paths' unit embeddings u_1..u_n at one level, the
+    mean over the n(n-1)/2 pairs of u_i . u_j is computed in closed form as
+    (||sum_i u_i||^2 - n) / (n(n-1)), since ||sum u_i||^2 = n + 2 sum_{i<j}
+    u_i . u_j.  It agrees with the pair loop to rounding (about 1e-15).
     """
     if stride < 1:
         raise RejectedInput("stride must be >= 1")
     retained = paths[::stride]
-    if len(retained) < 2:
+    n = len(retained)
+    if n < 2:
         return PathSimilarity(1.0, True)
     depth = min(len(p) for p in retained)
     weights = decay_weights(alpha, depth)
-    value = 0.0
-    for level in range(depth):
-        sims = []
-        for i in range(len(retained)):
-            for j in range(i + 1, len(retained)):
-                a = retained[i].tokens[level]
-                b = retained[j].tokens[level]
-                sims.append(cosine(codebook.vectors[a], codebook.vectors[b]))
-        value += weights[level] * (sum(sims) / len(sims))
-    return PathSimilarity(float(np.clip(value, -1.0, 1.0)), False)
+    tokens = np.array([p.tokens[:depth] for p in retained])      # (n, depth)
+    total = codebook.unit(tokens).sum(axis=0)                    # (depth, dim)
+    means = (np.einsum("ld,ld->l", total, total) - n) / (n * (n - 1))
+    return PathSimilarity(float(np.clip(weights @ means, -1.0, 1.0)), False)
 
 
 def decide(policy: SkipPolicy, paths: list[TokenPath],

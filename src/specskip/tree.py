@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import sample_index
+# Unused here, but bench/tracing.py wraps specskip.tree.sample_index by name.
+from .core import sample_index  # noqa: F401
 from .errors import RejectedInput
 from .models import DraftModel, draft_forward
 
@@ -21,8 +22,10 @@ class DraftNode:
     prob: float             # drafter probability of this token at its parent
     confidence: float       # product of probs along the root path
     depth: int
-    dist: np.ndarray = field(repr=False, default=None)     # drafter dist for children
-    feature: np.ndarray = field(repr=False, default=None)  # drafter pseudo-feature
+    # Set only on nodes that were expanded: drafter dist for children and
+    # the drafter pseudo-feature.
+    dist: np.ndarray = field(repr=False, default=None)
+    feature: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -85,111 +88,112 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
     distribution end to end, so the decoding engine always drafts this way.
     Stored per-child probs are always taken from the node's original
     distribution.
+
+    A sampled node takes all its uniforms from one ``rng.random(n)`` call,
+    n = min(k_b, nonzero entries of its distribution).  This consumes the
+    stream exactly as one ``rng.random()`` per draw would: every draw lands
+    on an entry of positive remaining mass and zeroes it, so the draws stop
+    only after k_b draws or once no positive mass is left, which is after n
+    draws either way.
+
+    Only nodes that survive pruning into the frontier get a drafter feature
+    and a child distribution (one ``next_dist`` call each); pruned and
+    last-level nodes have neither.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
     context = [int(t) for t in tokens]
-    if len(context) < draft.window:
-        raise RejectedInput(f"context shorter than drafter window {draft.window}")
+    window = draft.window
+    if len(context) < window:
+        raise RejectedInput(f"context shorter than drafter window {window}")
 
     if not 1 <= len(features) <= len(context):
         raise RejectedInput("features must cover a nonempty suffix of the context")
     root_dist = draft_forward(draft, features, context[len(context) - len(features):])
     root_feature = np.asarray(features[-1], dtype=np.float64)
 
-    # Entries: (node, insertion_seq). Node indices are assigned after pruning.
-    entries: list[tuple[DraftNode, int]] = []
-    seq = 0
-    frontier = [-1]  # parent slots; -1 is the virtual root
-    by_slot: dict[int, DraftNode] = {}
-
-    def node_dist(slot: int) -> np.ndarray:
-        return root_dist if slot == -1 else by_slot[slot].dist
-
-    def node_conf(slot: int) -> float:
-        return 1.0 if slot == -1 else by_slot[slot].confidence
-
-    def path_tokens(slot: int) -> list[int]:
-        out = []
-        while slot != -1:
-            node = by_slot[slot]
-            out.append(node.token)
-            slot = node.parent
-        return context + out[::-1]
+    # Candidates: (-confidence, token, slot, parent slot, prob, depth).  A
+    # node's slot is its insertion number, so tuple order is the pruning
+    # rank.  DraftNodes are made for the survivors at the end.
+    entries: list[tuple] = []
+    slot = 0
+    # Expanded nodes by slot (-1 is the root): (dist, confidence, feature,
+    # tail), where tail holds the last `window` tokens of context + root path.
+    expanded = {-1: (root_dist, 1.0, root_feature, tuple(context[-window:]))}
+    frontier = [-1]
 
     for depth in range(1, D + 1):
         if not frontier:
             break
-        for slot in frontier:
-            dist = node_dist(slot)
+        for parent in frontier:
+            dist, conf, _, _ = expanded[parent]
             if rng is None:
                 order = [int(t) for t in np.lexsort((np.arange(dist.size), -dist))[:k_b]]
             else:
                 order = []
                 avail = dist.copy()
-                for _ in range(k_b):
-                    total = avail.sum()
-                    if total <= 0.0:
-                        break
-                    tok = sample_index(avail / total, rng)
+                for u in rng.random(min(k_b, int(np.count_nonzero(dist)))):
+                    cum = (avail / avail.sum()).cumsum()
+                    tok = int(cum.searchsorted(u * cum[-1], side="right"))
                     order.append(tok)
                     avail[tok] = 0.0
-            parent_feature = root_feature if slot == -1 else by_slot[slot].feature
-            hist = path_tokens(slot)
             for tok in order:
                 p = float(dist[tok])
                 if p <= 0.0:
                     continue
-                feat = draft.extend_feature(parent_feature, hist[-draft.window], tok)
-                child = DraftNode(token=tok, parent=slot, prob=p,
-                                  confidence=node_conf(slot) * p, depth=depth,
-                                  feature=feat)
-                entries.append((child, seq))
-                seq += 1
+                entries.append((-(conf * p), tok, slot, parent, p, depth))
+                slot += 1
 
-        # Global retention over all nodes created so far.
-        ranked = sorted(range(len(entries)),
-                        key=lambda i: (-entries[i][0].confidence,
-                                       entries[i][0].token, entries[i][1]))
-        keep = set(ranked[:budget])
-        # Ancestor closure: a kept node's parent must be kept. Parents have
-        # confidence >= child and shallower depth, so repair is a rare
-        # tie-breaking correction.
-        changed = True
-        while changed:
-            changed = False
-            seq_to_idx = {entries[i][1]: i for i in range(len(entries))}
-            for i in list(keep):
-                parent_slot = entries[i][0].parent
-                if parent_slot != -1 and seq_to_idx[parent_slot] not in keep:
-                    worst = max(keep - {seq_to_idx[parent_slot]},
-                                key=lambda j: ranked.index(j))
-                    keep.discard(worst)
-                    keep.add(seq_to_idx[parent_slot])
-                    changed = True
-        entries = [entries[i] for i in sorted(keep, key=lambda i: entries[i][1])]
-        by_slot = {s: n for n, s in entries}
+        if len(entries) > budget:
+            entries = _retain(entries, budget)
 
-        # Next frontier: surviving nodes of this round; compute their child
-        # distributions lazily here (only survivors ever draft).
+        if depth == D:
+            break
         frontier = []
-        if depth < D:
-            for node, slot in entries:
-                if node.depth == depth:
-                    if node.dist is None:
-                        node.dist = draft.next_dist(node.feature, node.token)
-                    frontier.append(slot)
+        for neg_conf, tok, s, parent, _, d in entries:
+            if d == depth:
+                _, _, feature, tail = expanded[parent]
+                feature = draft.extend_feature(feature, tail[0], tok)
+                expanded[s] = (draft.next_dist(feature, tok), -neg_conf, feature,
+                               tail[1:] + (tok,))
+                frontier.append(s)
 
-    # Renumber slots into dense insertion-order indices.
-    slot_to_idx = {slot: i for i, (_, slot) in enumerate(entries)}
-    nodes = []
-    for node, slot in entries:
-        node.parent = -1 if node.parent == -1 else slot_to_idx[node.parent]
-        nodes.append(node)
-    if not nodes:
+    if not entries:
         raise RejectedInput("tree construction produced no nodes")
+    # Renumber slots into dense insertion-order indices.
+    slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
+    nodes = []
+    for neg_conf, tok, s, parent, p, d in entries:
+        dist, _, feature, _ = expanded.get(s, (None, None, None, None))
+        nodes.append(DraftNode(token=tok, prob=p,
+                               parent=-1 if parent == -1 else slot_to_idx[parent],
+                               confidence=-neg_conf, depth=d, dist=dist, feature=feature))
     return DraftTree(nodes=nodes, root_dist=root_dist, budget=budget,
                      branching=k_b, max_depth=D)
+
+
+def _retain(entries: list[tuple], budget: int) -> list[tuple]:
+    """Cut candidates back to the budget-many highest confidences (ties:
+    smaller token id, then earlier insertion), keeping ancestor closure, in
+    insertion order."""
+    ranked = sorted(range(len(entries)), key=entries.__getitem__)
+    rank = {i: r for r, i in enumerate(ranked)}
+    keep = set(ranked[:budget])
+    slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
+    # Ancestor closure: a kept node's parent must be kept. Parents have
+    # confidence >= child and shallower depth, so repair is a rare
+    # tie-breaking correction.
+    changed = True
+    while changed:
+        changed = False
+        for i in list(keep):
+            parent = entries[i][3]
+            if parent != -1 and slot_to_idx[parent] not in keep:
+                worst = max(keep - {slot_to_idx[parent]}, key=rank.__getitem__)
+                keep.discard(worst)
+                keep.add(slot_to_idx[parent])
+                changed = True
+    return [entries[i] for i in sorted(keep)]
 
 
 def enumerate_paths(tree: DraftTree) -> list[TokenPath]:

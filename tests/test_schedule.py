@@ -79,6 +79,40 @@ class TestPathSimilarity:
         assert strided.value == pytest.approx(oracle)
         assert full.value != strided.value
 
+    def test_closed_form_matches_pair_loop(self):
+        def pair_loop(paths, codebook, alpha, stride):
+            retained = paths[::stride]
+            depth = min(len(p) for p in retained)
+            weights = decay_weights(alpha, depth)
+            value = 0.0
+            for level in range(depth):
+                sims = [cosine(codebook.vectors[a.tokens[level]],
+                               codebook.vectors[b.tokens[level]])
+                        for i, a in enumerate(retained) for b in retained[i + 1:]]
+                value += weights[level] * (sum(sims) / len(sims))
+            return float(np.clip(value, -1.0, 1.0))
+
+        cfg = EngineConfig()
+        target, draft = make_model_pair(cfg)
+        cases = [_paths([0, 1, 2], [0, 1, 3], [0, 2, 2], [3, 3, 3], [0, 1])]
+        for run in range(40):
+            prompt = [int(t) for t in
+                      rng_stream(run, "p").integers(0, cfg.vocab_size, cfg.window)]
+            feats = [target.feature_at(prompt, cfg.window - 1)]
+            tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+                              cfg.budget, rng=rng_stream(run, "d"))
+            cases.append(enumerate_paths(tree))
+        checked = 0
+        for paths in cases:
+            for stride in (1, 2):
+                if len(paths[::stride]) < 2:
+                    continue
+                sim = path_similarity(paths, target.codebook, cfg.alpha, stride)
+                assert abs(sim.value - pair_loop(paths, target.codebook, cfg.alpha,
+                                                 stride)) <= 1e-12
+                checked += 1
+        assert checked > 40
+
     def test_lone_retained_path_degenerate(self):
         sim = path_similarity(_paths([0], [1]), POSITIVE_CB, alpha=0.8, stride=2)
         assert sim.degenerate and sim.value == 1.0

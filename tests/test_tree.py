@@ -1,5 +1,7 @@
 """Candidate-tree construction, enumeration, and linearization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,17 @@ class TestBuildTree:
         assert [n.token for n in tree.nodes] == [1, 2, 3]
         assert [n.parent for n in tree.nodes] == [-1, 0, 1]
         assert all(n.confidence == 1.0 for n in tree.nodes)
+
+    def test_sampled_point_mass_chain_draws_once_per_node(self):
+        # One positive entry per distribution: sampling stops after one
+        # uniform per expanded node, short of k_b.
+        table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
+        rng = rng_stream(0, "support")
+        tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8, rng=rng)
+        assert [n.token for n in tree.nodes] == [1, 2, 3]
+        ref = rng_stream(0, "support")
+        ref.random(3)
+        assert rng.random() == ref.random()
 
     def test_top2_of_root(self):
         table = {0: [0.1, 0.0, 0.5, 0.15, 0.25]}
@@ -100,6 +113,31 @@ class TestBuildTree:
         for group in kids:
             toks = [t1.nodes[i].token for i in group]
             assert len(toks) == len(set(toks))
+
+    @pytest.mark.parametrize("cfg, digest, forward_calls", [
+        # Default config: k_b=4, D=5, budget=24, so pruning is active.
+        (CFG, "b90d245f6f1e9e100d5add7fef1bb86f89d0a2d0645a53829a8b2938ca44b29f", 5715),
+        (EngineConfig(vocab_size=1024, feat_dim=16),
+         "3f1b973c0961b670548f1b5a30811335c69a59dce4b07b017d76bfa3906591f7", 5117),
+    ])
+    def test_sampled_trees_golden(self, cfg, digest, forward_calls):
+        """200 sampled trees, each followed by the next draw of its rng,
+        hash to recorded bytes with a recorded number of drafter calls:
+        tree shape, probs and rng consumption are pinned across rewrites of
+        the build loop."""
+        target, draft = make_model_pair(cfg)
+        h = hashlib.sha256()
+        for run in range(200):
+            prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
+                0, cfg.vocab_size, cfg.window)]
+            feats = [target.feature_at(prompt, cfg.window - 1)]
+            rng = rng_stream(run, "golden-draw")
+            tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+                              cfg.budget, rng=rng)
+            h.update(serialize_tree(tree).encode())
+            h.update(f"{rng.random()!r}\n".encode())
+        assert h.hexdigest() == digest
+        assert draft.forward_calls == forward_calls
 
     def test_short_context_rejected(self):
         target, draft = make_model_pair(CFG)
