@@ -410,7 +410,10 @@ def config_from_mapping(values: dict) -> EngineConfig:
 
 
 def _coerce(key: str, raw):
-    default = getattr(EngineConfig, key)
+    """Convert a raw value to the type of the field's default; text that
+    does not parse is rejected.  Unknown keys pass through unchanged for
+    the caller to reject by name."""
+    default = getattr(EngineConfig, key, None)
     if isinstance(raw, str):
         if isinstance(default, bool):
             if raw.lower() in ("true", "1", "yes"):
@@ -418,12 +421,15 @@ def _coerce(key: str, raw):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise RejectedInput(f"bad boolean for {key!r}: {raw!r}")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, tuple):
-            return tuple(int(part) for part in raw.split(",") if part.strip())
+        try:
+            if isinstance(default, int):
+                return int(raw)
+            if isinstance(default, float):
+                return float(raw)
+            if isinstance(default, tuple):
+                return tuple(int(part) for part in raw.split(",") if part.strip())
+        except ValueError:
+            raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
         return raw
     if isinstance(default, tuple) and not isinstance(raw, tuple):
         return tuple(raw)

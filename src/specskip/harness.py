@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import cosine, rng_stream
-from .engine import (FRESH, EngineConfig, compute_metrics, config_from_mapping,
-                     speculative_decode, vanilla_ar, vvs_generate)
+from .engine import (FRESH, EngineConfig, _coerce, compute_metrics,
+                     config_from_mapping, speculative_decode, vanilla_ar,
+                     vvs_generate)
 from .errors import RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
@@ -107,14 +108,11 @@ def parse_spec_file(path) -> ExperimentSpec:
 
 
 def _parse_axis_value(param: str, raw: str):
-    default = getattr(EngineConfig, param)
-    if isinstance(default, bool):
-        return raw.lower() in ("true", "1", "yes")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    """One sweep value, coerced as a config file coerces it.  Tuple-valued
+    fields have no axis syntax yet and pass through as text."""
+    if isinstance(getattr(EngineConfig, param, None), tuple):
+        return raw
+    return _coerce(param, raw)
 
 
 def _cell_seed(master: int, cell_index: int, rep: int) -> int:

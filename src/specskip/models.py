@@ -166,21 +166,44 @@ class DraftModel:
         self.seed = seed
         rng = rng_stream(seed, "draft-noise")
         self._noise_head = rng.standard_normal((codebook.size, codebook.dim))
-        self._mixed = self.mixing @ codebook.vectors.T
+        # Row t is mixing @ embedding(t), the target's column t.
+        self._mixed_rows = np.ascontiguousarray((self.mixing @ codebook.vectors.T).T)
         self.forward_calls = 0
 
-    def next_dist(self, feature: np.ndarray, last_token: int) -> np.ndarray:
-        self.forward_calls += 1
-        base = self.logit_scale * (self.codebook.vectors @ feature) / self.target_temperature
-        noise = self.noise_scale * (self._noise_head @ self.codebook.vectors[last_token])
-        noise = noise / self.smooth_temperature
-        return _softmax((1.0 - self.epsilon) * base + self.epsilon * noise)
+    def next_dist(self, features: np.ndarray, last_tokens) -> np.ndarray:
+        """Draft distributions for a batch: row i of the (n, V) result
+        conditions on ``features[i]`` (an (n, d) array) and
+        ``last_tokens[i]``.  Counts n forward calls.
 
-    def extend_feature(self, feature: np.ndarray, leaving_token: int,
-                       new_token: int) -> np.ndarray:
-        """Slide the drafter's pseudo-feature one token forward."""
-        delta = (self._mixed[:, new_token] - self._mixed[:, leaving_token]) / self.window
-        return feature + delta
+        The readouts are stacked matrix-vector products (``np.matmul`` over
+        (n, d, 1)), so each row is bit-identical to a one-row call; a plain
+        matrix-matrix product rounds differently and must not be used.
+        """
+        self.forward_calls += len(features)
+        vectors = self.codebook.vectors
+        # In place, with the operations and their order of the formula
+        # (1 - eps) * (scale * base / T) + eps * (noise_scale * noise / T_s).
+        z = np.matmul(vectors, features[:, :, None])[:, :, 0]
+        z *= self.logit_scale
+        z /= self.target_temperature
+        z *= 1.0 - self.epsilon
+        noise = np.matmul(self._noise_head, vectors.take(last_tokens, axis=0)[:, :, None])[:, :, 0]
+        noise *= self.noise_scale
+        noise /= self.smooth_temperature
+        noise *= self.epsilon
+        z += noise
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=1, keepdims=True)
+        return z
+
+    def extend_feature(self, features: np.ndarray, leaving_tokens,
+                       new_tokens) -> np.ndarray:
+        """Slide the drafter's pseudo-features one token forward: one
+        feature with scalar tokens, or an (n, d) batch with n tokens each."""
+        rows = self._mixed_rows
+        return features + (rows.take(new_tokens, axis=0)
+                           - rows.take(leaving_tokens, axis=0)) / self.window
 
 
 def draft_forward(model: DraftModel, features, tokens) -> np.ndarray:
@@ -190,7 +213,8 @@ def draft_forward(model: DraftModel, features, tokens) -> np.ndarray:
         raise RejectedInput("features and tokens must have equal length")
     if len(tokens) == 0:
         raise RejectedInput("at least one (feature, token) pair required")
-    return model.next_dist(np.asarray(features[-1], dtype=np.float64), int(tokens[-1]))
+    feature = np.asarray(features[-1], dtype=np.float64)
+    return model.next_dist(feature[None], [int(tokens[-1])])[0]
 
 
 def make_model_pair(config) -> tuple[TargetModel, DraftModel]:

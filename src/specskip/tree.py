@@ -3,6 +3,7 @@ and linearization for single-pass verification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,8 @@ class TokenPath:
 
     @property
     def confidence(self) -> float:
-        return float(np.prod(self.probs))
+        # The left-to-right product, as each node's stored confidence is made.
+        return math.prod(self.probs)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -89,87 +91,132 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
     Stored per-child probs are always taken from the node's original
     distribution.
 
-    A sampled node takes all its uniforms from one ``rng.random(n)`` call,
-    n = min(k_b, nonzero entries of its distribution).  This consumes the
-    stream exactly as one ``rng.random()`` per draw would: every draw lands
-    on an entry of positive remaining mass and zeroes it, so the draws stop
-    only after k_b draws or once no positive mass is left, which is after n
-    draws either way.
-
-    Only nodes that survive pruning into the frontier get a drafter feature
-    and a child distribution (one ``next_dist`` call each); pruned and
-    last-level nodes have neither.
+    The tree grows one level at a time: a level's draws run as row-wise
+    operations over its stacked distributions (see ``_sample_level``), and
+    the nodes that survive pruning into the next frontier get their
+    drafter features and child distributions from one batched
+    ``extend_feature`` and one batched ``next_dist`` call.  Pruned and
+    last-level nodes have neither.  Tokens, probs and rng consumption are
+    those of expanding node by node.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
-    context = [int(t) for t in tokens]
     window = draft.window
-    if len(context) < window:
+    if len(tokens) < window:
         raise RejectedInput(f"context shorter than drafter window {window}")
 
-    if not 1 <= len(features) <= len(context):
+    if not 1 <= len(features) <= len(tokens):
         raise RejectedInput("features must cover a nonempty suffix of the context")
-    root_dist = draft_forward(draft, features, context[len(context) - len(features):])
-    root_feature = np.asarray(features[-1], dtype=np.float64)
+    root_dist = draft_forward(draft, features, tokens[len(tokens) - len(features):])
 
-    # Candidates: (-confidence, token, slot, parent slot, prob, depth).  A
-    # node's slot is its insertion number, so tuple order is the pruning
-    # rank.  DraftNodes are made for the survivors at the end.
+    # Candidates: (-confidence, token, slot, parent slot, prob, depth, parent
+    # row).  A node's slot is its insertion number, so tuple order is the
+    # pruning rank; its parent row indexes the parent's level arrays.
+    # DraftNodes are made for the survivors at the end.
     entries: list[tuple] = []
     slot = 0
-    # Expanded nodes by slot (-1 is the root): (dist, confidence, feature,
-    # tail), where tail holds the last `window` tokens of context + root path.
-    expanded = {-1: (root_dist, 1.0, root_feature, tuple(context[-window:]))}
-    frontier = [-1]
+    # The frontier level: its entries (the root's stand-in has confidence 1
+    # and slot -1), draft dists (n, V), drafter features (n, d) and tails
+    # (the last `window` tokens of context + root path).  Expanded nodes
+    # keep their rows: slot -> (dist, feature).
+    level = [(-1.0, None, -1)]
+    dists = root_dist[None]
+    feats = np.asarray(features[-1], dtype=np.float64)[None]
+    tails = [tuple(map(int, tokens[len(tokens) - window:]))]
+    expanded: dict[int, tuple] = {}
 
     for depth in range(1, D + 1):
-        if not frontier:
-            break
-        for parent in frontier:
-            dist, conf, _, _ = expanded[parent]
-            if rng is None:
-                order = [int(t) for t in np.lexsort((np.arange(dist.size), -dist))[:k_b]]
-            else:
-                order = []
-                avail = dist.copy()
-                for u in rng.random(min(k_b, int(np.count_nonzero(dist)))):
-                    cum = (avail / avail.sum()).cumsum()
-                    tok = int(cum.searchsorted(u * cum[-1], side="right"))
-                    order.append(tok)
-                    avail[tok] = 0.0
-            for tok in order:
+        if rng is None:
+            picks = np.argsort(-dists, axis=1, kind="stable")[:, :k_b].tolist()
+        else:
+            picks = _sample_level(dists, k_b, rng)
+        for row, (e, dist) in enumerate(zip(level, dists)):
+            conf, parent = -e[0], e[2]
+            for tok in picks[row]:
                 p = float(dist[tok])
                 if p <= 0.0:
                     continue
-                entries.append((-(conf * p), tok, slot, parent, p, depth))
+                entries.append((-(conf * p), tok, slot, parent, p, depth, row))
                 slot += 1
 
         if len(entries) > budget:
             entries = _retain(entries, budget)
 
-        if depth == D:
+        level = [e for e in entries if e[5] == depth]
+        if depth == D or not level:
             break
-        frontier = []
-        for neg_conf, tok, s, parent, _, d in entries:
-            if d == depth:
-                _, _, feature, tail = expanded[parent]
-                feature = draft.extend_feature(feature, tail[0], tok)
-                expanded[s] = (draft.next_dist(feature, tok), -neg_conf, feature,
-                               tail[1:] + (tok,))
-                frontier.append(s)
+        new = np.array([e[1] for e in level])
+        rows = np.array([e[6] for e in level])
+        feats = draft.extend_feature(feats.take(rows, axis=0),
+                                     np.array([tails[e[6]][0] for e in level]), new)
+        dists = draft.next_dist(feats, new)
+        tails = [tails[e[6]][1:] + (e[1],) for e in level]
+        expanded.update(zip([e[2] for e in level], zip(dists, feats)))
 
     if not entries:
         raise RejectedInput("tree construction produced no nodes")
     # Renumber slots into dense insertion-order indices.
     slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
     nodes = []
-    for neg_conf, tok, s, parent, p, d in entries:
-        dist, _, feature, _ = expanded.get(s, (None, None, None, None))
+    for neg_conf, tok, s, parent, p, d, _ in entries:
+        dist, feature = expanded.get(s, (None, None))
         nodes.append(DraftNode(token=tok, prob=p,
                                parent=-1 if parent == -1 else slot_to_idx[parent],
                                confidence=-neg_conf, depth=d, dist=dist, feature=feature))
     return DraftTree(nodes=nodes, root_dist=root_dist, budget=budget,
                      branching=k_b, max_depth=D)
+
+
+def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator) -> list[list[int]]:
+    """Draw children without replacement for each row of a level's (n, V)
+    distributions, node after node, as ``_sample_row`` does for one row.
+
+    When every entry is positive, each row takes exactly m = min(k_b, V)
+    draws, so the level takes its uniforms from one ``rng.random((n, m))``
+    call, row i's after rows 0..i-1, as per-node calls would.  Each of m
+    rounds then normalises every row, takes its cumulative sums and picks
+    the number of entries with ``cum <= u * cum[-1]`` (which is
+    ``searchsorted(u * cum[-1], side="right")``), then zeroes the pick.  The
+    row-wise sum, divide and cumsum round exactly as the same calls on one
+    row do, so the picks are those of the per-node loop.
+
+    Levels with a zero entry draw per node, since their rows may stop
+    drawing short of k_b.
+    """
+    n, V = dists.shape
+    if np.count_nonzero(dists) < dists.size:
+        return [_sample_row(dist, k_b, rng) for dist in dists]
+    m = min(k_b, V)
+    u = rng.random((n, m))
+    avail = dists.copy()
+    flat = avail.reshape(-1)
+    starts = np.arange(0, n * V, V)
+    picks = []
+    for r in range(m):
+        cum = np.add.accumulate(avail / np.add.reduce(avail, axis=1, keepdims=True), axis=1)
+        toks = np.add.reduce(cum <= u[:, r:r + 1] * cum[:, -1:], axis=1)
+        flat[starts + toks] = 0.0
+        picks.append(toks)
+    return np.array(picks).T.tolist()
+
+
+def _sample_row(dist: np.ndarray, k_b: int, rng: np.random.Generator) -> list[int]:
+    """Draw up to k_b tokens without replacement from one distribution.
+
+    The uniforms come from one ``rng.random(m)`` call, m = min(k_b, nonzero
+    entries).  This consumes the stream exactly as one ``rng.random()`` per
+    draw would: every draw lands on an entry of positive remaining mass and
+    zeroes it, so the draws stop only after k_b draws or once no positive
+    mass is left, which is after m draws either way.
+    """
+    picks = []
+    avail = dist.copy()
+    for u in rng.random(min(k_b, int(np.count_nonzero(dist)))):
+        cum = (avail / avail.sum()).cumsum()
+        tok = int(cum.searchsorted(u * cum[-1], side="right"))
+        picks.append(tok)
+        avail[tok] = 0.0
+    return picks
 
 
 def _retain(entries: list[tuple], budget: int) -> list[tuple]:

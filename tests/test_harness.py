@@ -165,6 +165,25 @@ class TestCli:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: RejectedInput")
 
+    def test_bad_number_in_config_is_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_new_tokens = abc\n")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert "max_new_tokens" in err[0]
+
+    @pytest.mark.parametrize("axis, name", [("sweep.truncate = maybe", "truncate"),
+                                            ("sweep.interval = 2, x", "interval"),
+                                            ("sweep.hyperdrive = 1", "hyperdrive")])
+    def test_bad_sweep_axis_is_one_error_line(self, capsys, tmp_path, axis, name):
+        spec = tmp_path / "e.spec"
+        spec.write_text(f"name = cli\nmax_new_tokens = 12\n{axis}\n")
+        assert main(["sweep", str(spec), "--output", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert name in err[0]
+
     def test_seed_override_changes_output(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("max_new_tokens = 12\n")

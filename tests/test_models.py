@@ -131,6 +131,33 @@ class TestDraftModel:
         oracle = target.feature_at(tokens + [new], len(tokens))
         assert np.allclose(extended, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("vocab", [64, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_batch_rows_equal_one_row_calls(self, vocab, n):
+        """Each row of a batched call is bit-identical to a one-row call and
+        to the per-row matrix-vector formula; forward_calls counts rows."""
+        _, draft = make_model_pair(EngineConfig(vocab_size=vocab, feat_dim=16))
+        rng = rng_stream(n, "batch")
+        feats = rng.standard_normal((n, 16))
+        last = [int(t) for t in rng.integers(0, vocab, n)]
+        before = draft.forward_calls
+        batch = draft.next_dist(feats, last)
+        assert draft.forward_calls == before + n
+        assert batch.shape == (n, vocab)
+        for i in range(n):
+            assert np.array_equal(batch[i], draft.next_dist(feats[i:i + 1], last[i:i + 1])[0])
+            assert np.array_equal(batch[i], _one_row_dist(draft, feats[i], last[i]))
+
+    def test_extend_feature_batch_equals_rows(self, pair):
+        _, draft = pair
+        rng = rng_stream(3, "extend")
+        feats = rng.standard_normal((5, CFG.feat_dim))
+        leaving = [int(t) for t in rng.integers(0, CFG.vocab_size, 5)]
+        new = [int(t) for t in rng.integers(0, CFG.vocab_size, 5)]
+        batch = draft.extend_feature(feats, leaving, new)
+        for i in range(5):
+            assert np.array_equal(batch[i], draft.extend_feature(feats[i], leaving[i], new[i]))
+
     def test_length_mismatch_rejected(self, pair):
         with pytest.raises(RejectedInput):
             draft_forward(pair[1], [np.zeros(CFG.feat_dim)], [1, 2])
@@ -138,6 +165,17 @@ class TestDraftModel:
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(RejectedInput):
             make_model_pair(EngineConfig(epsilon=1.5))
+
+
+def _one_row_dist(draft, feature, last_token):
+    """The drafter's formula for one row, with 1-d matrix-vector products."""
+    vectors = draft.codebook.vectors
+    base = draft.logit_scale * (vectors @ feature) / draft.target_temperature
+    noise = draft.noise_scale * (draft._noise_head @ vectors[last_token])
+    noise = noise / draft.smooth_temperature
+    z = (1.0 - draft.epsilon) * base + draft.epsilon * noise
+    z = np.exp(z - z.max())
+    return z / z.sum()
 
 
 class TestMakeModelPair:

@@ -9,28 +9,100 @@ from specskip.core import rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
-from specskip.tree import (DraftNode, DraftTree, TokenPath, build_tree,
-                           enumerate_paths, linearize, serialize_tree)
+from specskip.tree import (DraftNode, DraftTree, TokenPath, _sample_level,
+                           build_tree, enumerate_paths, linearize,
+                           serialize_tree)
 
 CFG = EngineConfig()
 
 
 class TableDrafter:
-    """Drafter stub with a fixed next-token table keyed by the last token."""
+    """Drafter stub with a fixed next-token table keyed by the last token,
+    behind the batch interface of DraftModel."""
 
     def __init__(self, table, window=1):
         self.table = {t: np.asarray(d, dtype=np.float64) for t, d in table.items()}
         self.window = window
 
-    def next_dist(self, feature, last_token):
-        return self.table[int(last_token)].copy()
+    def next_dist(self, features, last_tokens):
+        return np.array([self.table[int(t)] for t in last_tokens])
 
-    def extend_feature(self, feature, leaving_token, new_token):
-        return feature
+    def extend_feature(self, features, leaving_tokens, new_tokens):
+        return features
 
 
 def _feat():
     return [np.zeros(2)]
+
+
+def _golden_trees(cfg, runs=200):
+    """Sampled trees of the golden test, each with its rng after the build."""
+    target, draft = make_model_pair(cfg)
+    for run in range(runs):
+        prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
+            0, cfg.vocab_size, cfg.window)]
+        feats = [target.feature_at(prompt, cfg.window - 1)]
+        rng = rng_stream(run, "golden-draw")
+        tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+                          cfg.budget, rng=rng)
+        yield draft, tree, rng
+
+
+def _reference_draws(dists, k_b, rng):
+    """Per-node oracle: one rng.random() per draw, node after node, until
+    k_b draws or no positive mass is left."""
+    picks = []
+    for dist in dists:
+        avail = dist.copy()
+        order = []
+        while len(order) < k_b and avail.sum() > 0.0:
+            u = rng.random()
+            cum = (avail / avail.sum()).cumsum()
+            tok = int(cum.searchsorted(u * cum[-1], side="right"))
+            order.append(tok)
+            avail[tok] = 0.0
+        picks.append(order)
+    return picks
+
+
+class TestSampleLevel:
+    @pytest.mark.parametrize("vocab", [16, 64, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 24])
+    def test_full_support_matches_per_node_loop(self, vocab, n):
+        src = rng_stream(vocab * 100 + n, "level")
+        logits = 3.0 * src.standard_normal((n, vocab))
+        dists = np.exp(logits - logits.max(axis=1, keepdims=True))
+        dists /= dists.sum(axis=1, keepdims=True)
+        got_rng, ref_rng = rng_stream(n, "u"), rng_stream(n, "u")
+        assert _sample_level(dists, 4, got_rng) == _reference_draws(dists, 4, ref_rng)
+        assert got_rng.random() == ref_rng.random()
+
+    def test_fewer_entries_than_k_b_matches_per_node_loop(self):
+        # V = 4 < k_b = 5: every full row stops after its 4 entries, so the
+        # level takes 4 uniforms per row, not k_b.
+        src = rng_stream(4, "level")
+        dists = src.random((4, 4)) + 0.1
+        dists /= dists.sum(axis=1, keepdims=True)
+        got_rng, ref_rng = rng_stream(4, "u"), rng_stream(4, "u")
+        got = _sample_level(dists, 5, got_rng)
+        assert got == _reference_draws(dists, 5, ref_rng)
+        assert all(sorted(p) == [0, 1, 2, 3] for p in got)
+        assert got_rng.random() == ref_rng.random()
+
+    def test_mixed_support_matches_per_node_loop(self):
+        # Rows with 1 and 3 positive entries (fewer than k_b = 4) between
+        # full rows: the short rows stop early and the stream stays aligned.
+        dists = np.array([
+            [0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0],
+            [0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+        ])
+        got_rng, ref_rng = rng_stream(1, "mixed"), rng_stream(1, "mixed")
+        got = _sample_level(dists, 4, got_rng)
+        assert got == _reference_draws(dists, 4, ref_rng)
+        assert [len(p) for p in got] == [4, 1, 3, 4]
+        assert got_rng.random() == ref_rng.random()
 
 
 class TestBuildTree:
@@ -125,19 +197,28 @@ class TestBuildTree:
         hash to recorded bytes with a recorded number of drafter calls:
         tree shape, probs and rng consumption are pinned across rewrites of
         the build loop."""
-        target, draft = make_model_pair(cfg)
         h = hashlib.sha256()
-        for run in range(200):
-            prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
-                0, cfg.vocab_size, cfg.window)]
-            feats = [target.feature_at(prompt, cfg.window - 1)]
-            rng = rng_stream(run, "golden-draw")
-            tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
-                              cfg.budget, rng=rng)
+        for draft, tree, rng in _golden_trees(cfg):
             h.update(serialize_tree(tree).encode())
             h.update(f"{rng.random()!r}\n".encode())
         assert h.hexdigest() == digest
         assert draft.forward_calls == forward_calls
+
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)])
+    def test_path_confidence_equals_leaf_confidence(self, cfg):
+        """A path's confidence is its leaf's stored confidence and the
+        numpy product of its probs, exactly."""
+        for _, tree, _ in _golden_trees(cfg):
+            conf_of_path = {}
+            for i, node in enumerate(tree.nodes):
+                toks, j = [], i
+                while j != -1:
+                    toks.append(tree.nodes[j].token)
+                    j = tree.nodes[j].parent
+                conf_of_path[tuple(toks[::-1])] = node.confidence
+            for path in enumerate_paths(tree):
+                assert path.confidence == conf_of_path[tuple(path.tokens)]
+                assert path.confidence == float(np.prod(path.probs))
 
     def test_short_context_rejected(self):
         target, draft = make_model_pair(CFG)
