@@ -24,8 +24,7 @@ def _load_config(args) -> EngineConfig:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    trace = vanilla_ar(config) if config.policy == "never" and args.vanilla \
-        else vvs_generate(config)
+    trace = vanilla_ar(config) if args.vanilla else vvs_generate(config)
     metrics = compute_metrics(trace)
     if args.output:
         with open(args.output, "w", newline="") as fh:
@@ -49,10 +48,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    config = parse_config_file(args.config) if args.config else EngineConfig()
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    config.validate()
+    config = _load_config(args)
     if args.what == "path-similarity":
         out = measure_path_similarity_distribution(config, runs=args.runs)
         print(f"iterations={out['iterations']} degenerate={out['degenerate']} "

@@ -74,6 +74,9 @@ class EngineConfig:
     log_similarity: bool = False
 
     def validate(self) -> "EngineConfig":
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise RejectedInput(f"{name} must be finite")
         if self.vocab_size < 4 or self.feat_dim < 2 or self.window < 1:
             raise RejectedInput("vocab_size >= 4, feat_dim >= 2, window >= 1 required")
         if self.temperature <= 0 or self.smooth_temperature <= 0:
@@ -109,6 +112,9 @@ class EngineConfig:
 
     def verify_mode(self):
         return "strict" if self.accept_mode == "strict" else RelaxConfig(self.delta, self.pool_k)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(EngineConfig) if isinstance(f.default, float))
 
 
 @dataclass
@@ -411,7 +417,8 @@ def config_from_mapping(values: dict) -> EngineConfig:
 
 def _coerce(key: str, raw):
     """Convert a raw value to the type of the field's default; text that
-    does not parse is rejected.  Unknown keys pass through unchanged for
+    does not parse is rejected.  Tuple text separates its elements by
+    commas or whitespace.  Unknown keys pass through unchanged for
     the caller to reject by name."""
     default = getattr(EngineConfig, key, None)
     if isinstance(raw, str):
@@ -427,7 +434,7 @@ def _coerce(key: str, raw):
             if isinstance(default, float):
                 return float(raw)
             if isinstance(default, tuple):
-                return tuple(int(part) for part in raw.split(",") if part.strip())
+                return tuple(int(part) for part in raw.replace(",", " ").split())
         except ValueError:
             raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
         return raw

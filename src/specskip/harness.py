@@ -15,16 +15,17 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import cosine, rng_stream
-from .engine import (FRESH, EngineConfig, _coerce, compute_metrics,
-                     config_from_mapping, speculative_decode, vanilla_ar,
-                     vvs_generate)
+from .core import cosine
+from .engine import (EngineConfig, _coerce, _make_prompt, _Streams,
+                     compute_metrics, config_from_mapping, speculative_decode,
+                     vanilla_ar, vvs_generate)
 from .errors import RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
 from .tree import build_tree, enumerate_paths
 
-# One schema for every experiment type.
+# One schema for every experiment type.  The last column, extra, is written
+# empty so that sweep CSVs keep their layout.
 CSV_FIELDS = ["name", "cell", "rep", "seed", "pipeline", "n_tok", "n_fwd",
               "tpf", "mal", "skip_fraction", "quality_proxy", "extra"]
 
@@ -39,9 +40,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         known = {f.name for f in fields(EngineConfig)}
-        for key in self.axes:
+        for key, values in self.axes.items():
             if key not in known:
                 raise RejectedInput(f"unknown sweep parameter {key!r}")
+            if key == "seed":
+                raise RejectedInput("'seed' cannot be a sweep axis: every cell "
+                                    "and repetition gets a derived seed")
+            if not values:
+                raise RejectedInput(f"sweep parameter {key!r} has no values")
         if self.repetitions < 1:
             raise RejectedInput("repetitions must be >= 1")
 
@@ -59,13 +65,11 @@ class ResultRow:
     mal: float
     skip_fraction: float
     quality_proxy: float
-    extra: str = ""
 
     def as_csv(self) -> list:
         return [self.name, self.cell, self.rep, self.seed, self.pipeline,
                 self.n_tok, self.n_fwd, f"{self.tpf:.10g}", f"{self.mal:.10g}",
-                f"{self.skip_fraction:.10g}", f"{self.quality_proxy:.10g}",
-                self.extra]
+                f"{self.skip_fraction:.10g}", f"{self.quality_proxy:.10g}", ""]
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -88,17 +92,23 @@ def parse_config_file(path) -> EngineConfig:
 
 def parse_spec_file(path) -> ExperimentSpec:
     """Spec files hold EngineConfig keys plus name/repetitions/output and
-    ``sweep.<param> = v1, v2, ...`` axes."""
+    ``sweep.<param> = v1, v2, ...`` axes.  Axis values are comma separated;
+    a tuple-valued value separates its elements by whitespace, so
+    ``sweep.feature_schedule = -1, -1 0`` has the cells (-1,) and (-1, 0)."""
     values = parse_kv_file(path)
     name = values.pop("name", "experiment")
-    reps = int(values.pop("repetitions", "1"))
+    raw_reps = values.pop("repetitions", "1")
+    try:
+        reps = int(raw_reps)
+    except ValueError:
+        raise RejectedInput(f"bad value for 'repetitions': {raw_reps!r}") from None
     output = values.pop("output", None)
     axes: dict[str, list] = {}
     base_values = {}
     for key, raw in values.items():
         if key.startswith("sweep."):
             param = key[len("sweep."):]
-            axes[param] = [_parse_axis_value(param, part.strip())
+            axes[param] = [_coerce(param, part.strip())
                            for part in raw.split(",") if part.strip()]
         else:
             base_values[key] = raw
@@ -107,20 +117,8 @@ def parse_spec_file(path) -> ExperimentSpec:
                           repetitions=reps, output=output)
 
 
-def _parse_axis_value(param: str, raw: str):
-    """One sweep value, coerced as a config file coerces it.  Tuple-valued
-    fields have no axis syntax yet and pass through as text."""
-    if isinstance(getattr(EngineConfig, param, None), tuple):
-        return raw
-    return _coerce(param, raw)
-
-
 def _cell_seed(master: int, cell_index: int, rep: int) -> int:
     return master + 1_000_003 * cell_index + 1_009 * rep
-
-
-def _pipeline_for(config: EngineConfig) -> str:
-    return "sd" if config.policy == "never" else "vvs"
 
 
 def _run_cell(args) -> ResultRow:
@@ -128,25 +126,38 @@ def _run_cell(args) -> ResultRow:
     trace = vvs_generate(config)
     metrics = compute_metrics(trace)
     return ResultRow(name=name, cell=cell_label, rep=rep, seed=config.seed,
-                     pipeline=_pipeline_for(config), n_tok=metrics.n_tok,
-                     n_fwd=metrics.n_fwd, tpf=metrics.tpf, mal=metrics.mal,
+                     pipeline="sd" if config.policy == "never" else "vvs",
+                     n_tok=metrics.n_tok, n_fwd=metrics.n_fwd, tpf=metrics.tpf,
+                     mal=metrics.mal,
                      skip_fraction=metrics.skip_fraction,
                      quality_proxy=metrics.quality_proxy)
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Full Cartesian sweep, deterministic given the spec; rows stream to
-    the output CSV as they complete (single writer, cell order)."""
+def _label_value(value) -> str:
+    # A tuple is labelled in its axis syntax, so a cell label holds no comma.
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _tasks(spec: ExperimentSpec) -> list[tuple]:
+    """One validated (name, cell label, config, rep) task per generation of
+    the full Cartesian sweep, in cell order."""
     axis_names = sorted(spec.axes)
     combos = list(itertools.product(*(spec.axes[k] for k in axis_names))) or [()]
     tasks = []
     for cell_index, combo in enumerate(combos):
         overrides = dict(zip(axis_names, combo))
-        cell_label = ";".join(f"{k}={v}" for k, v in overrides.items())
+        cell_label = ";".join(f"{k}={_label_value(v)}" for k, v in overrides.items())
         for rep in range(spec.repetitions):
             config = replace(spec.base, seed=_cell_seed(spec.base.seed, cell_index, rep),
                              **overrides).validate()
             tasks.append((spec.name, cell_label, config, rep))
+    return tasks
+
+
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
+    """Full Cartesian sweep, deterministic given the spec; rows stream to
+    the output CSV as they complete (single writer, cell order)."""
+    tasks = _tasks(spec)
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -194,9 +205,9 @@ def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dic
     values = []
     degenerate = 0
     for run in range(runs):
-        cfg = replace(config, policy="never", run=config.run + run)
-        target, draft = make_model_pair(cfg)
-        trace = _similarity_logged_trace(cfg, (target, draft))
+        cfg = replace(config, policy="never", run=config.run + run,
+                      log_similarity=True)
+        trace = speculative_decode(cfg, models=make_model_pair(cfg))
         for it in trace.iterations:
             if it.similarity is None:
                 degenerate += 1
@@ -206,11 +217,6 @@ def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dic
     frac = float(np.mean([v > 0.7 for v in values])) if values else float("nan")
     return {"bin_edges": edges, "counts": counts, "degenerate": degenerate,
             "fraction_above_0.7": frac, "iterations": len(values)}
-
-
-def _similarity_logged_trace(config, models):
-    cfg = replace(config, log_similarity=True)
-    return speculative_decode(cfg, models=models)
 
 
 def measure_feature_similarity(config: EngineConfig, max_distance: int,
@@ -235,89 +241,6 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
     return [(d + 1, float(sums[d] / counts[d])) for d in range(max_distance)]
 
 
-def staleness_sweep(config: EngineConfig, offsets, reps: int = 20) -> list[ResultRow]:
-    """Baseline SD with drafting features at each staleness offset; reports
-    MAL per offset and the MAL ratio against fresh features."""
-    config.validate()
-    rows = []
-    mal_fresh = None
-    for offset in offsets:
-        mals = []
-        for rep in range(reps):
-            cfg = replace(config, policy="never",
-                          feature_schedule=(offset,), run=config.run + rep)
-            metrics = compute_metrics(speculative_decode(cfg))
-            mals.append(metrics.mal)
-            rows.append(ResultRow(name="staleness", cell=f"s={offset}", rep=rep,
-                                  seed=cfg.seed, pipeline="sd", n_tok=metrics.n_tok,
-                                  n_fwd=metrics.n_fwd, tpf=metrics.tpf,
-                                  mal=metrics.mal, skip_fraction=metrics.skip_fraction,
-                                  quality_proxy=metrics.quality_proxy))
-        mean_mal = float(np.mean(mals)) if mals else float("nan")
-        if offset == FRESH and mal_fresh is None:
-            mal_fresh = mean_mal
-        ratio = mean_mal / mal_fresh if mal_fresh else float("nan")
-        for row in rows:
-            if row.cell == f"s={offset}" and not row.extra:
-                row.extra = f"mal_ratio_vs_fresh={ratio:.6g}"
-    return rows
-
-
-def blending_sweep(config: EngineConfig, pairs, reps: int = 20) -> list[ResultRow]:
-    """Alternate feature staleness between two sources across iterations."""
-    config.validate()
-    rows = []
-    for s1, s2 in pairs:
-        for rep in range(reps):
-            cfg = replace(config, policy="never",
-                          feature_schedule=(s1, s2), run=config.run + rep)
-            metrics = compute_metrics(speculative_decode(cfg))
-            rows.append(ResultRow(name="blending", cell=f"s1={s1};s2={s2}", rep=rep,
-                                  seed=cfg.seed, pipeline="sd", n_tok=metrics.n_tok,
-                                  n_fwd=metrics.n_fwd, tpf=metrics.tpf,
-                                  mal=metrics.mal, skip_fraction=metrics.skip_fraction,
-                                  quality_proxy=metrics.quality_proxy))
-    return rows
-
-
-def pareto_sweep(config: EngineConfig, deltas, intervals, thresholds,
-                 reps: int = 5, fixed_deltas=(0.1, 0.2)) -> list[ResultRow]:
-    """TPF-versus-quality grid: a relaxed-acceptance delta sweep of the
-    baseline, plus uniform and dynamic skipping at the fixed deltas."""
-    if not deltas or not intervals or not thresholds:
-        raise RejectedInput("all sweep lists must be nonempty")
-    config.validate()
-    rows = []
-
-    def add(cell, cfg, rep):
-        metrics = compute_metrics(vvs_generate(cfg))
-        rows.append(ResultRow(name="pareto", cell=cell, rep=rep, seed=cfg.seed,
-                              pipeline=_pipeline_for(cfg), n_tok=metrics.n_tok,
-                              n_fwd=metrics.n_fwd, tpf=metrics.tpf, mal=metrics.mal,
-                              skip_fraction=metrics.skip_fraction,
-                              quality_proxy=metrics.quality_proxy))
-
-    for delta in deltas:
-        for rep in range(reps):
-            add(f"baseline;delta={delta}",
-                replace(config, policy="never", accept_mode="relaxed",
-                        delta=delta, run=config.run + rep), rep)
-    for fixed in fixed_deltas:
-        for interval in intervals:
-            for rep in range(reps):
-                add(f"vvs-u;delta={fixed};interval={interval}",
-                    replace(config, policy="uniform", interval=interval,
-                            accept_mode="relaxed", delta=fixed,
-                            run=config.run + rep), rep)
-        for threshold in thresholds:
-            for rep in range(reps):
-                add(f"vvs-d;delta={fixed};threshold={threshold}",
-                    replace(config, policy="dynamic", threshold=threshold,
-                            accept_mode="relaxed", delta=fixed,
-                            run=config.run + rep), rep)
-    return rows
-
-
 def sample_similarity_gap(config: EngineConfig, trees: int = 1000) -> float:
     """Max |stride-1 minus stride-2| path similarity over random trees; the
     measurement behind the frozen stride tolerance."""
@@ -326,11 +249,11 @@ def sample_similarity_gap(config: EngineConfig, trees: int = 1000) -> float:
     target, draft = make_model_pair(config)
     for run in range(trees):
         cfg = replace(config, run=config.run + run)
-        prompt_rng = rng_stream(cfg.seed, f"run{cfg.run}/prompt")
-        prompt = [int(t) for t in prompt_rng.integers(0, cfg.vocab_size, cfg.window)]
+        streams = _Streams(cfg)
+        prompt = _make_prompt(cfg, streams["prompt"])
         feats = [target.feature_at(prompt, len(prompt) - 1)]
         tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
-                          cfg.budget, rng=rng_stream(cfg.seed, f"run{cfg.run}/draft"))
+                          cfg.budget, rng=streams["draft"])
         paths = enumerate_paths(tree)
         s1 = path_similarity(paths, target.codebook, cfg.alpha, stride=1)
         s2 = path_similarity(paths, target.codebook, cfg.alpha, stride=2)

@@ -1,19 +1,26 @@
 """Experiment harness: config/spec parsing, sweeps, analysis, CLI."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specskip.cli import main
 from specskip.engine import FRESH, EngineConfig
-from specskip.errors import RejectedInput
-from specskip.harness import (ExperimentSpec, blending_sweep,
+from specskip.errors import RejectedInput, SpecskipError
+from specskip.harness import (ExperimentSpec, _tasks,
                               measure_feature_similarity,
                               measure_path_similarity_distribution,
                               parse_config_file, parse_kv_file,
-                              parse_spec_file, pareto_sweep, run_experiment,
-                              staleness_sweep, summary_table, write_rows)
+                              parse_spec_file, run_experiment, summary_table,
+                              write_rows)
 
 SMALL = dict(max_new_tokens=16)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestParsing:
@@ -53,6 +60,84 @@ class TestParsing:
         with pytest.raises(RejectedInput, match="hyperdrive"):
             ExperimentSpec(name="x", base=EngineConfig(),
                            axes={"hyperdrive": [1]})
+
+    def test_seed_axis_rejected(self):
+        with pytest.raises(RejectedInput, match="seed"):
+            ExperimentSpec(name="x", base=EngineConfig(), axes={"seed": [1, 2]})
+
+    def test_tuple_axis_values(self, tmp_path):
+        path = tmp_path / "e.spec"
+        path.write_text("max_new_tokens = 12\n"
+                        "sweep.feature_schedule = -1, 0, 3, -1 0, 0 0\n")
+        spec = parse_spec_file(path)
+        schedules = [(-1,), (0,), (3,), (-1, 0), (0, 0)]
+        assert spec.axes == {"feature_schedule": schedules}
+        rows = run_experiment(spec)
+        assert [r.cell for r in rows] == [
+            "feature_schedule=-1", "feature_schedule=0", "feature_schedule=3",
+            "feature_schedule=-1 0", "feature_schedule=0 0"]
+        assert [cfg.feature_schedule for _, _, cfg, _ in _tasks(spec)] == schedules
+
+    def test_tuple_config_value_takes_commas(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("feature_schedule = -1,0\n")
+        assert parse_config_file(path).feature_schedule == (-1, 0)
+
+    def test_readme_spec_blocks_parse(self, tmp_path):
+        section = README.read_text().split("### Experiment spec files", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        blocks = re.findall(r"```\n(.*?)```", section, re.S)
+        assert len(blocks) >= 6
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"{i}.spec"
+            path.write_text(block)
+            assert _tasks(parse_spec_file(path))
+
+
+_FIELDS = [f.name for f in fields(EngineConfig)]
+# No surrogates (they cannot be written to a file) and no line breaks (a
+# value is one line).
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\r\n"), max_size=10)
+_VALUES = st.one_of(
+    _TEXT,
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "", "-1", "0", "1", "2",
+                     "0.5", "true", "maybe", "-1 0", "-2", "3,4", "strict",
+                     "uniform", "dynamic", "max_confidence"]),
+    st.integers(-3, 300).map(str),
+    st.floats().map(repr))
+# Text with no decimal digit never parses as a count, so no spec builds
+# more than a handful of cells.
+_REPETITIONS = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd"),
+                          blacklist_characters="\r\n"), max_size=6))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.dictionaries(st.sampled_from(_FIELDS), _VALUES, max_size=4))
+def test_config_text_parses_or_rejects(tmp_path, values):
+    path = tmp_path / "c.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    try:
+        parse_config_file(path)
+    except SpecskipError:
+        pass
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(axes=st.dictionaries(st.sampled_from(_FIELDS), _VALUES, max_size=3),
+       repetitions=_REPETITIONS)
+def test_spec_text_parses_or_rejects(tmp_path, axes, repetitions):
+    path = tmp_path / "e.spec"
+    path.write_text(f"repetitions = {repetitions}\n" + "".join(
+        f"sweep.{k} = {v}\n" for k, v in axes.items()))
+    try:
+        _tasks(parse_spec_file(path))
+    except SpecskipError:
+        pass
 
 
 class TestRunExperiment:
@@ -96,34 +181,55 @@ class TestAnalysisOps:
         assert table[0][0] == 1 and table[-1][0] == 8
         assert table[0][1] > table[-1][1]
 
-    def test_staleness_sweep_reports_ratio(self):
-        rows = staleness_sweep(EngineConfig(max_new_tokens=32),
-                               offsets=[FRESH, 0], reps=3)
+    def test_staleness_sweep_rows(self):
+        spec = ExperimentSpec(name="staleness",
+                              base=EngineConfig(max_new_tokens=32),
+                              axes={"feature_schedule": [(FRESH,), (0,)]},
+                              repetitions=3)
+        rows = run_experiment(spec)
         assert len(rows) == 6
-        fresh = [r for r in rows if r.cell == "s=-1"]
-        assert all("mal_ratio_vs_fresh=1" in r.extra for r in fresh)
+        assert {r.cell for r in rows} == {"feature_schedule=-1",
+                                          "feature_schedule=0"}
+        assert {r.pipeline for r in rows} == {"sd"}
 
     def test_blending_sweep_rows(self):
-        rows = blending_sweep(EngineConfig(max_new_tokens=24),
-                              pairs=[(FRESH, 0)], reps=2)
-        assert len(rows) == 2 and rows[0].cell == "s1=-1;s2=0"
+        spec = ExperimentSpec(name="blending",
+                              base=EngineConfig(max_new_tokens=24),
+                              axes={"feature_schedule": [(FRESH, 0)]},
+                              repetitions=2)
+        rows = run_experiment(spec)
+        assert len(rows) == 2 and rows[0].cell == "feature_schedule=-1 0"
 
     def test_pareto_row_count(self):
         deltas, intervals, thresholds, reps = [0.0, 0.1], [2, 3], [0.7], 2
-        rows = pareto_sweep(EngineConfig(**SMALL), deltas, intervals,
-                            thresholds, reps=reps)
+        fixed = [0.1, 0.2]
+        specs = [
+            ExperimentSpec(name="pareto", base=EngineConfig(**SMALL),
+                           axes={"delta": deltas}, repetitions=reps),
+            ExperimentSpec(name="pareto",
+                           base=EngineConfig(policy="uniform", **SMALL),
+                           axes={"delta": fixed, "interval": intervals},
+                           repetitions=reps),
+            ExperimentSpec(name="pareto",
+                           base=EngineConfig(policy="dynamic", **SMALL),
+                           axes={"delta": fixed, "threshold": thresholds},
+                           repetitions=reps)]
+        rows = [row for spec in specs for row in run_experiment(spec)]
         expect = reps * (len(deltas) + 2 * len(intervals) + 2 * len(thresholds))
         assert len(rows) == expect
         assert any(r.pipeline == "sd" for r in rows)
         assert any(r.pipeline == "vvs" for r in rows)
 
     def test_write_rows_schema(self, tmp_path):
-        rows = staleness_sweep(EngineConfig(**SMALL), offsets=[FRESH], reps=1)
+        spec = ExperimentSpec(name="staleness", base=EngineConfig(**SMALL),
+                              axes={"feature_schedule": [(FRESH,)]})
+        rows = run_experiment(spec)
         path = tmp_path / "rows.csv"
         write_rows(path, rows)
-        header = path.read_text().splitlines()[0]
+        header, first = path.read_text().splitlines()[:2]
         assert header == ("name,cell,rep,seed,pipeline,n_tok,n_fwd,tpf,mal,"
                           "skip_fraction,quality_proxy,extra")
+        assert first.endswith(",")
 
 
 class TestCli:
@@ -140,6 +246,12 @@ class TestCli:
     def test_generate_vanilla(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("max_new_tokens = 8\n")
+        assert main(["generate", "--config", str(cfg), "--vanilla"]) == 0
+        assert "tpf=1.0000" in capsys.readouterr().out
+
+    def test_generate_vanilla_ignores_policy(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_new_tokens = 8\npolicy = dynamic\n")
         assert main(["generate", "--config", str(cfg), "--vanilla"]) == 0
         assert "tpf=1.0000" in capsys.readouterr().out
 
@@ -175,6 +287,9 @@ class TestCli:
 
     @pytest.mark.parametrize("axis, name", [("sweep.truncate = maybe", "truncate"),
                                             ("sweep.interval = 2, x", "interval"),
+                                            ("sweep.seed = 1, 2", "seed"),
+                                            ("sweep.feature_schedule = x",
+                                             "feature_schedule"),
                                             ("sweep.hyperdrive = 1", "hyperdrive")])
     def test_bad_sweep_axis_is_one_error_line(self, capsys, tmp_path, axis, name):
         spec = tmp_path / "e.spec"
@@ -192,3 +307,21 @@ class TestCli:
         main(["generate", "--config", str(cfg), "--seed", "2"])
         out2 = capsys.readouterr().out
         assert out1 != out2
+
+    def test_bad_repetitions_is_one_error_line(self, capsys, tmp_path):
+        spec = tmp_path / "e.spec"
+        spec.write_text("name = cli\nrepetitions = abc\n")
+        assert main(["sweep", str(spec), "--output", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert "repetitions" in err[0]
+
+    @pytest.mark.parametrize("line, name", [("logit_scale = nan", "logit_scale"),
+                                            ("noise_scale = inf", "noise_scale")])
+    def test_non_finite_float_is_one_error_line(self, capsys, tmp_path, line, name):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"max_new_tokens = 12\n{line}\n")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert name in err[0]
