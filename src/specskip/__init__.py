@@ -6,13 +6,13 @@ from .core import (EmbeddingCodebook, TokenSequence, cosine, nearest_neighbors,
                    normalize, rng_stream, sample_index)
 from .engine import (FRESH, EngineConfig, GenerationTrace, IterationRecord,
                      Metrics, compute_metrics, config_from_mapping,
-                     replace_verified, serialize_trace, speculative_decode,
-                     trace_to_csv, vanilla_ar, vvs_generate)
+                     replace_verified, speculative_decode, trace_to_csv,
+                     vanilla_ar, vvs_generate)
 from .errors import (CacheUnderflow, DegenerateProposal, DegenerateResidual,
                      DegenerateTrace, DegenerateVector, RejectedInput,
                      SpecskipError)
-from .models import (DraftModel, ModelOutput, TargetModel, draft_forward,
-                     make_model_pair, target_forward, target_forward_masked)
+from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,
+                     target_forward, target_forward_masked)
 from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
                        path_similarity)
 from .select import SelectionPolicy, select_path, truncate_path

@@ -1,9 +1,9 @@
 """Token-level feature cache with staleness provenance.
 
-Every entry records which verification step produced it; retrieval either
-takes the freshest entries by position or deliberately restricts to older
-steps for the staleness experiments.  The cache is unbounded: desk-scale
-runs stay in the hundreds of tokens.
+Every entry records which verification step produced it.  A lookup returns
+the one entry at the highest position, the feature the drafter conditions
+on, optionally restricted to older steps for the staleness experiments.
+The cache is unbounded: desk-scale runs stay in the hundreds of tokens.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class CachedFeature:
 @dataclass
 class FeatureCache:
     entries: dict[int, CachedFeature] = field(default_factory=dict)
-    high_water: int = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -45,40 +44,29 @@ def update(cache: FeatureCache, positions, features, step: int, origin: str) -> 
         cache.entries[pos] = CachedFeature(position=pos,
                                            feature=np.asarray(feat, dtype=np.float64),
                                            step=step, origin=origin)
-    if positions:
-        cache.high_water = max(cache.high_water, positions[-1] + 1)
 
 
-def retrieve_latest(cache: FeatureCache, count: int, as_of_step: int
-                    ) -> list[tuple[np.ndarray, int]]:
-    """The `count` highest-position entries produced at or before the as-of
-    step, in position order, each paired with its staleness lag."""
-    if count == 0:
-        return []
-    usable = [e for e in cache.entries.values() if e.step <= as_of_step]
-    if len(usable) < count:
-        raise CacheUnderflow(count - len(usable))
-    usable.sort(key=lambda e: e.position)
-    return [(e.feature, as_of_step - e.step) for e in usable[-count:]]
+def retrieve_latest(cache: FeatureCache) -> CachedFeature:
+    """The highest-position entry: the feature the drafter conditions on."""
+    return retrieve_with_offset(cache, 1, 0)
 
 
-def retrieve_with_offset(cache: FeatureCache, count: int, extra_staleness: int,
-                         as_of_step: int) -> list[tuple[np.ndarray, int]]:
-    """Like retrieve_latest, restricted to entries produced at steps no later
-    than (latest cached step - extra_staleness)."""
+def retrieve_with_offset(cache: FeatureCache, count: int,
+                         extra_staleness: int) -> CachedFeature:
+    """The highest-position entry among those produced at steps no later
+    than (latest cached step - extra_staleness).  Fewer than `count` such
+    entries is an underflow."""
     if extra_staleness < 0:
         raise RejectedInput("extra staleness must be >= 0")
-    if count == 0:
-        return []
-    usable = [e for e in cache.entries.values() if e.step <= as_of_step]
-    if not usable:
+    if count < 1:
+        raise RejectedInput("count must be >= 1")
+    if not cache.entries:
         raise CacheUnderflow(count)
-    cutoff = max(e.step for e in usable) - extra_staleness
-    usable = [e for e in usable if e.step <= cutoff]
+    cutoff = max(e.step for e in cache.entries.values()) - extra_staleness
+    usable = [e for e in cache.entries.values() if e.step <= cutoff]
     if len(usable) < count:
         raise CacheUnderflow(count - len(usable))
-    usable.sort(key=lambda e: e.position)
-    return [(e.feature, as_of_step - e.step) for e in usable[-count:]]
+    return max(usable, key=lambda e: e.position)
 
 
 def dump_csv(cache: FeatureCache, path, as_of_step: int) -> None:

@@ -15,10 +15,7 @@ import numpy as np
 
 from .errors import DegenerateVector, RejectedInput
 
-PROB_ATOL = 1e-9
-
 # Token origin labels used throughout engine traces.
-ORIGIN_PROMPT = "prompt"
 ORIGIN_SAMPLED = "sampled"
 ORIGIN_VERIFIED = "verified"
 ORIGIN_SKIP = "skip-accepted"

@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cache import FeatureCache, retrieve_latest, retrieve_with_offset, update
-from .core import (ORIGIN_PROMPT, ORIGIN_SAMPLED, ORIGIN_SKIP, TokenSequence,
-                   rng_stream, sample_index)
+from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, TokenSequence, rng_stream,
+                   sample_index)
 from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
@@ -190,7 +190,7 @@ def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
     iterations = []
     n_fwd = 0
     for t in range(config.max_new_tokens):
-        out = target_forward(target, context, [len(context) - 1])[0]
+        out = target_forward(target, context)
         n_fwd += 1
         tok = sample_index(out.dist, streams["ar"])
         context.append(tok)
@@ -225,8 +225,8 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
     prompt_feats = [target.feature_at(prompt, i) for i in range(len(prompt))]
     update(cache, range(len(prompt)), prompt_feats, step=0, origin="verified")
 
-    # Features feeding the next draft, aligned with the tail of `seq`.
-    draft_feats: list[np.ndarray] = [prompt_feats[-1]]
+    # The feature the next draft conditions on, at the last token of `seq`.
+    draft_feat = prompt_feats[-1]
 
     iterations: list[IterationRecord] = []
     n_fwd = 0
@@ -236,7 +236,7 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
     draft_calls_start = draft.forward_calls
     while len(emitted) < config.max_new_tokens:
         step += 1
-        tree = build_tree(draft, draft_feats, seq, config.branching,
+        tree = build_tree(draft, draft_feat, seq, config.branching,
                           config.depth, config.budget, rng=streams["draft"])
         paths = enumerate_paths(tree)
 
@@ -285,20 +285,21 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
                    step=step, origin="verified")
             pending_len = 0
 
-            # Features for the next draft, per the cycled schedule.
+            # The feature for the next draft, per the cycled schedule.
             source = config.feature_schedule[(verify_count - 1) % len(config.feature_schedule)]
-            need = len(new_tokens)
             if source == FRESH:
-                draft_feats = list(all_features[-need:])
+                draft_feat = all_features[-1]
             else:
                 try:
                     # The paper-style offset s counts from the step before
                     # this one, hence the +1 against the freshly written step.
-                    got = retrieve_with_offset(cache, need, source + 1, as_of_step=step)
-                    draft_feats = [feat for feat, _ in got]
+                    # Fewer entries at that cutoff than tokens just emitted
+                    # is an underflow, which falls back to fresh features.
+                    draft_feat = retrieve_with_offset(cache, len(new_tokens),
+                                                      source + 1).feature
                 except CacheUnderflow:
                     source = FRESH
-                    draft_feats = list(all_features[-need:])
+                    draft_feat = all_features[-1]
 
             iterations.append(IterationRecord(
                 index=step, kind="verify", emitted=len(new_tokens),
@@ -313,10 +314,9 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
             pending_len = len(chosen.tokens)
             for tok in chosen.tokens:
                 emitted.append(tok, ORIGIN_SKIP)
-            # Stale features stand in for the unverified positions; an
-            # underflow here is an accounting bug, not a recoverable state.
-            got = retrieve_latest(cache, len(chosen.tokens), as_of_step=step)
-            draft_feats = [feat for feat, _ in got]
+            # The latest cached (stale) feature stands in for the unverified
+            # positions; the prompt's entries mean there always is one.
+            draft_feat = retrieve_latest(cache).feature
             iterations.append(IterationRecord(
                 index=step, kind="skip", emitted=len(chosen.tokens),
                 similarity=similarity, forward_passes=0))
@@ -379,17 +379,6 @@ def compute_metrics(trace: GenerationTrace, target: TargetModel | None = None) -
 
 TRACE_FIELDS = ["index", "kind", "emitted", "accept_length", "similarity",
                 "forward_passes", "feature_source", "replaced"]
-
-
-def serialize_trace(trace: GenerationTrace) -> str:
-    """Line-oriented form: one iteration per line, fields in TRACE_FIELDS
-    order, space separated, '-' for absent similarity."""
-    lines = []
-    for it in trace.iterations:
-        sim = "-" if it.similarity is None else f"{it.similarity:.10g}"
-        lines.append(f"{it.index} {it.kind} {it.emitted} {it.accept_length} "
-                     f"{sim} {it.forward_passes} {it.feature_source} {int(it.replaced)}")
-    return "\n".join(lines) + "\n"
 
 
 def trace_to_csv(trace: GenerationTrace) -> str:

@@ -251,8 +251,8 @@ def sample_similarity_gap(config: EngineConfig, trees: int = 1000) -> float:
         cfg = replace(config, run=config.run + run)
         streams = _Streams(cfg)
         prompt = _make_prompt(cfg, streams["prompt"])
-        feats = [target.feature_at(prompt, len(prompt) - 1)]
-        tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+        feat = target.feature_at(prompt, len(prompt) - 1)
+        tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                           cfg.budget, rng=streams["draft"])
         paths = enumerate_paths(tree)
         s1 = path_similarity(paths, target.codebook, cfg.alpha, stride=1)

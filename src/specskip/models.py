@@ -80,21 +80,14 @@ class TargetModel:
         return ModelOutput(dist=self.dist_from_feature(feat), feature=feat)
 
 
-def target_forward(model: TargetModel, context, positions) -> list[ModelOutput]:
-    """Score many positions of a linear context in one forward pass.
-
-    Each requested position yields the next-token distribution conditioned
-    on context[:pos+1] and the feature of the token at that position.  The
-    forward-pass counter increments by exactly 1 per call.
+def target_forward(model: TargetModel, context) -> ModelOutput:
+    """Score the last position of a linear context in one forward pass: the
+    next-token distribution after the whole context and the feature of its
+    last token.  The forward-pass counter increments by exactly 1 per call.
     """
-    tokens = list(context)
-    if not tokens:
-        raise RejectedInput("empty context")
-    for pos in positions:
-        if not 0 <= pos < len(tokens):
-            raise RejectedInput(f"position {pos} outside context of length {len(tokens)}")
+    out = model.score_prefix(context)  # rejects an empty context
     model.forward_passes += 1
-    return [model.score_prefix(tokens[:pos + 1]) for pos in positions]
+    return out
 
 
 def target_forward_masked(model: TargetModel, context, flat_tokens,
@@ -204,17 +197,6 @@ class DraftModel:
         rows = self._mixed_rows
         return features + (rows.take(new_tokens, axis=0)
                            - rows.take(leaving_tokens, axis=0)) / self.window
-
-
-def draft_forward(model: DraftModel, features, tokens) -> np.ndarray:
-    """Next-token draft distribution conditioned on aligned (feature, token)
-    history; only the most recent pair is load-bearing."""
-    if len(features) != len(tokens):
-        raise RejectedInput("features and tokens must have equal length")
-    if len(tokens) == 0:
-        raise RejectedInput("at least one (feature, token) pair required")
-    feature = np.asarray(features[-1], dtype=np.float64)
-    return model.next_dist(feature[None], [int(tokens[-1])])[0]
 
 
 def make_model_pair(config) -> tuple[TargetModel, DraftModel]:

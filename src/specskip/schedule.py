@@ -53,11 +53,6 @@ class SkipPolicy:
             if self.stride not in (1, 2):
                 raise RejectedInput("stride must be 1 or 2")
 
-    def reset(self) -> None:
-        self.v_last = False
-        self.verified_since_skip = 0
-        self.last_similarity = None
-
 
 def decay_weights(alpha: float, length: int) -> np.ndarray:
     """Exponentially decayed position weights, normalized to sum to 1."""

@@ -11,9 +11,7 @@ import numpy as np
 # Unused here, but bench/tracing.py wraps specskip.tree.sample_index by name.
 from .core import sample_index  # noqa: F401
 from .errors import RejectedInput
-from .models import DraftModel, draft_forward
-
-CONF_ATOL = 1e-12
+from .models import DraftModel
 
 
 @dataclass
@@ -23,19 +21,14 @@ class DraftNode:
     prob: float             # drafter probability of this token at its parent
     confidence: float       # product of probs along the root path
     depth: int
-    # Set only on nodes that were expanded: drafter dist for children and
-    # the drafter pseudo-feature.
+    # Set only on nodes that were expanded: drafter dist for children.
     dist: np.ndarray = field(repr=False, default=None)
-    feature: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
 class DraftTree:
     nodes: list[DraftNode]
     root_dist: np.ndarray
-    budget: int
-    branching: int
-    max_depth: int
 
     def children_of(self) -> list[list[int]]:
         """Child index lists, position 0 holding the root's children."""
@@ -74,9 +67,12 @@ class LinearizedTree:
     tree: DraftTree
 
 
-def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
+def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
                budget: int, rng: np.random.Generator | None = None) -> DraftTree:
     """Breadth-synchronous expansion with global confidence pruning.
+
+    The drafter conditions the root on one (d,) feature, the one at the
+    last context token, and that token.
 
     Each round expands every frontier node by k_b candidate tokens, then the
     whole node set is cut back to the budget-many highest cumulative
@@ -104,10 +100,8 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
     window = draft.window
     if len(tokens) < window:
         raise RejectedInput(f"context shorter than drafter window {window}")
-
-    if not 1 <= len(features) <= len(tokens):
-        raise RejectedInput("features must cover a nonempty suffix of the context")
-    root_dist = draft_forward(draft, features, tokens[len(tokens) - len(features):])
+    feats = np.asarray(feature, dtype=np.float64)[None]
+    root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
 
     # Candidates: (-confidence, token, slot, parent slot, prob, depth, parent
     # row).  A node's slot is its insertion number, so tuple order is the
@@ -118,12 +112,11 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
     # The frontier level: its entries (the root's stand-in has confidence 1
     # and slot -1), draft dists (n, V), drafter features (n, d) and tails
     # (the last `window` tokens of context + root path).  Expanded nodes
-    # keep their rows: slot -> (dist, feature).
+    # keep their dist rows: slot -> dist.
     level = [(-1.0, None, -1)]
     dists = root_dist[None]
-    feats = np.asarray(features[-1], dtype=np.float64)[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
-    expanded: dict[int, tuple] = {}
+    expanded: dict[int, np.ndarray] = {}
 
     for depth in range(1, D + 1):
         if rng is None:
@@ -151,7 +144,7 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
                                      np.array([tails[e[6]][0] for e in level]), new)
         dists = draft.next_dist(feats, new)
         tails = [tails[e[6]][1:] + (e[1],) for e in level]
-        expanded.update(zip([e[2] for e in level], zip(dists, feats)))
+        expanded.update(zip([e[2] for e in level], dists))
 
     if not entries:
         raise RejectedInput("tree construction produced no nodes")
@@ -159,12 +152,10 @@ def build_tree(draft: DraftModel, features, tokens, k_b: int, D: int,
     slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
     nodes = []
     for neg_conf, tok, s, parent, p, d, _ in entries:
-        dist, feature = expanded.get(s, (None, None))
         nodes.append(DraftNode(token=tok, prob=p,
                                parent=-1 if parent == -1 else slot_to_idx[parent],
-                               confidence=-neg_conf, depth=d, dist=dist, feature=feature))
-    return DraftTree(nodes=nodes, root_dist=root_dist, budget=budget,
-                     branching=k_b, max_depth=D)
+                               confidence=-neg_conf, depth=d, dist=expanded.get(s)))
+    return DraftTree(nodes=nodes, root_dist=root_dist)
 
 
 def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator) -> list[list[int]]:

@@ -13,8 +13,8 @@ import numpy as np
 
 from specskip.core import EmbeddingCodebook, cosine, rng_stream
 from specskip.engine import (FRESH, EngineConfig, compute_metrics,
-                             serialize_trace, speculative_decode,
-                             vanilla_ar, vvs_generate)
+                             speculative_decode, trace_to_csv, vanilla_ar,
+                             vvs_generate)
 from specskip.harness import ExperimentSpec, run_experiment
 from specskip.models import make_model_pair
 from specskip.schedule import SkipPolicy, decay_weights, decide, path_similarity
@@ -187,7 +187,7 @@ def test_criterion_6_forward_pass_accounting():
     identical_ok = True
     for run in range(10):
         cfg = EngineConfig(run=run, max_new_tokens=32)
-        if serialize_trace(vvs_generate(cfg)) != serialize_trace(speculative_decode(cfg)):
+        if trace_to_csv(vvs_generate(cfg)) != trace_to_csv(speculative_decode(cfg)):
             identical_ok = False
     _report("criterion 6 (forward-pass accounting)",
             recount_ok and identical_ok,

@@ -43,8 +43,9 @@ class TestUpdate:
         cache = FeatureCache()
         feats = [_feat(i) for i in range(3)]
         update(cache, [0, 1, 2], feats, step=1, origin="verified")
-        got = retrieve_latest(cache, 3, as_of_step=1)
-        assert all(np.array_equal(f, g) for f, (g, _) in zip(feats, got))
+        assert all(np.array_equal(f, cache.entries[i].feature)
+                   for i, f in enumerate(feats))
+        assert np.array_equal(retrieve_latest(cache).feature, feats[-1])
 
     def test_misaligned_rejected(self):
         with pytest.raises(RejectedInput):
@@ -57,65 +58,60 @@ class TestUpdate:
 
 
 class TestRetrieveLatest:
-    def test_whole_cache_in_position_order(self):
+    def test_highest_position_wins(self):
+        # Position 3 was written last here, but position wins, not step.
         cache = _seeded_cache()
-        got = retrieve_latest(cache, 4, as_of_step=3)
-        assert [f[0] for f, _ in got] == [0.0, 1.0, 2.0, 3.0]
-
-    def test_hand_lags(self):
-        cache = _seeded_cache()
-        got = retrieve_latest(cache, 2, as_of_step=4)
-        assert [lag for _, lag in got] == [2, 1]
-
-    def test_zero_count(self):
-        assert retrieve_latest(_seeded_cache(), 0, as_of_step=3) == []
+        update(cache, [1], [_feat(10)], step=4, origin="post-verified")
+        got = retrieve_latest(cache)
+        assert got.position == 3 and got.step == 3 and got.feature[0] == 3.0
 
     def test_underflow_reports_deficit(self):
         with pytest.raises(CacheUnderflow) as exc:
-            retrieve_latest(_seeded_cache(), 6, as_of_step=3)
-        assert exc.value.deficit == 2
-
-    def test_as_of_filters_future_entries(self):
-        cache = _seeded_cache()
-        got = retrieve_latest(cache, 2, as_of_step=1)
-        assert [f[0] for f, _ in got] == [0.0, 1.0]
-
-    @given(st.integers(min_value=1, max_value=12))
-    @settings(max_examples=30, deadline=None)
-    def test_lags_non_negative(self, count):
-        cache = _seeded_cache()
-        if count > 4:
-            with pytest.raises(CacheUnderflow):
-                retrieve_latest(cache, count, as_of_step=5)
-        else:
-            assert all(lag >= 0 for _, lag in
-                       retrieve_latest(cache, count, as_of_step=5))
+            retrieve_latest(FeatureCache())
+        assert exc.value.deficit == 1
 
 
 class TestRetrieveWithOffset:
     def test_zero_offset_is_retrieve_latest(self):
         cache = _seeded_cache()
-        a = retrieve_latest(cache, 3, as_of_step=4)
-        b = retrieve_with_offset(cache, 3, extra_staleness=0, as_of_step=4)
-        assert [(f[0], lag) for f, lag in a] == [(f[0], lag) for f, lag in b]
+        assert retrieve_with_offset(cache, 1, extra_staleness=0) is retrieve_latest(cache)
 
     def test_hand_filtering(self):
         cache = FeatureCache()
         update(cache, [0], [_feat(0)], step=1, origin="verified")
         update(cache, [1], [_feat(1)], step=2, origin="verified")
         update(cache, [2], [_feat(2)], step=3, origin="verified")
-        got = retrieve_with_offset(cache, 1, extra_staleness=1, as_of_step=3)
-        assert got[0][0][0] == 1.0  # the step-2 entry
+        got = retrieve_with_offset(cache, 1, extra_staleness=1)
+        assert got.feature[0] == 1.0 and got.step == 2
+
+    @given(st.integers(min_value=1, max_value=12))
+    @settings(max_examples=30, deadline=None)
+    def test_count_underflow_reports_deficit(self, count):
+        # Offset 1 leaves the three entries of steps 1 and 2 (positions 0..2).
+        cache = _seeded_cache()
+        if count > 3:
+            with pytest.raises(CacheUnderflow) as exc:
+                retrieve_with_offset(cache, count, extra_staleness=1)
+            assert exc.value.deficit == count - 3
+        else:
+            assert retrieve_with_offset(cache, count, extra_staleness=1).position == 2
 
     def test_offset_beyond_history_underflows(self):
         with pytest.raises(CacheUnderflow):
-            retrieve_with_offset(_seeded_cache(), 1, extra_staleness=5,
-                                 as_of_step=3)
+            retrieve_with_offset(_seeded_cache(), 1, extra_staleness=5)
+
+    def test_empty_cache_underflows(self):
+        with pytest.raises(CacheUnderflow) as exc:
+            retrieve_with_offset(FeatureCache(), 2, extra_staleness=0)
+        assert exc.value.deficit == 2
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(RejectedInput):
+            retrieve_with_offset(_seeded_cache(), 0, extra_staleness=0)
 
     def test_negative_offset_rejected(self):
         with pytest.raises(RejectedInput):
-            retrieve_with_offset(_seeded_cache(), 1, extra_staleness=-1,
-                                 as_of_step=3)
+            retrieve_with_offset(_seeded_cache(), 1, extra_staleness=-1)
 
 
 class TestDumpCsv:

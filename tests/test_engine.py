@@ -8,8 +8,8 @@ import pytest
 from specskip.core import TokenSequence
 from specskip.engine import (EngineConfig, GenerationTrace, compute_metrics,
                              config_from_mapping, replace_verified,
-                             serialize_trace, speculative_decode, trace_to_csv,
-                             vanilla_ar, vvs_generate)
+                             speculative_decode, trace_to_csv, vanilla_ar,
+                             vvs_generate)
 from specskip.errors import DegenerateTrace, RejectedInput
 
 FAST = dict(max_new_tokens=24)
@@ -91,7 +91,7 @@ class TestVVS:
             b = vvs_generate(cfg)
             assert a.tokens.tokens == b.tokens.tokens
             assert a.tokens.origins == b.tokens.origins
-            assert serialize_trace(a) == serialize_trace(b)
+            assert trace_to_csv(a) == trace_to_csv(b)
 
     def test_uniform_interval_two_halves_forwards(self):
         cfg = EngineConfig(policy="uniform", interval=2, **FAST)
@@ -133,8 +133,8 @@ class TestVVS:
 class TestReplaceVerified:
     def test_r_zero_identical(self):
         cfg = EngineConfig(**FAST)
-        assert serialize_trace(replace_verified(cfg, 0.0)) == \
-            serialize_trace(speculative_decode(cfg))
+        assert trace_to_csv(replace_verified(cfg, 0.0)) == \
+            trace_to_csv(speculative_decode(cfg))
 
     def test_r_one_every_verify_replaced(self):
         cfg = EngineConfig(**FAST)
@@ -185,9 +185,9 @@ class TestMetrics:
 class TestSerialization:
     def test_trace_line_format(self):
         trace = speculative_decode(EngineConfig(**FAST))
-        lines = serialize_trace(trace).strip().split("\n")
+        lines = trace_to_csv(trace).strip().split("\n")[1:]
         assert len(lines) == len(trace.iterations)
-        first = lines[0].split()
+        first = lines[0].split(",")
         assert first[0] == "1" and first[1] == "verify"
 
     def test_csv_header_and_rows(self):

@@ -255,6 +255,19 @@ class TestCli:
         assert main(["generate", "--config", str(cfg), "--vanilla"]) == 0
         assert "tpf=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_generate_long_skips_need_one_cached_feature(self, capsys, tmp_path, seed):
+        # With window = 1 the prompt caches one feature, and an untruncated
+        # skip emits up to depth = 8 tokens.  The drafter needs only the
+        # latest feature, so the skip must not ask the cache for more.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("window = 1\ndepth = 8\nbudget = 32\nepsilon = 1.0\n"
+                       "policy = uniform\ninterval = 2\ntruncate = false\n")
+        assert main(["generate", "--config", str(cfg), "--seed", str(seed)]) == 0
+        out, err = capsys.readouterr()
+        assert "error:" not in out + err
+        assert float(out.split("skip_fraction=")[1].split()[0]) > 0.0
+
     def test_sweep(self, capsys, tmp_path):
         spec = tmp_path / "e.spec"
         spec.write_text("name = cli\nmax_new_tokens = 12\nsweep.interval = 2\n"

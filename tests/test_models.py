@@ -6,7 +6,7 @@ import pytest
 from specskip.core import cosine, rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import RejectedInput
-from specskip.models import (draft_forward, make_model_pair, target_forward,
+from specskip.models import (make_model_pair, target_forward,
                              target_forward_masked)
 
 CFG = EngineConfig()
@@ -35,21 +35,29 @@ class TestTargetModel:
 
     def test_forward_pure(self, pair):
         target, _ = pair
-        outs = target_forward(target, [3, 1, 4], [2, 2])
-        assert np.array_equal(outs[0].dist, outs[1].dist)
-        assert np.array_equal(outs[0].feature, outs[1].feature)
+        a = target_forward(target, [3, 1, 4])
+        b = target_forward(target, [3, 1, 4])
+        assert np.array_equal(a.dist, b.dist)
+        assert np.array_equal(a.feature, b.feature)
+
+    def test_forward_scores_last_position(self, pair):
+        target, _ = pair
+        out = target_forward(target, [3, 1, 4, 1, 5])
+        oracle = target.score_prefix([3, 1, 4, 1, 5])
+        assert np.array_equal(out.dist, oracle.dist)
+        assert np.array_equal(out.feature, target.feature_at([3, 1, 4, 1, 5], 4))
 
     def test_forward_counter(self, pair):
         target, _ = pair
         before = target.forward_passes
-        target_forward(target, [3, 1, 4], [0, 1, 2])
+        target_forward(target, [3, 1, 4])
         assert target.forward_passes == before + 1
 
     def test_forward_rerun_bit_identical(self):
         a = make_model_pair(CFG)[0]
         b = make_model_pair(CFG)[0]
-        out_a = target_forward(a, [3, 1, 4], [2])[0]
-        out_b = target_forward(b, [3, 1, 4], [2])[0]
+        out_a = target_forward(a, [3, 1, 4])
+        out_b = target_forward(b, [3, 1, 4])
         assert np.array_equal(out_a.dist, out_b.dist)
 
     def test_high_temperature_uniform(self):
@@ -59,12 +67,11 @@ class TestTargetModel:
         assert tv < 1e-3
 
     def test_empty_context_rejected(self, pair):
+        target, _ = pair
+        before = target.forward_passes
         with pytest.raises(RejectedInput):
-            target_forward(pair[0], [], [0])
-
-    def test_bad_position_rejected(self, pair):
-        with pytest.raises(RejectedInput):
-            target_forward(pair[0], [1, 2], [2])
+            target_forward(target, [])
+        assert target.forward_passes == before
 
 
 class TestMaskedForward:
@@ -107,7 +114,7 @@ class TestDraftModel:
         tokens = [4, 9, 2, 6, 1]
         feat = target.feature_at(tokens, len(tokens) - 1)
         q = target.dist_from_feature(feat)
-        p = draft_forward(draft, [feat], [tokens[-1]])
+        p = draft.next_dist(feat[None], [tokens[-1]])[0]
         assert np.allclose(p, q, atol=1e-12)
 
     def test_epsilon_one_diverges(self):
@@ -118,7 +125,7 @@ class TestDraftModel:
             tokens = [int(t) for t in rng.integers(0, CFG.vocab_size, CFG.window)]
             feat = target.feature_at(tokens, len(tokens) - 1)
             q = target.dist_from_feature(feat)
-            p = draft_forward(draft, [feat], [tokens[-1]])
+            p = draft.next_dist(feat[None], [tokens[-1]])[0]
             tvs.append(0.5 * np.abs(p - q).sum())
         assert np.mean(tvs) > 0.2
 
@@ -157,10 +164,6 @@ class TestDraftModel:
         batch = draft.extend_feature(feats, leaving, new)
         for i in range(5):
             assert np.array_equal(batch[i], draft.extend_feature(feats[i], leaving[i], new[i]))
-
-    def test_length_mismatch_rejected(self, pair):
-        with pytest.raises(RejectedInput):
-            draft_forward(pair[1], [np.zeros(CFG.feat_dim)], [1, 2])
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(RejectedInput):

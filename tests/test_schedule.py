@@ -98,8 +98,8 @@ class TestPathSimilarity:
         for run in range(40):
             prompt = [int(t) for t in
                       rng_stream(run, "p").integers(0, cfg.vocab_size, cfg.window)]
-            feats = [target.feature_at(prompt, cfg.window - 1)]
-            tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+            feat = target.feature_at(prompt, cfg.window - 1)
+            tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                               cfg.budget, rng=rng_stream(run, "d"))
             cases.append(enumerate_paths(tree))
         checked = 0
@@ -193,8 +193,8 @@ class TestStrideFidelity:
             prompt = [int(t) for t in
                       rng_stream(cfg.seed, f"run{run}/prompt").integers(
                           0, cfg.vocab_size, cfg.window)]
-            feats = [target.feature_at(prompt, cfg.window - 1)]
-            tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+            feat = target.feature_at(prompt, cfg.window - 1)
+            tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                               cfg.budget,
                               rng=rng_stream(cfg.seed, f"run{run}/draft"))
             paths = enumerate_paths(tree)

@@ -1,11 +1,15 @@
 """Every function the benchmark's tracer wraps must still exist where the
-tracer looks it up, so a refactor of a hot path cannot silently break
-``bench/run.py --trace 1``."""
+tracer looks it up, and the layers the benchmark reports must still be
+called through those names, so a refactor of a hot path cannot silently
+break ``bench/run.py --trace 1``."""
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from specskip.engine import EngineConfig, vanilla_ar, vvs_generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -19,3 +23,19 @@ def test_wrapped_attribute_resolves(path, attr, name):
     # module or class itself, not merely reachable by attribute lookup.
     owner = tracing._owner(path)
     assert callable(vars(owner).get(attr)), f"{path} no longer binds {attr} ({name})"
+
+
+def test_traced_runs_record_every_layer():
+    # A name that stays bound but is no longer called would make its
+    # per-layer metric read 0 without failing the check above.
+    cfg = EngineConfig(policy="uniform", interval=2, feature_schedule=(-1, 0),
+                       max_new_tokens=32)
+    plain = [vvs_generate(cfg).tokens.tokens, vanilla_ar(cfg).tokens.tokens]
+    tracer = tracing.Tracer()
+    with tracer:
+        traced = [vvs_generate(cfg).tokens.tokens, vanilla_ar(cfg).tokens.tokens]
+    spans = Counter(tracer.names[i] for i in tracer.name_ids)
+    for name in ("cache.retrieve", "cache.update", "tree.build_tree",
+                 "models.draft_next_dist", "models.target_forward"):
+        assert spans[name] > 0, name
+    assert traced == plain

@@ -32,7 +32,7 @@ class TableDrafter:
 
 
 def _feat():
-    return [np.zeros(2)]
+    return np.zeros(2)
 
 
 def _golden_trees(cfg, runs=200):
@@ -41,9 +41,9 @@ def _golden_trees(cfg, runs=200):
     for run in range(runs):
         prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
             0, cfg.vocab_size, cfg.window)]
-        feats = [target.feature_at(prompt, cfg.window - 1)]
+        feat = target.feature_at(prompt, cfg.window - 1)
         rng = rng_stream(run, "golden-draw")
-        tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+        tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                           cfg.budget, rng=rng)
         yield draft, tree, rng
 
@@ -149,11 +149,11 @@ class TestBuildTree:
 
     def test_bad_shape_rejected(self):
         target, draft = make_model_pair(CFG)
-        feats = [target.feature_at([1, 2, 3, 4], 3)]
+        feat = target.feature_at([1, 2, 3, 4], 3)
         with pytest.raises(RejectedInput):
-            build_tree(draft, feats, [1, 2, 3, 4], k_b=1, D=2, budget=4)
+            build_tree(draft, feat, [1, 2, 3, 4], k_b=1, D=2, budget=4)
         with pytest.raises(RejectedInput):
-            build_tree(draft, feats, [1, 2, 3, 4], k_b=3, D=2, budget=2)
+            build_tree(draft, feat, [1, 2, 3, 4], k_b=3, D=2, budget=2)
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,
@@ -162,8 +162,8 @@ class TestBuildTree:
         for run in range(25):
             rng = rng_stream(run, "fuzz")
             prompt = [int(t) for t in rng.integers(0, CFG.vocab_size, CFG.window)]
-            feats = [target.feature_at(prompt, CFG.window - 1)]
-            tree = build_tree(draft, feats, prompt, CFG.branching, CFG.depth,
+            feat = target.feature_at(prompt, CFG.window - 1)
+            tree = build_tree(draft, feat, prompt, CFG.branching, CFG.depth,
                               CFG.budget, rng=rng_stream(run, "draw"))
             assert 1 <= len(tree.nodes) <= CFG.budget
             for i, node in enumerate(tree.nodes):
@@ -177,9 +177,9 @@ class TestBuildTree:
     def test_sampled_children_distinct_and_deterministic(self):
         target, draft = make_model_pair(CFG)
         prompt = [1, 2, 3, 4]
-        feats = [target.feature_at(prompt, 3)]
-        t1 = build_tree(draft, feats, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
-        t2 = build_tree(draft, feats, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
+        feat = target.feature_at(prompt, 3)
+        t1 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
+        t2 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
         assert serialize_tree(t1) == serialize_tree(t2)
         kids = t1.children_of()
         for group in kids:
@@ -223,7 +223,7 @@ class TestBuildTree:
     def test_short_context_rejected(self):
         target, draft = make_model_pair(CFG)
         with pytest.raises(RejectedInput):
-            build_tree(draft, [np.zeros(CFG.feat_dim)], [1], 2, 2, 4)
+            build_tree(draft, np.zeros(CFG.feat_dim), [1], 2, 2, 4)
 
 
 def _hand_tree():
@@ -236,7 +236,7 @@ def _hand_tree():
         DraftNode(token=1, parent=1, prob=0.9, confidence=0.36, depth=2),
     ]
     root = np.full(10, 0.1)
-    return DraftTree(nodes=nodes, root_dist=root, budget=5, branching=2, max_depth=2)
+    return DraftTree(nodes=nodes, root_dist=root)
 
 
 class TestEnumeratePaths:
@@ -284,8 +284,8 @@ class TestLinearize:
         target, draft = make_model_pair(CFG)
         for run in range(10):
             prompt = [int(t) for t in rng_stream(run, "p").integers(0, 64, 4)]
-            feats = [target.feature_at(prompt, 3)]
-            tree = build_tree(draft, feats, prompt, 4, 4, 16,
+            feat = target.feature_at(prompt, 3)
+            tree = build_tree(draft, feat, prompt, 4, 4, 16,
                               rng=rng_stream(run, "d"))
             linear = linearize(tree, [1, 2])
             for j, anc in enumerate(linear.ancestors):

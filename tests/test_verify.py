@@ -109,8 +109,8 @@ def _unpruned_tree_outcome(cfg, run):
     target, draft = make_model_pair(cfg)
     prompt = [int(t) for t in rng_stream(run, "p").integers(0, cfg.vocab_size,
                                                             cfg.window)]
-    feats = [target.feature_at(prompt, cfg.window - 1)]
-    tree = build_tree(draft, feats, prompt, cfg.branching, cfg.depth,
+    feat = target.feature_at(prompt, cfg.window - 1)
+    tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                       cfg.budget, rng=rng_stream(run, "d"))
     outcome = verify_tree(linearize(tree, []), target, prompt,
                           cfg.verify_mode(), rng_stream(run, "a"),
@@ -137,8 +137,7 @@ class TestVerifyTree:
         dead = int(np.argmin(q_root))
         assert q_root[dead] == 0.0
         node = DraftNode(token=dead, parent=-1, prob=1.0, confidence=1.0, depth=1)
-        tree = DraftTree([node], root_dist=np.eye(8)[dead], budget=1,
-                         branching=2, max_depth=1)
+        tree = DraftTree([node], root_dist=np.eye(8)[dead])
         outcome = verify_tree(linearize(tree, []), target, context, "strict",
                               rng_stream(0, "a"))
         assert outcome.accept_length == 0
@@ -148,8 +147,8 @@ class TestVerifyTree:
         cfg = EngineConfig()
         target, draft = make_model_pair(cfg)
         prompt = [3, 1, 4, 1]
-        feats = [target.feature_at(prompt, 3)]
-        tree = build_tree(draft, feats, prompt, 2, 2, 6, rng=rng_stream(0, "d"))
+        feat = target.feature_at(prompt, 3)
+        tree = build_tree(draft, feat, prompt, 2, 2, 6, rng=rng_stream(0, "d"))
         pending = [5, 9]
         outcome = verify_tree(linearize(tree, pending), target, prompt,
                               cfg.verify_mode(), rng_stream(0, "a"))
@@ -165,8 +164,8 @@ class TestVerifyTree:
         cfg = EngineConfig()
         target, draft = make_model_pair(cfg)
         prompt = [3, 1, 4, 1]
-        feats = [target.feature_at(prompt, 3)]
-        tree = build_tree(draft, feats, prompt, 4, 3, 16, rng=rng_stream(1, "d"))
+        feat = target.feature_at(prompt, 3)
+        tree = build_tree(draft, feat, prompt, 4, 3, 16, rng=rng_stream(1, "d"))
         before = target.forward_passes
         outcome = verify_tree(linearize(tree, []), target, prompt, "strict",
                               rng_stream(1, "a"))
@@ -241,8 +240,7 @@ class TestBranchProbabilityOracle:
             DraftNode(token=0, parent=0, prob=0.3, confidence=0.12, depth=2),
             DraftNode(token=3, parent=0, prob=0.3, confidence=0.12, depth=2),
         ]
-        tree = DraftTree(nodes, root_dist=d_root, budget=4, branching=2,
-                         max_depth=2)
+        tree = DraftTree(nodes, root_dist=d_root)
         oracle = _oracle_distribution(target, context, tree)
         assert abs(sum(oracle.values()) - 1.0) < 1e-9
 
