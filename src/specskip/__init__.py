@@ -1,9 +1,9 @@
 """Speculative decoding with verification skipping on synthetic models."""
 
-from .cache import (CachedFeature, FeatureCache, dump_csv, retrieve_latest,
+from .cache import (CachedFeature, FeatureCache, retrieve_latest,
                     retrieve_with_offset, update)
 from .core import (EmbeddingCodebook, TokenSequence, cosine, nearest_neighbors,
-                   normalize, rng_stream, sample_index)
+                   rng_stream, sample_index)
 from .engine import (FRESH, EngineConfig, GenerationTrace, IterationRecord,
                      Metrics, compute_metrics, config_from_mapping,
                      replace_verified, speculative_decode, trace_to_csv,

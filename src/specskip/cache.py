@@ -8,7 +8,6 @@ The cache is unbounded: desk-scale runs stay in the hundreds of tokens.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,12 +67,3 @@ def retrieve_with_offset(cache: FeatureCache, count: int,
         raise CacheUnderflow(count - len(usable))
     return max(usable, key=lambda e: e.position)
 
-
-def dump_csv(cache: FeatureCache, path, as_of_step: int) -> None:
-    """Write (position, step, lag) rows for offline staleness analysis."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "step", "lag"])
-        for pos in sorted(cache.entries):
-            entry = cache.entries[pos]
-            writer.writerow([pos, entry.step, as_of_step - entry.step])

@@ -34,23 +34,6 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, salt])
 
 
-def normalize(raw) -> np.ndarray:
-    """Scale a non-negative vector to sum to 1."""
-    vec = np.asarray(raw, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise RejectedInput("normalize expects a nonempty 1-d vector")
-    if not np.all(np.isfinite(vec)):
-        idx = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise RejectedInput(f"non-finite entry at index {idx}")
-    neg = np.flatnonzero(vec < 0.0)
-    if neg.size:
-        raise RejectedInput(f"negative entry at index {int(neg[0])}")
-    total = vec.sum()
-    if total <= 0.0:
-        raise RejectedInput("all entries are zero; no distribution to normalize (index 0..end)")
-    return vec / total
-
-
 def cosine(a, b) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding."""
     va = np.asarray(a, dtype=np.float64)
@@ -126,7 +109,9 @@ def nearest_neighbors(codebook: EmbeddingCodebook, t: int, k: int) -> list[int]:
         sims = codebook._unit @ codebook.unit(t)
         ids = np.arange(V)
         order = np.lexsort((ids, -sims))
-        ranked = [int(i) for i in order if i != t]
+        # t is one of the first k or not; either way the k - 1 others come
+        # from the first k, so the rest of the ranking is never read.
+        ranked = [i for i in order[:k].tolist() if i != t]
         found = codebook._neighbors[(t, k)] = (t, *ranked[: k - 1])
     return list(found)
 
@@ -148,10 +133,3 @@ class TokenSequence:
     def append(self, token: int, origin: str) -> None:
         self.tokens.append(int(token))
         self.origins.append(origin)
-
-    def extend(self, tokens, origin: str) -> None:
-        for tok in tokens:
-            self.append(tok, origin)
-
-    def copy(self) -> "TokenSequence":
-        return TokenSequence(list(self.tokens), list(self.origins))

@@ -74,6 +74,12 @@ class EngineConfig:
     log_similarity: bool = False
 
     def validate(self) -> "EngineConfig":
+        for name, kinds in _FIELD_KINDS:
+            kind = type(getattr(self, name))
+            if kind not in kinds:
+                raise RejectedInput(f"{name} must be {kinds[0].__name__}, not {kind.__name__}")
+        if any(type(s) is not int for s in self.feature_schedule):
+            raise RejectedInput("feature_schedule must hold ints")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise RejectedInput(f"{name} must be finite")
@@ -115,6 +121,10 @@ class EngineConfig:
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(EngineConfig) if isinstance(f.default, float))
+# Each field takes exactly its default's type (so no bool for an int); a
+# float field also takes an int.
+_FIELD_KINDS = tuple((f.name, (float, int) if type(f.default) is float else (type(f.default),))
+                     for f in fields(EngineConfig))
 
 
 @dataclass
@@ -366,12 +376,7 @@ def compute_metrics(trace: GenerationTrace, target: TargetModel | None = None) -
     tpf = trace.n_tok / trace.n_fwd
     skip_fraction = trace.skip_count / len(trace.iterations)
 
-    context = list(trace.prompt)
-    logprobs = []
-    for tok in trace.final_tokens():
-        dist = target.score_prefix(context).dist
-        logprobs.append(math.log(max(dist[tok], 1e-300)))
-        context.append(tok)
+    logprobs = target.logprobs(trace.prompt, trace.final_tokens())
     quality = float(np.mean(logprobs)) if logprobs else float("nan")
     return Metrics(tpf=tpf, mal=mal, skip_fraction=skip_fraction,
                    quality_proxy=quality, n_tok=trace.n_tok, n_fwd=trace.n_fwd)

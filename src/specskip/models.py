@@ -12,6 +12,7 @@ feature-independent noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ class ModelOutput:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+    """Softmax, computed in place over ``logits``."""
+    logits -= logits.max()
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return logits
 
 
 class TargetModel:
@@ -68,7 +72,10 @@ class TargetModel:
         return cols.mean(axis=1)
 
     def dist_from_feature(self, feature: np.ndarray) -> np.ndarray:
-        logits = self.logit_scale * (self.codebook.vectors @ feature) / self.temperature
+        # In place, as scale * (vectors @ feature) / T.
+        logits = self.codebook.vectors @ feature
+        logits *= self.logit_scale
+        logits /= self.temperature
         return _softmax(logits)
 
     def score_prefix(self, tokens) -> ModelOutput:
@@ -78,6 +85,41 @@ class TargetModel:
             raise RejectedInput("empty context")
         feat = self.feature_at(tokens, len(tokens) - 1)
         return ModelOutput(dist=self.dist_from_feature(feat), feature=feat)
+
+    def logprobs(self, prompt, tokens) -> list[float]:
+        """``log(max(q, 1e-300))`` of each ``tokens[k]`` under ``score_prefix(
+        prompt + tokens[:k])``, all positions in one batched readout.
+
+        Bit-identical to the per-position calls: the same window means, a
+        stacked matrix-vector readout (``np.matmul`` over (n, d, 1); a plain
+        matrix-matrix product rounds differently), the same scaling order
+        and a row-wise softmax.  Does not touch the forward-pass counter.
+        """
+        if len(prompt) == 0:
+            raise RejectedInput("empty context")
+        n = len(tokens)
+        if n == 0:
+            return []
+        w = self.window
+        n_prompt = len(prompt)
+        seq = np.array([*prompt, *tokens[:-1]], dtype=np.intp)
+        # Position k's context is seq[:n_prompt + k]; from position `full`
+        # on its last `window` tokens are a full sliding window.
+        full = max(0, w - n_prompt)
+        feats = np.empty((n, self.codebook.dim))
+        if full < n:
+            windows = np.lib.stride_tricks.sliding_window_view(seq, w)[n_prompt + full - w:]
+            feats[full:] = self._mixed[:, windows].mean(axis=2).T
+        for k in range(min(full, n)):
+            feats[k] = self.feature_at(seq, n_prompt + k - 1)
+        z = np.matmul(self.codebook.vectors, feats[:, :, None])[:, :, 0]
+        z *= self.logit_scale
+        z /= self.temperature
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        picked = z[np.arange(n), np.asarray(tokens, dtype=np.intp)]
+        picked /= np.add.reduce(z, axis=1)
+        return [math.log(max(p, 1e-300)) for p in picked.tolist()]
 
 
 def target_forward(model: TargetModel, context) -> ModelOutput:
@@ -90,45 +132,59 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
     return out
 
 
-def target_forward_masked(model: TargetModel, context, flat_tokens,
-                          ancestor_sets) -> tuple[np.ndarray, list[ModelOutput]]:
+def target_forward_masked(model: TargetModel, context, flat_tokens, parents
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-pass tree scoring over a linearized candidate block.
 
-    ``flat_tokens[j]`` is scored under the prefix context + its root path
-    (``ancestor_sets[j]`` holds flat indices, self excluded).  Returns the
-    distribution after the raw context plus one ModelOutput per flat
-    position.  One forward pass total, like any parallel verification.
+    ``flat_tokens[j]`` is scored under the prefix context + its root path;
+    ``parents[j]`` is the flat index of its parent (always < j), or -1 for
+    the context itself.  Returns the distribution after the raw context,
+    then a (V, n) array whose column j is the distribution after position
+    j and a (d, n) array whose column j is position j's feature; a caller
+    reads the few columns it walks.  One forward pass total, like any
+    parallel verification.
+
+    Only the last ``window`` tokens of a prefix reach its feature, so each
+    position's window is its parent's slid by one token, starting from the
+    context's tail; the windows are gathered once and averaged as
+    ``feature_at`` averages one, so the features are those of scoring
+    every prefix on its own.
     """
-    tokens = list(context)
-    if not tokens:
+    if len(context) == 0:
         raise RejectedInput("empty context")
-    if len(flat_tokens) != len(ancestor_sets):
-        raise RejectedInput("flat tokens and ancestor sets must align")
+    if len(flat_tokens) != len(parents):
+        raise RejectedInput("flat tokens and parents must align")
     model.forward_passes += 1
-    root_dist = model.score_prefix(tokens).dist
-    if not flat_tokens:
-        return root_dist, []
-    # Vectorized: each position's feature is the mean embedding-mix over the
-    # last `window` tokens of its prefix, gathered into one batch.
     w = model.window
-    short: dict[int, np.ndarray] = {}
-    windows = np.zeros((len(flat_tokens), w), dtype=np.intp)
-    for j, tok in enumerate(flat_tokens):
-        prefix = tokens + [flat_tokens[a] for a in sorted(ancestor_sets[j])] + [tok]
-        if len(prefix) >= w:
-            windows[j] = prefix[-w:]
-        else:
-            short[j] = model.feature_at(prefix, len(prefix) - 1)
-    feats = model._mixed[:, windows].mean(axis=2)          # (d, n)
-    for j, feat in short.items():
-        feats[:, j] = feat
-    logits = model.logit_scale * (model.codebook.vectors @ feats) / model.temperature
-    logits -= logits.max(axis=0)
-    dists = np.exp(logits)
+    root = tuple(context[-w:])
+    root_dist = model.score_prefix(root).dist
+    if not flat_tokens:
+        return root_dist, np.empty((model.vocab_size, 0)), np.empty((model.codebook.dim, 0))
+    windows: list[tuple] = []
+    for j, (tok, parent) in enumerate(zip(flat_tokens, parents)):
+        if not -1 <= parent < j:
+            raise RejectedInput(f"position {j} has parent {parent}, not in [-1, {j})")
+        prev = root if parent == -1 else windows[parent]
+        windows.append((prev[1:] if len(prev) == w else prev) + (tok,))
+    if len(root) == w:
+        feats = model._mixed[:, windows].mean(axis=2)      # (d, n)
+    else:
+        # A context shorter than the window: pad the short windows for the
+        # gather, then score them as feature_at does.
+        feats = model._mixed[:, [win if len(win) == w else (0,) * w
+                                 for win in windows]].mean(axis=2)
+        for j, win in enumerate(windows):
+            if len(win) < w:
+                feats[:, j] = model.feature_at(win, len(win) - 1)
+    # In place, with the operations and their order of
+    # softmax(scale * (vectors @ feats) / T) column by column.
+    dists = model.codebook.vectors @ feats
+    dists *= model.logit_scale
+    dists /= model.temperature
+    dists -= dists.max(axis=0)
+    np.exp(dists, out=dists)
     dists /= dists.sum(axis=0)
-    outputs = [ModelOutput(dist=dists[:, j], feature=feats[:, j])
-               for j in range(len(flat_tokens))]
-    return root_dist, outputs
+    return root_dist, dists, feats
 
 
 class DraftModel:
@@ -172,6 +228,8 @@ class DraftModel:
         (n, d, 1)), so each row is bit-identical to a one-row call; a plain
         matrix-matrix product rounds differently and must not be used.
         """
+        if np.ndim(features) != 2 or len(features) != len(last_tokens):
+            raise RejectedInput("next_dist needs an (n, d) feature batch and n last tokens")
         self.forward_calls += len(features)
         vectors = self.codebook.vectors
         # In place, with the operations and their order of the formula

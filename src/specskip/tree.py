@@ -59,10 +59,11 @@ class TokenPath:
 @dataclass
 class LinearizedTree:
     """Pending (previously skip-accepted) tokens followed by tree nodes in
-    insertion order, with exact root-path visibility per position."""
+    insertion order.  A position sees the committed context and the
+    positions on its parent chain, which is the tree-attention mask."""
 
     tokens: list[int]
-    ancestors: list[frozenset]   # flat indices on each position's root path, self excluded
+    parents: list[int]   # flat index of each position's parent (always earlier), -1 for the context
     pending_len: int
     tree: DraftTree
 
@@ -259,21 +260,15 @@ def enumerate_paths(tree: DraftTree) -> list[TokenPath]:
 
 
 def linearize(tree: DraftTree, pending) -> LinearizedTree:
-    """Flatten pending tokens (as a linear chain) followed by tree nodes."""
-    pending = [int(t) for t in pending]
-    n_pending = len(pending)
-    tokens = list(pending)
-    ancestors: list[frozenset] = [frozenset(range(i)) for i in range(n_pending)]
-    pending_anc = frozenset(range(n_pending))
-    for i, node in enumerate(tree.nodes):
-        anc = set(pending_anc)
-        j = node.parent
-        while j != -1:
-            anc.add(n_pending + j)
-            j = tree.nodes[j].parent
+    """Flatten pending tokens (as a linear chain) followed by tree nodes; a
+    root child's parent is the last pending token, if any."""
+    tokens = [int(t) for t in pending]
+    n_pending = len(tokens)
+    parents = list(range(-1, n_pending - 1))
+    for node in tree.nodes:
         tokens.append(node.token)
-        ancestors.append(frozenset(anc))
-    return LinearizedTree(tokens=tokens, ancestors=ancestors,
+        parents.append(n_pending - 1 if node.parent == -1 else n_pending + node.parent)
+    return LinearizedTree(tokens=tokens, parents=parents,
                           pending_len=n_pending, tree=tree)
 
 

@@ -113,19 +113,19 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
     if residual_rng is None:
         residual_rng = rng
     tree = linear.tree
-    root_dist, outputs = target_forward_masked(target, context, linear.tokens,
-                                               linear.ancestors)
+    root_dist, dists, feats = target_forward_masked(target, context, linear.tokens,
+                                                    linear.parents)
 
     accepted = TokenSequence()
     features: list[np.ndarray] = []
     n_pending = linear.pending_len
     for j in range(n_pending):
         accepted.append(linear.tokens[j], "post-verified")
-        features.append(outputs[j].feature)
+        features.append(feats[:, j])
 
     children = tree.children_of()
     cur_slot = -1
-    q_cur = outputs[n_pending - 1].dist if n_pending else root_dist
+    q_cur = dists[:, n_pending - 1] if n_pending else root_dist
     p_cur = tree.root_dist
     accept_length = 0
     terminal = None
@@ -171,16 +171,16 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
         node = tree.nodes[chosen]
         flat = n_pending + chosen
         accepted.append(node.token, ORIGIN_VERIFIED)
-        features.append(outputs[flat].feature)
+        features.append(feats[:, flat])
         accept_length += 1
         cur_slot = chosen
-        q_cur = outputs[flat].dist
+        q_cur = dists[:, flat]
         p_cur = node.dist
 
-    # Feature of the terminal token, from the same parallel pass.
-    prefix = list(context)
-    prefix += accepted.tokens
-    prefix.append(terminal)
+    # Feature of the terminal token, from the same parallel pass; only the
+    # last `window` tokens of its prefix reach it.
+    w = target.window
+    prefix = [*context[-w:], *accepted.tokens[-w:], terminal]
     features.append(target.feature_at(prefix, len(prefix) - 1))
 
     return VerifyOutcome(accepted=accepted, accept_length=accept_length,

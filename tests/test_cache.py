@@ -1,13 +1,11 @@
 """Feature cache: provenance-tagged storage and staleness-aware retrieval."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specskip.cache import (FeatureCache, dump_csv, retrieve_latest,
+from specskip.cache import (FeatureCache, retrieve_latest,
                             retrieve_with_offset, update)
 from specskip.errors import CacheUnderflow, RejectedInput
 
@@ -113,13 +111,3 @@ class TestRetrieveWithOffset:
         with pytest.raises(RejectedInput):
             retrieve_with_offset(_seeded_cache(), 1, extra_staleness=-1)
 
-
-class TestDumpCsv:
-    def test_rows_sorted_by_position(self, tmp_path):
-        path = tmp_path / "cache.csv"
-        dump_csv(_seeded_cache(), path, as_of_step=4)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["position", "step", "lag"]
-        assert [r[0] for r in rows[1:]] == ["0", "1", "2", "3"]
-        assert rows[1][2] == "3" and rows[4][2] == "1"

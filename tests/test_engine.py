@@ -1,6 +1,7 @@
 """Decoding pipelines, counters, metrics, and trace serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ class TestSerialization:
     def test_reruns_identical(self):
         cfg = EngineConfig(policy="dynamic", threshold=0.6, **FAST)
         assert trace_to_csv(vvs_generate(cfg)) == trace_to_csv(vvs_generate(cfg))
+
+
+class TestValidateTypes:
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", "64"), ("vocab_size", True), ("vocab_size", 64.0),
+        ("delta", "0.2"), ("delta", False), ("truncate", 1), ("policy", 3),
+        ("feature_schedule", [-1]), ("feature_schedule", (0.5,)),
+        ("feature_schedule", (True,))])
+    def test_mismatch_names_field(self, field, value):
+        with pytest.raises(RejectedInput, match=field):
+            EngineConfig(**{field: value}).validate()
+
+    def test_float_field_takes_int(self):
+        cfg = EngineConfig(delta=0, temperature=2, epsilon=1).validate()
+        assert cfg.delta == 0 and vvs_generate(replace(cfg, **FAST)).n_tok >= 24
 
 
 class TestConfigFromMapping:

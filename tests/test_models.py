@@ -1,13 +1,16 @@
 """Synthetic target/draft model pair."""
 
+import math
+
 import numpy as np
 import pytest
 
 from specskip.core import cosine, rng_stream
-from specskip.engine import EngineConfig
+from specskip.engine import EngineConfig, compute_metrics, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import (make_model_pair, target_forward,
                              target_forward_masked)
+from specskip.tree import build_tree, linearize
 
 CFG = EngineConfig()
 
@@ -74,37 +77,145 @@ class TestTargetModel:
         assert target.forward_passes == before
 
 
+def _root_paths(flat, parents):
+    """Each position's root path (its own token last), walked through
+    ``parents``."""
+    paths = []
+    for j, parent in enumerate(parents):
+        paths.append((paths[parent] if parent != -1 else []) + [flat[j]])
+    return paths
+
+
+def _prefix_copy_forward(model, context, paths):
+    """The masked forward as written before parent pointers: a copy of the
+    whole prefix per position, whose last `window` tokens are gathered.
+    Features and dists of the parent-pointer form must equal these bits."""
+    w = model.window
+    windows = np.zeros((len(paths), w), dtype=np.intp)
+    short = {}
+    for j, path in enumerate(paths):
+        prefix = list(context) + path
+        if len(prefix) >= w:
+            windows[j] = prefix[-w:]
+        else:
+            short[j] = model.feature_at(prefix, len(prefix) - 1)
+    feats = model._mixed[:, windows].mean(axis=2)
+    for j, feat in short.items():
+        feats[:, j] = feat
+    logits = model.logit_scale * (model.codebook.vectors @ feats) / model.temperature
+    logits -= logits.max(axis=0)
+    dists = np.exp(logits)
+    dists /= dists.sum(axis=0)
+    return feats, dists
+
+
+def _check_masked(target, context, flat, parents):
+    root_dist, dists, feats = target_forward_masked(target, context, flat, parents)
+    assert np.array_equal(root_dist, target.score_prefix(context).dist)
+    assert dists.shape == (target.vocab_size, len(flat))
+    paths = _root_paths(flat, parents)
+    old_feats, old_dists = _prefix_copy_forward(target, context, paths)
+    assert np.array_equal(feats, old_feats) and np.array_equal(dists, old_dists)
+    for j, path in enumerate(paths):
+        oracle = target.score_prefix(list(context) + path)
+        # The feature is the prefix's own; the dist comes from one (V, d) x
+        # (d, n) readout, which rounds unlike score_prefix's (V, d) x (d,).
+        assert np.array_equal(feats[:, j], oracle.feature)
+        assert np.allclose(dists[:, j], oracle.dist, rtol=0, atol=1e-12)
+
+
 class TestMaskedForward:
     def test_matches_linear_scoring(self, pair):
         """Tree-masked scoring must equal scoring each root-path prefix
-        directly (the independent oracle for ancestor visibility)."""
+        directly (the independent oracle for parent visibility)."""
         target, _ = pair
-        context = [5, 2, 8, 1]
         # Hand-built block: a pending chain of 2 then a 3-node tree
         # (root children 10, 11; 12 is a child of 10).
-        flat = [7, 3, 10, 11, 12]
-        anc = [frozenset(), frozenset({0}), frozenset({0, 1}),
-               frozenset({0, 1}), frozenset({0, 1, 2})]
-        root_dist, outs = target_forward_masked(target, context, flat, anc)
-        assert np.array_equal(root_dist, target.score_prefix(context).dist)
-        prefixes = [[7], [7, 3], [7, 3, 10], [7, 3, 11], [7, 3, 10, 12]]
-        for out, suffix in zip(outs, prefixes):
-            oracle = target.score_prefix(context + suffix)
-            assert np.allclose(out.dist, oracle.dist, atol=1e-12)
-            assert np.allclose(out.feature, oracle.feature, atol=1e-12)
+        _check_masked(target, [5, 2, 8, 1], [7, 3, 10, 11, 12], [-1, 0, 1, 1, 2])
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("n_pending", [0, 3])
+    def test_sampled_trees_match_prefix_scoring(self, window, n_pending):
+        cfg = EngineConfig(window=window)
+        target, draft = make_model_pair(cfg)
+        for run in range(8):
+            rng = rng_stream(run, "masked")
+            prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, 6)]
+            tree = build_tree(draft, target.feature_at(prompt, 5), prompt,
+                              cfg.branching, cfg.depth, cfg.budget, rng=rng)
+            pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
+            linear = linearize(tree, pending)
+            # Full contexts, and a one-token one shorter than window 4.
+            for context in (prompt, prompt[-1:]):
+                _check_masked(target, context, linear.tokens, linear.parents)
 
     def test_single_pass_counter(self, pair):
         target, _ = pair
         before = target.forward_passes
-        target_forward_masked(target, [1, 2], [3, 4], [frozenset(), frozenset({0})])
+        target_forward_masked(target, [1, 2], [3, 4], [-1, 0])
         assert target.forward_passes == before + 1
+        root_dist, dists, feats = target_forward_masked(target, [1, 2], [], [])
+        assert target.forward_passes == before + 2
+        assert dists.shape == (CFG.vocab_size, 0) and feats.shape == (CFG.feat_dim, 0)
 
     def test_short_prefix_positions(self, pair):
         target, _ = pair
-        root_dist, outs = target_forward_masked(target, [6], [2], [frozenset()])
-        oracle = target.score_prefix([6, 2])
-        assert np.allclose(outs[0].dist, oracle.dist)
-        assert np.allclose(outs[0].feature, oracle.feature)
+        _check_masked(target, [6], [2], [-1])
+        _check_masked(target, [6, 1], [2, 5, 9, 4], [-1, 0, -1, 1])
+
+    @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 5], [-2, 0]])
+    def test_parent_not_before_child_rejected(self, pair, parents):
+        target, _ = pair
+        with pytest.raises(RejectedInput):
+            target_forward_masked(target, [1, 2], [3] * len(parents), parents)
+
+
+class TestLogprobs:
+    """The batched rescoring against the per-position ``score_prefix`` loop
+    it replaces in ``compute_metrics``, bit for bit."""
+
+    @staticmethod
+    def _loop(target, prompt, tokens):
+        context = list(prompt)
+        out = []
+        for tok in tokens:
+            out.append(math.log(max(target.score_prefix(context).dist[tok], 1e-300)))
+            context.append(tok)
+        return out
+
+    @pytest.mark.parametrize("vocab, dim, window", [(64, 8, 4), (1024, 16, 4),
+                                                    (64, 8, 1), (1024, 16, 1)])
+    def test_equals_score_prefix_loop(self, vocab, dim, window):
+        target = make_model_pair(EngineConfig(vocab_size=vocab, feat_dim=dim,
+                                              window=window))[0]
+        rng = rng_stream(vocab + window, "logprobs")
+        for n_prompt in (window, 1, 7):
+            prompt = [int(t) for t in rng.integers(0, vocab, n_prompt)]
+            tokens = [int(t) for t in rng.integers(0, vocab, 40)]
+            got = target.logprobs(prompt, tokens)
+            assert np.array_equal(got, self._loop(target, prompt, tokens))
+            assert np.array_equal(target.logprobs(prompt, tokens[:2]),
+                                  self._loop(target, prompt, tokens[:2]))
+
+    def test_quality_proxy_of_a_generation(self):
+        cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=48)
+        target = make_model_pair(cfg)[0]
+        trace = vvs_generate(cfg)
+        loop = self._loop(target, trace.prompt, trace.final_tokens())
+        assert compute_metrics(trace, target).quality_proxy == float(np.mean(loop))
+
+    def test_floor_and_edges(self, pair):
+        target, _ = pair
+        hot = make_model_pair(EngineConfig(logit_scale=2000.0))[0]
+        rng = rng_stream(0, "floor")
+        prompt = [int(t) for t in rng.integers(0, 64, 4)]
+        tokens = [int(t) for t in rng.integers(0, 64, 30)]
+        got = hot.logprobs(prompt, tokens)
+        assert min(got) == math.log(1e-300)
+        assert got == self._loop(hot, prompt, tokens)
+        assert target.logprobs([1], []) == []
+        with pytest.raises(RejectedInput):
+            target.logprobs([], [1])
 
 
 class TestDraftModel:
@@ -164,6 +275,15 @@ class TestDraftModel:
         batch = draft.extend_feature(feats, leaving, new)
         for i in range(5):
             assert np.array_equal(batch[i], draft.extend_feature(feats[i], leaving[i], new[i]))
+
+    @pytest.mark.parametrize("features, last", [(np.zeros((1, 8)), [1, 2, 3]),
+                                                 (np.zeros(8), [1])])
+    def test_bad_batch_rejected_before_counting(self, pair, features, last):
+        _, draft = pair
+        before = draft.forward_calls
+        with pytest.raises(RejectedInput):
+            draft.next_dist(features, last)
+        assert draft.forward_calls == before
 
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(RejectedInput):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import specskip.engine
 from specskip.engine import EngineConfig, vanilla_ar, vvs_generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -39,3 +40,25 @@ def test_traced_runs_record_every_layer():
                  "models.draft_next_dist", "models.target_forward"):
         assert spans[name] > 0, name
     assert traced == plain
+
+
+def test_positions_count_scored_tokens(monkeypatch):
+    # The tracer reads the masked forward's third positional argument as
+    # the flat tokens of one verify pass; a signature change would corrupt
+    # models.target_forward_masked.positions without failing anything else.
+    lengths = []
+    linearize = specskip.engine.linearize
+
+    def recording(tree, pending):
+        linear = linearize(tree, pending)
+        lengths.append(len(linear.tokens))
+        return linear
+
+    monkeypatch.setattr(specskip.engine, "linearize", recording)
+    cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=32)
+    tracer = tracing.Tracer()
+    with tracer:
+        trace = vvs_generate(cfg)
+    assert len(lengths) == trace.n_fwd > 0
+    assert trace.skip_count > 0
+    assert tracer.counts["models.positions"] == sum(lengths)

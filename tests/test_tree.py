@@ -264,13 +264,36 @@ class TestEnumeratePaths:
         assert abs(path.confidence - 0.1) < 1e-15
 
 
+def _ancestor_sets(linear):
+    """Each position's ancestors, walked through ``parents``."""
+    sets = []
+    for j, parent in enumerate(linear.parents):
+        assert -1 <= parent < j
+        sets.append(frozenset() if parent == -1 else sets[parent] | {parent})
+    return sets
+
+
+def _old_ancestor_sets(tree, n_pending):
+    """The ancestor sets linearize built before parent pointers."""
+    sets = [frozenset(range(i)) for i in range(n_pending)]
+    for node in tree.nodes:
+        anc = set(range(n_pending))
+        j = node.parent
+        while j != -1:
+            anc.add(n_pending + j)
+            j = tree.nodes[j].parent
+        sets.append(frozenset(anc))
+    return sets
+
+
 class TestLinearize:
     def test_chain_prefix_ancestors(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8)
         linear = linearize(tree, [])
         assert linear.pending_len == 0
-        assert linear.ancestors == [frozenset(), frozenset({0}), frozenset({0, 1})]
+        assert linear.parents == [-1, 0, 1]
+        assert _ancestor_sets(linear) == [frozenset(), frozenset({0}), frozenset({0, 1})]
 
     def test_pending_prepended(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
@@ -278,20 +301,26 @@ class TestLinearize:
         linear = linearize(tree, [8, 9])
         assert len(linear.tokens) == 5
         assert linear.tokens[:2] == [8, 9]
-        assert linear.ancestors[-1] == frozenset({0, 1, 2, 3})
+        assert linear.parents == [-1, 0, 1, 2, 3]
+        assert _ancestor_sets(linear)[-1] == frozenset({0, 1, 2, 3})
 
     def test_ancestors_transitively_closed(self):
+        """Parents come before their children, and the path walked through
+        them is the ancestor set linearize used to build."""
         target, draft = make_model_pair(CFG)
         for run in range(10):
             prompt = [int(t) for t in rng_stream(run, "p").integers(0, 64, 4)]
             feat = target.feature_at(prompt, 3)
             tree = build_tree(draft, feat, prompt, 4, 4, 16,
                               rng=rng_stream(run, "d"))
-            linear = linearize(tree, [1, 2])
-            for j, anc in enumerate(linear.ancestors):
-                for a in anc:
-                    assert a < j
-                    assert linear.ancestors[a] <= anc
+            for pending in ([], [1], [1, 2]):
+                linear = linearize(tree, pending)
+                sets = _ancestor_sets(linear)
+                assert sets == _old_ancestor_sets(tree, len(pending))
+                for j, anc in enumerate(sets):
+                    for a in anc:
+                        assert a < j
+                        assert sets[a] <= anc
 
 
 class TestSerializeTree:
