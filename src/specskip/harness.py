@@ -241,11 +241,11 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
     return [(d + 1, float(sums[d] / counts[d])) for d in range(max_distance)]
 
 
-def sample_similarity_gap(config: EngineConfig, trees: int = 1000) -> float:
-    """Max |stride-1 minus stride-2| path similarity over random trees; the
-    measurement behind the frozen stride tolerance."""
+def sample_similarity_gaps(config: EngineConfig, trees: int = 1000) -> np.ndarray:
+    """|stride-1 minus stride-2| path similarity of each random tree with
+    two or more paths; the measurement behind the frozen stride tolerance."""
     config.validate()
-    worst = 0.0
+    gaps = []
     target, draft = make_model_pair(config)
     for run in range(trees):
         cfg = replace(config, run=config.run + run)
@@ -258,5 +258,5 @@ def sample_similarity_gap(config: EngineConfig, trees: int = 1000) -> float:
         s1 = path_similarity(paths, target.codebook, cfg.alpha, stride=1)
         s2 = path_similarity(paths, target.codebook, cfg.alpha, stride=2)
         if not s1.degenerate and not s2.degenerate:
-            worst = max(worst, abs(s1.value - s2.value))
-    return worst
+            gaps.append(abs(s1.value - s2.value))
+    return np.array(gaps)
