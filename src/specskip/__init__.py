@@ -17,7 +17,7 @@ from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
                        path_similarity)
 from .select import SelectionPolicy, select_path, truncate_path
 from .tree import (DraftNode, DraftTree, LinearizedTree, TokenPath, build_tree,
-                   enumerate_paths, linearize, serialize_tree)
+                   enumerate_paths, linearize)
 from .verify import (RelaxConfig, VerifyOutcome, pooled_mass, relaxed_accept,
                      residual_sample, strict_accept, verify_tree)
 

@@ -133,16 +133,16 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
 
 
 def target_forward_masked(model: TargetModel, context, flat_tokens, parents
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Single-pass tree scoring over a linearized candidate block.
 
     ``flat_tokens[j]`` is scored under the prefix context + its root path;
     ``parents[j]`` is the flat index of its parent (always < j), or -1 for
-    the context itself.  Returns the distribution after the raw context,
-    then a (V, n) array whose column j is the distribution after position
-    j and a (d, n) array whose column j is position j's feature; a caller
-    reads the few columns it walks.  One forward pass total, like any
-    parallel verification.
+    the context itself.  Returns a (V, n) array whose column j is the
+    distribution after position j and a (d, n) array whose column j is
+    position j's feature; a caller reads the few columns it walks (the
+    distribution after the raw context is ``score_prefix`` of its tail).
+    One forward pass total, like any parallel verification.
 
     Only the last ``window`` tokens of a prefix reach its feature, so each
     position's window is its parent's slid by one token, starting from the
@@ -157,9 +157,8 @@ def target_forward_masked(model: TargetModel, context, flat_tokens, parents
     model.forward_passes += 1
     w = model.window
     root = tuple(context[-w:])
-    root_dist = model.score_prefix(root).dist
     if not flat_tokens:
-        return root_dist, np.empty((model.vocab_size, 0)), np.empty((model.codebook.dim, 0))
+        return np.empty((model.vocab_size, 0)), np.empty((model.codebook.dim, 0))
     windows: list[tuple] = []
     for j, (tok, parent) in enumerate(zip(flat_tokens, parents)):
         if not -1 <= parent < j:
@@ -184,7 +183,7 @@ def target_forward_masked(model: TargetModel, context, flat_tokens, parents
     dists -= dists.max(axis=0)
     np.exp(dists, out=dists)
     dists /= dists.sum(axis=0)
-    return root_dist, dists, feats
+    return dists, feats
 
 
 class DraftModel:

@@ -85,16 +85,18 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     draft distribution; paired with the verifier's sequential residual
     bookkeeping this is the arrangement that preserves the target
     distribution end to end, so the decoding engine always drafts this way.
-    Stored per-child probs are always taken from the node's original
-    distribution.
+    Either way a node draws no token of zero mass, so it has fewer than k_b
+    children when its distribution has fewer positive entries.  Stored
+    per-child probs are always taken from the node's original distribution,
+    and children are kept in sampling order.
 
-    The tree grows one level at a time: a level's draws run as row-wise
-    operations over its stacked distributions (see ``_sample_level``), and
-    the nodes that survive pruning into the next frontier get their
-    drafter features and child distributions from one batched
-    ``extend_feature`` and one batched ``next_dist`` call.  Pruned and
-    last-level nodes have neither.  Tokens, probs and rng consumption are
-    those of expanding node by node.
+    The tree grows one level at a time: a level's draws are one exponential
+    race over its stacked distributions (see ``_sample_level``), and the
+    nodes that survive pruning into the next frontier get their drafter
+    features and child distributions from one batched ``extend_feature``
+    and one batched ``next_dist`` call.  Pruned and last-level nodes have
+    neither.  Tokens, probs and rng consumption are those of expanding node
+    by node.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -121,15 +123,16 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
 
     for depth in range(1, D + 1):
         if rng is None:
-            picks = np.argsort(-dists, axis=1, kind="stable")[:, :k_b].tolist()
+            # Each row's top k_b; its zero-mass tokens sort last.
+            picks = np.argsort(-dists, axis=1, kind="stable")[:, :k_b]
+            stops = np.count_nonzero(dists, axis=1)
         else:
-            picks = _sample_level(dists, k_b, rng)
-        for row, (e, dist) in enumerate(zip(level, dists)):
+            picks, stops = _sample_level(dists, k_b, rng)
+        probs = dists[np.arange(len(dists))[:, None], picks].tolist()
+        for row, (e, toks, ps, stop) in enumerate(zip(level, picks.tolist(), probs,
+                                                      stops.tolist())):
             conf, parent = -e[0], e[2]
-            for tok in picks[row]:
-                p = float(dist[tok])
-                if p <= 0.0:
-                    continue
+            for tok, p in zip(toks[:stop], ps[:stop]):
                 entries.append((-(conf * p), tok, slot, parent, p, depth, row))
                 slot += 1
 
@@ -159,56 +162,30 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     return DraftTree(nodes=nodes, root_dist=root_dist)
 
 
-def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator) -> list[list[int]]:
+def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Draw children without replacement for each row of a level's (n, V)
-    distributions, node after node, as ``_sample_row`` does for one row.
+    distributions, in sampling order, by one exponential race per row.
 
-    When every entry is positive, each row takes exactly m = min(k_b, V)
-    draws, so the level takes its uniforms from one ``rng.random((n, m))``
-    call, row i's after rows 0..i-1, as per-node calls would.  Each of m
-    rounds then normalises every row, takes its cumulative sums and picks
-    the number of entries with ``cum <= u * cum[-1]`` (which is
-    ``searchsorted(u * cum[-1], side="right")``), then zeroes the pick.  The
-    row-wise sum, divide and cumsum round exactly as the same calls on one
-    row do, so the picks are those of the per-node loop.
-
-    Levels with a zero entry draw per node, since their rows may stop
-    drawing short of k_b.
+    Token t of row i gets the key E[i, t] / dists[i, t], with E from one
+    ``rng.standard_exponential((n, V))`` call, so row i's exponentials are
+    those one call per node, node after node, would draw.  A row's tokens in
+    increasing key order are an exact sequential draw without replacement
+    from that row (Efraimidis & Spirakis 2006; Gumbel-top-k, Kool et al.
+    2019), so its children are its m = min(k_b, V) smallest keys, in key
+    order: row i of the (n, m) picks.  A zero-mass token's key is inf, so a
+    row with fewer than m positive entries stops at its support: only the
+    first stops[i] picks of row i are children.
     """
     n, V = dists.shape
-    if np.count_nonzero(dists) < dists.size:
-        return [_sample_row(dist, k_b, rng) for dist in dists]
     m = min(k_b, V)
-    u = rng.random((n, m))
-    avail = dists.copy()
-    flat = avail.reshape(-1)
-    starts = np.arange(0, n * V, V)
-    picks = []
-    for r in range(m):
-        cum = np.add.accumulate(avail / np.add.reduce(avail, axis=1, keepdims=True), axis=1)
-        toks = np.add.reduce(cum <= u[:, r:r + 1] * cum[:, -1:], axis=1)
-        flat[starts + toks] = 0.0
-        picks.append(toks)
-    return np.array(picks).T.tolist()
-
-
-def _sample_row(dist: np.ndarray, k_b: int, rng: np.random.Generator) -> list[int]:
-    """Draw up to k_b tokens without replacement from one distribution.
-
-    The uniforms come from one ``rng.random(m)`` call, m = min(k_b, nonzero
-    entries).  This consumes the stream exactly as one ``rng.random()`` per
-    draw would: every draw lands on an entry of positive remaining mass and
-    zeroes it, so the draws stop only after k_b draws or once no positive
-    mass is left, which is after m draws either way.
-    """
-    picks = []
-    avail = dist.copy()
-    for u in rng.random(min(k_b, int(np.count_nonzero(dist)))):
-        cum = (avail / avail.sum()).cumsum()
-        tok = int(cum.searchsorted(u * cum[-1], side="right"))
-        picks.append(tok)
-        avail[tok] = 0.0
-    return picks
+    keys = rng.standard_exponential((n, V))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        keys /= dists
+    rows = np.arange(n)[:, None]
+    part = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    top = keys[rows, part]
+    return part[rows, top.argsort(axis=1)], np.isfinite(top).sum(axis=1)
 
 
 def _retain(entries: list[tuple], budget: int) -> list[tuple]:
@@ -271,8 +248,3 @@ def linearize(tree: DraftTree, pending) -> LinearizedTree:
     return LinearizedTree(tokens=tokens, parents=parents,
                           pending_len=n_pending, tree=tree)
 
-
-def serialize_tree(tree: DraftTree) -> str:
-    """Line-oriented text form: one node per line, 'index parent token prob'."""
-    lines = [f"{i} {n.parent} {n.token} {n.prob:.12g}" for i, n in enumerate(tree.nodes)]
-    return "\n".join(lines) + "\n"

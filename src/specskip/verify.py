@@ -113,8 +113,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
     if residual_rng is None:
         residual_rng = rng
     tree = linear.tree
-    root_dist, dists, feats = target_forward_masked(target, context, linear.tokens,
-                                                    linear.parents)
+    dists, feats = target_forward_masked(target, context, linear.tokens, linear.parents)
 
     accepted = TokenSequence()
     features: list[np.ndarray] = []
@@ -125,7 +124,8 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
 
     children = tree.children_of()
     cur_slot = -1
-    q_cur = dists[:, n_pending - 1] if n_pending else root_dist
+    w = target.window
+    q_cur = dists[:, n_pending - 1] if n_pending else target.score_prefix(context[-w:]).dist
     p_cur = tree.root_dist
     accept_length = 0
     terminal = None
@@ -179,7 +179,6 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
 
     # Feature of the terminal token, from the same parallel pass; only the
     # last `window` tokens of its prefix reach it.
-    w = target.window
     prefix = [*context[-w:], *accepted.tokens[-w:], terminal]
     features.append(target.feature_at(prefix, len(prefix) - 1))
 

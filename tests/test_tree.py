@@ -1,6 +1,7 @@
 """Candidate-tree construction, enumeration, and linearization."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from specskip.engine import EngineConfig
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.tree import (DraftNode, DraftTree, TokenPath, _sample_level,
-                           build_tree, enumerate_paths, linearize,
-                           serialize_tree)
+                           build_tree, enumerate_paths, linearize)
 
 CFG = EngineConfig()
 
@@ -48,50 +48,64 @@ def _golden_trees(cfg, runs=200):
         yield draft, tree, rng
 
 
-def _reference_draws(dists, k_b, rng):
-    """Per-node oracle: one rng.random() per draw, node after node, until
-    k_b draws or no positive mass is left."""
+def _node_tuples(tree):
+    """Each node's (token, parent, depth, prob.hex()): probs bit for bit."""
+    return [(n.token, n.parent, n.depth, n.prob.hex()) for n in tree.nodes]
+
+
+def _children(dists, k_b, rng):
+    """Each row's children: its picks up to its stop."""
+    picks, stops = _sample_level(dists, k_b, rng)
+    return [toks[:c] for toks, c in zip(picks.tolist(), stops.tolist())]
+
+
+def _reference_race(dists, k_b, rng):
+    """Per-node oracle: one standard_exponential(V) call per row, node after
+    node; the row's m = min(k_b, V) smallest finite keys E / p, by key."""
     picks = []
     for dist in dists:
-        avail = dist.copy()
-        order = []
-        while len(order) < k_b and avail.sum() > 0.0:
-            u = rng.random()
-            cum = (avail / avail.sum()).cumsum()
-            tok = int(cum.searchsorted(u * cum[-1], side="right"))
-            order.append(tok)
-            avail[tok] = 0.0
-        picks.append(order)
+        with np.errstate(divide="ignore"):
+            keys = rng.standard_exponential(len(dist)) / dist
+        order = np.argsort(keys, kind="stable")[:min(k_b, len(dist))]
+        picks.append([int(t) for t in order if np.isfinite(keys[t])])
     return picks
+
+
+def _softmax_level(seed, n, vocab):
+    src = rng_stream(seed, "level")
+    logits = 3.0 * src.standard_normal((n, vocab))
+    dists = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return dists / dists.sum(axis=1, keepdims=True)
 
 
 class TestSampleLevel:
     @pytest.mark.parametrize("vocab", [16, 64, 1024])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 24])
     def test_full_support_matches_per_node_loop(self, vocab, n):
-        src = rng_stream(vocab * 100 + n, "level")
-        logits = 3.0 * src.standard_normal((n, vocab))
-        dists = np.exp(logits - logits.max(axis=1, keepdims=True))
-        dists /= dists.sum(axis=1, keepdims=True)
+        """A level's picks are those of racing node by node, and it takes
+        exactly standard_exponential((n, V)) from the stream."""
+        dists = _softmax_level(vocab * 100 + n, n, vocab)
         got_rng, ref_rng = rng_stream(n, "u"), rng_stream(n, "u")
-        assert _sample_level(dists, 4, got_rng) == _reference_draws(dists, 4, ref_rng)
-        assert got_rng.random() == ref_rng.random()
+        assert _children(dists, 4, got_rng) == _reference_race(dists, 4, ref_rng)
+        bulk = rng_stream(n, "u")
+        bulk.standard_exponential((n, vocab))
+        assert got_rng.random() == ref_rng.random() == bulk.random()
 
     def test_fewer_entries_than_k_b_matches_per_node_loop(self):
-        # V = 4 < k_b = 5: every full row stops after its 4 entries, so the
-        # level takes 4 uniforms per row, not k_b.
+        # V = 4 < k_b = 5: every row is a permutation of the vocabulary.
         src = rng_stream(4, "level")
         dists = src.random((4, 4)) + 0.1
         dists /= dists.sum(axis=1, keepdims=True)
         got_rng, ref_rng = rng_stream(4, "u"), rng_stream(4, "u")
-        got = _sample_level(dists, 5, got_rng)
-        assert got == _reference_draws(dists, 5, ref_rng)
+        got = _children(dists, 5, got_rng)
+        assert got == _reference_race(dists, 5, ref_rng)
         assert all(sorted(p) == [0, 1, 2, 3] for p in got)
         assert got_rng.random() == ref_rng.random()
 
     def test_mixed_support_matches_per_node_loop(self):
         # Rows with 1 and 3 positive entries (fewer than k_b = 4) between
-        # full rows: the short rows stop early and the stream stays aligned.
+        # full rows: the short rows stop at their support, and the level
+        # still takes one exponential per entry.
         dists = np.array([
             [0.1, 0.2, 0.05, 0.15, 0.1, 0.1, 0.2, 0.1],
             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -99,10 +113,48 @@ class TestSampleLevel:
             [0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
         ])
         got_rng, ref_rng = rng_stream(1, "mixed"), rng_stream(1, "mixed")
-        got = _sample_level(dists, 4, got_rng)
-        assert got == _reference_draws(dists, 4, ref_rng)
+        got = _children(dists, 4, got_rng)
+        assert got == _reference_race(dists, 4, ref_rng)
         assert [len(p) for p in got] == [4, 1, 3, 4]
         assert got_rng.random() == ref_rng.random()
+
+    def test_ordered_picks_follow_sequential_draws_without_replacement(self):
+        """Ordered-pick frequencies of one V=5 row, raced k_b=3 deep on 240k
+        rows of a fixed stream, against the closed form p(a) p(b) / (1 -
+        p(a)) p(c) / (1 - p(a) - p(b)).  60 cells, 59 dof; 108.16 is the
+        chi-square quantile at p = 1e-4 (scipy.stats.chi2.ppf(1 - 1e-4, 59))."""
+        p = np.array([0.4, 0.25, 0.2, 0.1, 0.05])
+        rows = 240_000
+        picks = _children(np.tile(p, (rows, 1)), 3, rng_stream(0, "race"))
+        counts = {}
+        for toks in picks:
+            counts[tuple(toks)] = counts.get(tuple(toks), 0) + 1
+        cells = list(itertools.permutations(range(5), 3))
+        assert set(counts) <= set(cells)
+        chi2 = 0.0
+        for a, b, c in cells:
+            expected = rows * p[a] * p[b] / (1 - p[a]) * p[c] / (1 - p[a] - p[b])
+            chi2 += (counts.get((a, b, c), 0) - expected) ** 2 / expected
+        assert chi2 < 108.16
+
+    @pytest.mark.parametrize("vocab", [8, 64, 1024])
+    @pytest.mark.parametrize("zero_frac", [0.5, 0.97])
+    def test_zero_mass_never_picked(self, vocab, zero_frac):
+        """Each row yields exactly min(k_b, positive entries) distinct
+        picks, none of zero mass."""
+        dists = _softmax_level(vocab, 24, vocab)
+        src = rng_stream(vocab, "zeros")
+        dists[src.random(dists.shape) < zero_frac] = 0.0
+        dists[np.arange(24), src.integers(0, vocab, 24)] += 0.5
+        dists /= dists.sum(axis=1, keepdims=True)
+        picks = _children(dists, 4, rng_stream(vocab, "u"))
+        for dist, toks in zip(dists, picks):
+            assert len(toks) == len(set(toks)) == min(4, np.count_nonzero(dist))
+            assert all(dist[t] > 0.0 for t in toks)
+
+    def test_one_entry_row_yields_that_entry(self):
+        assert _children(np.ones((1, 1)), 4, rng_stream(0, "u")) == [[0]]
+        assert _children(np.eye(6)[[2, 5]], 3, rng_stream(0, "u")) == [[2], [5]]
 
 
 class TestBuildTree:
@@ -115,14 +167,14 @@ class TestBuildTree:
         assert all(n.confidence == 1.0 for n in tree.nodes)
 
     def test_sampled_point_mass_chain_draws_once_per_node(self):
-        # One positive entry per distribution: sampling stops after one
-        # uniform per expanded node, short of k_b.
+        # One positive entry per distribution: each node's race yields one
+        # child, short of k_b, from one exponential per vocabulary entry.
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         rng = rng_stream(0, "support")
         tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8, rng=rng)
         assert [n.token for n in tree.nodes] == [1, 2, 3]
         ref = rng_stream(0, "support")
-        ref.random(3)
+        ref.standard_exponential((3, 6))
         assert rng.random() == ref.random()
 
     def test_top2_of_root(self):
@@ -180,7 +232,7 @@ class TestBuildTree:
         feat = target.feature_at(prompt, 3)
         t1 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
         t2 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
-        assert serialize_tree(t1) == serialize_tree(t2)
+        assert _node_tuples(t1) == _node_tuples(t2)
         kids = t1.children_of()
         for group in kids:
             toks = [t1.nodes[i].token for i in group]
@@ -188,18 +240,18 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("cfg, digest, forward_calls", [
         # Default config: k_b=4, D=5, budget=24, so pruning is active.
-        (CFG, "b90d245f6f1e9e100d5add7fef1bb86f89d0a2d0645a53829a8b2938ca44b29f", 5715),
+        (CFG, "0ffcadb09d194419304e4a18db2c8d4e194b566989d6364f06446dc97b4d12b1", 5691),
         (EngineConfig(vocab_size=1024, feat_dim=16),
-         "3f1b973c0961b670548f1b5a30811335c69a59dce4b07b017d76bfa3906591f7", 5117),
-    ])
+         "ac5058a19188efb0602adb96b9c79311162c62399a209786a65aa8ba7f5e09d5", 5107),
+    ], ids=["v64", "v1024"])
     def test_sampled_trees_golden(self, cfg, digest, forward_calls):
         """200 sampled trees, each followed by the next draw of its rng,
         hash to recorded bytes with a recorded number of drafter calls:
-        tree shape, probs and rng consumption are pinned across rewrites of
-        the build loop."""
+        tree shape, probs (bit for bit) and rng consumption are pinned
+        across rewrites of the build loop."""
         h = hashlib.sha256()
         for draft, tree, rng in _golden_trees(cfg):
-            h.update(serialize_tree(tree).encode())
+            h.update(repr(_node_tuples(tree)).encode())
             h.update(f"{rng.random()!r}\n".encode())
         assert h.hexdigest() == digest
         assert draft.forward_calls == forward_calls
@@ -322,11 +374,3 @@ class TestLinearize:
                         assert a < j
                         assert sets[a] <= anc
 
-
-class TestSerializeTree:
-    def test_line_format(self):
-        text = serialize_tree(_hand_tree())
-        lines = text.strip().split("\n")
-        assert lines[0] == "0 -1 5 0.6"
-        assert lines[4] == "4 1 1 0.9"
-        assert len(lines) == 5

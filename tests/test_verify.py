@@ -7,6 +7,7 @@ from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import DegenerateProposal, DegenerateResidual
 from specskip.models import make_model_pair
+from specskip import verify
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
 from specskip.verify import (RelaxConfig, pooled_mass, relaxed_accept,
                              residual_sample, strict_accept, verify_tree)
@@ -142,6 +143,27 @@ class TestVerifyTree:
                               rng_stream(0, "a"))
         assert outcome.accept_length == 0
         assert outcome.terminal_origin == "resampled"
+
+    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("context", [[5, 2, 8, 1, 7], [6]])
+    def test_root_distribution_scored_only_when_read(self, monkeypatch, window, context):
+        """Without pending tokens the walk starts from score_prefix of the
+        context, bit for bit (an empty tree's bonus terminal is drawn from
+        it); with pending tokens the context is not scored on its own."""
+        target, _ = make_model_pair(EngineConfig(window=window))
+        drawn_from, scored = [], []
+        monkeypatch.setattr(verify, "sample_index",
+                            lambda dist, rng: drawn_from.append(dist.copy()) or 0)
+        score_prefix = target.score_prefix
+        monkeypatch.setattr(target, "score_prefix",
+                            lambda toks: scored.append(list(toks)) or score_prefix(toks))
+        empty = DraftTree([], root_dist=np.full(target.vocab_size, 1 / target.vocab_size))
+        outcome = verify_tree(linearize(empty, []), target, context, "strict",
+                              rng_stream(0, "a"))
+        assert outcome.terminal_origin == "bonus" and scored == [context[-window:]]
+        assert np.array_equal(drawn_from[0], score_prefix(context).dist)
+        verify_tree(linearize(empty, [3, 9]), target, context, "strict", rng_stream(0, "a"))
+        assert len(scored) == 1
 
     def test_pending_ratified_with_features(self):
         cfg = EngineConfig()
