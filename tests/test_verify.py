@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from specskip import verify
 from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import DegenerateProposal, DegenerateResidual
 from specskip.models import make_model_pair
-from specskip import verify
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
 from specskip.verify import (RelaxConfig, pooled_mass, relaxed_accept,
                              residual_sample, strict_accept, verify_tree)
