@@ -8,9 +8,8 @@ from .engine import (FRESH, EngineConfig, GenerationTrace, IterationRecord,
                      Metrics, compute_metrics, config_from_mapping,
                      replace_verified, speculative_decode, trace_to_csv,
                      vanilla_ar, vvs_generate)
-from .errors import (CacheUnderflow, DegenerateProposal, DegenerateResidual,
-                     DegenerateTrace, DegenerateVector, RejectedInput,
-                     SpecskipError)
+from .errors import (CacheUnderflow, DegenerateProposal, DegenerateTrace,
+                     DegenerateVector, RejectedInput, SpecskipError)
 from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,
                      target_forward, target_forward_masked)
 from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
@@ -19,6 +18,6 @@ from .select import SelectionPolicy, select_path, truncate_path
 from .tree import (DraftNode, DraftTree, LinearizedTree, TokenPath, build_tree,
                    enumerate_paths, linearize)
 from .verify import (RelaxConfig, VerifyOutcome, pooled_mass, relaxed_accept,
-                     residual_sample, strict_accept, verify_tree)
+                     strict_accept, verify_tree)
 
 __version__ = "0.1.0"

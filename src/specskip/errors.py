@@ -17,11 +17,6 @@ class DegenerateProposal(SpecskipError, ValueError):
     """The drafter assigned zero mass to its own proposed token."""
 
 
-class DegenerateResidual(SpecskipError):
-    """The residual distribution is identically zero; sample from the
-    target distribution directly instead."""
-
-
 class CacheUnderflow(SpecskipError):
     """The feature cache holds fewer usable entries than requested."""
 

@@ -1,5 +1,5 @@
-"""Candidate token tree: confidence-ranked construction, path enumeration,
-and linearization for single-pass verification."""
+"""Candidate token tree: budgeted construction, path enumeration, and
+linearization for single-pass verification."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ class DraftNode:
     prob: float             # drafter probability of this token at its parent
     confidence: float       # product of probs along the root path
     depth: int
-    # Set only on nodes that were expanded: drafter dist for children.
+    # Set on the nodes of every level the drafter extended: the dist their
+    # children are drawn from.
     dist: np.ndarray = field(repr=False, default=None)
 
 
@@ -69,34 +70,29 @@ class LinearizedTree:
 
 
 def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
-               budget: int, rng: np.random.Generator | None = None) -> DraftTree:
-    """Breadth-synchronous expansion with global confidence pruning.
+               budget: int, rng: np.random.Generator) -> DraftTree:
+    """Breadth-synchronous expansion to at most `budget` nodes; no drawn
+    node is ever cut.
 
     The drafter conditions the root on one (d,) feature, the one at the
     last context token, and that token.
 
-    Each round expands every frontier node by k_b candidate tokens, then the
-    whole node set is cut back to the budget-many highest cumulative
-    confidences (ties: smaller token id, then earlier insertion), keeping
-    ancestor closure.
+    Each level first fixes every frontier node's child count (0 to k_b) by
+    ``_child_counts``, from confidences and distributions known before the
+    level's draws, then races one row per node with a positive count (see
+    ``_sample_level``): a node's children are the first count picks of its
+    row, drawn sequentially without replacement from its draft
+    distribution, and kept in sampling order.  A child count fixed before
+    the node's own draws keeps the verifier's sequential residual scheme
+    exact (SpecInfer's multi-step speculative sampling, Miao et al. 2024),
+    so strict decoding reproduces the target distribution for every tree
+    this builds.  A node draws no token of zero mass, so it has fewer
+    children than its count when its distribution has fewer positive
+    entries.
 
-    Without an rng, each node expands by its top-k_b tokens.  With an rng,
-    children are drawn sequentially without replacement from the node's
-    draft distribution; paired with the verifier's sequential residual
-    bookkeeping this is the arrangement that preserves the target
-    distribution end to end, so the decoding engine always drafts this way.
-    Either way a node draws no token of zero mass, so it has fewer than k_b
-    children when its distribution has fewer positive entries.  Stored
-    per-child probs are always taken from the node's original distribution,
-    and children are kept in sampling order.
-
-    The tree grows one level at a time: a level's draws are one exponential
-    race over its stacked distributions (see ``_sample_level``), and the
-    nodes that survive pruning into the next frontier get their drafter
-    features and child distributions from one batched ``extend_feature``
-    and one batched ``next_dist`` call.  Pruned and last-level nodes have
-    neither.  Tokens, probs and rng consumption are those of expanding node
-    by node.
+    The nodes of a level that is neither the last nor fills the budget get
+    their drafter features and child distributions from one batched
+    ``extend_feature`` and one batched ``next_dist`` call.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -106,60 +102,57 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
 
-    # Candidates: (-confidence, token, slot, parent slot, prob, depth, parent
-    # row).  A node's slot is its insertion number, so tuple order is the
-    # pruning rank; its parent row indexes the parent's level arrays.
-    # DraftNodes are made for the survivors at the end.
-    entries: list[tuple] = []
-    slot = 0
-    # The frontier level: its entries (the root's stand-in has confidence 1
-    # and slot -1), draft dists (n, V), drafter features (n, d) and tails
-    # (the last `window` tokens of context + root path).  Expanded nodes
-    # keep their dist rows: slot -> dist.
-    level = [(-1.0, None, -1)]
-    dists = root_dist[None]
+    nodes: list[DraftNode] = []
+    # The frontier: its first node's index (-1 for the root; the rest
+    # follow in order), confidences, draft dists (n, V), drafter features
+    # (n, d) and tails (the last `window` tokens of context + root path).
+    first, confs, dists = -1, [1.0], root_dist[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
-    expanded: dict[int, np.ndarray] = {}
-
     for depth in range(1, D + 1):
-        if rng is None:
-            # Each row's top k_b; its zero-mass tokens sort last.
-            picks = np.argsort(-dists, axis=1, kind="stable")[:, :k_b]
-            stops = np.count_nonzero(dists, axis=1)
-        else:
-            picks, stops = _sample_level(dists, k_b, rng)
-        probs = dists[np.arange(len(dists))[:, None], picks].tolist()
-        for row, (e, toks, ps, stop) in enumerate(zip(level, picks.tolist(), probs,
-                                                      stops.tolist())):
-            conf, parent = -e[0], e[2]
-            for tok, p in zip(toks[:stop], ps[:stop]):
-                entries.append((-(conf * p), tok, slot, parent, p, depth, row))
-                slot += 1
-
-        if len(entries) > budget:
-            entries = _retain(entries, budget)
-
-        level = [e for e in entries if e[5] == depth]
-        if depth == D or not level:
+        counts = _child_counts(confs, dists, k_b, budget - len(nodes))
+        rows = [i for i, c in enumerate(counts) if c]
+        drawn = dists if len(rows) == len(dists) else dists[rows]
+        picks, stops = _sample_level(drawn, k_b, rng)
+        probs = drawn[np.arange(len(rows))[:, None], picks].tolist()
+        start = len(nodes)
+        born = []   # each new node's frontier row
+        for row, toks, ps, stop in zip(rows, picks.tolist(), probs, stops.tolist()):
+            c = min(counts[row], stop)
+            for tok, p in zip(toks[:c], ps[:c]):
+                nodes.append(DraftNode(token=tok, parent=first + row, prob=p,
+                                       confidence=confs[row] * p, depth=depth))
+                born.append(row)
+        new = nodes[start:]
+        if depth == D or len(nodes) == budget or not new:
             break
-        new = np.array([e[1] for e in level])
-        rows = np.array([e[6] for e in level])
-        feats = draft.extend_feature(feats.take(rows, axis=0),
-                                     np.array([tails[e[6]][0] for e in level]), new)
-        dists = draft.next_dist(feats, new)
-        tails = [tails[e[6]][1:] + (e[1],) for e in level]
-        expanded.update(zip([e[2] for e in level], dists))
-
-    if not entries:
-        raise RejectedInput("tree construction produced no nodes")
-    # Renumber slots into dense insertion-order indices.
-    slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
-    nodes = []
-    for neg_conf, tok, s, parent, p, d, _ in entries:
-        nodes.append(DraftNode(token=tok, prob=p,
-                               parent=-1 if parent == -1 else slot_to_idx[parent],
-                               confidence=-neg_conf, depth=d, dist=expanded.get(s)))
+        toks = np.array([node.token for node in new])
+        feats = draft.extend_feature(feats.take(born, axis=0),
+                                     np.array([tails[r][0] for r in born]), toks)
+        dists = draft.next_dist(feats, toks)
+        for node, dist in zip(new, dists):
+            node.dist = dist
+        tails = [tails[r][1:] + (node.token,) for r, node in zip(born, new)]
+        first = start
+        confs = [node.confidence for node in new]
     return DraftTree(nodes=nodes, root_dist=root_dist)
+
+
+def _child_counts(confs: list[float], dists: np.ndarray, k_b: int,
+                  room: int) -> list[int]:
+    """Each frontier node's child count, from what is known before its
+    draws: slot (i, j), j < min(k_b, V), is worth confs[i] times the j-th
+    largest entry of dists[i], and the `room` most valuable slots are kept
+    (ties: earlier row, then smaller j).  A row's worth falls with j, so
+    its kept slots are its first counts[i].  A slot of zero worth ranks
+    last and yields no node, as its row's race stops at the support."""
+    n, V = dists.shape
+    m = min(k_b, V)
+    if room >= n * m:
+        return [m] * n   # every slot is kept; no ranking needed
+    top = np.sort(np.partition(dists, V - m, axis=1)[:, V - m:], axis=1)[:, ::-1]
+    worth = (np.array(confs)[:, None] * top).ravel()
+    kept = np.argsort(-worth, kind="stable")[:room]
+    return np.bincount(kept // m, minlength=n).tolist()
 
 
 def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
@@ -186,30 +179,6 @@ def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
     part = np.argpartition(keys, m - 1, axis=1)[:, :m]
     top = keys[rows, part]
     return part[rows, top.argsort(axis=1)], np.isfinite(top).sum(axis=1)
-
-
-def _retain(entries: list[tuple], budget: int) -> list[tuple]:
-    """Cut candidates back to the budget-many highest confidences (ties:
-    smaller token id, then earlier insertion), keeping ancestor closure, in
-    insertion order."""
-    ranked = sorted(range(len(entries)), key=entries.__getitem__)
-    rank = {i: r for r, i in enumerate(ranked)}
-    keep = set(ranked[:budget])
-    slot_to_idx = {e[2]: i for i, e in enumerate(entries)}
-    # Ancestor closure: a kept node's parent must be kept. Parents have
-    # confidence >= child and shallower depth, so repair is a rare
-    # tie-breaking correction.
-    changed = True
-    while changed:
-        changed = False
-        for i in list(keep):
-            parent = entries[i][3]
-            if parent != -1 and slot_to_idx[parent] not in keep:
-                worst = max(keep - {slot_to_idx[parent]}, key=rank.__getitem__)
-                keep.discard(worst)
-                keep.add(slot_to_idx[parent])
-                changed = True
-    return [entries[i] for i in sorted(keep)]
 
 
 def enumerate_paths(tree: DraftTree) -> list[TokenPath]:

@@ -14,7 +14,7 @@ import numpy as np
 from .core import (ORIGIN_BONUS, ORIGIN_RESAMPLED, ORIGIN_VERIFIED,
                    EmbeddingCodebook, TokenSequence, nearest_neighbors,
                    sample_index)
-from .errors import DegenerateProposal, DegenerateResidual, RejectedInput
+from .errors import DegenerateProposal, RejectedInput
 from .models import TargetModel, target_forward_masked
 from .tree import LinearizedTree
 
@@ -80,16 +80,6 @@ def relaxed_accept(q: np.ndarray, p: np.ndarray, t: int,
     return rng.random() < min(1.0, pooled / p[t])
 
 
-def residual_sample(q: np.ndarray, p: np.ndarray,
-                    rng: np.random.Generator) -> int:
-    """Sample from the lossless residual normalize(max(0, q - p))."""
-    residual = np.maximum(q - p, 0.0)
-    total = residual.sum()
-    if total <= 0.0:
-        raise DegenerateResidual("residual is identically zero")
-    return sample_index(residual / total, rng)
-
-
 def _accept_one(q: np.ndarray, p: np.ndarray, t: int, mode,
                 codebook: EmbeddingCodebook, rng: np.random.Generator) -> bool:
     if isinstance(mode, RelaxConfig):
@@ -133,8 +123,8 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
     codebook = target.codebook
 
     while True:
-        # Insertion order: descending draft prob for top-k trees, sampling
-        # order for sampled trees (the order the residual scheme requires).
+        # Insertion order is sampling order, the order the residual scheme
+        # requires.
         kids = children[cur_slot + 1]
         if not kids:
             terminal = sample_index(q_cur, residual_rng)

@@ -50,7 +50,7 @@ class TestVanillaAR:
 
 class TestSpeculativeDecode:
     def test_perfect_drafter_tpf_four(self):
-        # Unpruned depth-3 tree and a perfect drafter: 3 accepts + bonus
+        # Full depth-3 tree and a perfect drafter: 3 accepts + bonus
         # per pass, so TPF is exactly 4.
         cfg = EngineConfig(epsilon=0.0, accept_mode="strict", branching=2,
                            depth=3, budget=14, max_new_tokens=16)
@@ -97,8 +97,9 @@ class TestVVS:
     def test_uniform_interval_two_halves_forwards(self):
         cfg = EngineConfig(policy="uniform", interval=2, **FAST)
         trace = vvs_generate(cfg)
-        kinds = [i.kind for i in trace.iterations[:10]]
-        assert kinds == ["verify", "skip"] * 5
+        kinds = [i.kind for i in trace.iterations]
+        assert len(kinds) >= 2
+        assert kinds == [("verify", "skip")[j % 2] for j in range(len(kinds))]
         check_counters(trace)
 
     def test_skip_tokens_ratified_next_verify(self):

@@ -10,8 +10,9 @@ from specskip.core import rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
-from specskip.tree import (DraftNode, DraftTree, TokenPath, _sample_level,
-                           build_tree, enumerate_paths, linearize)
+from specskip.tree import (DraftNode, DraftTree, TokenPath, _child_counts,
+                           _sample_level, build_tree, enumerate_paths,
+                           linearize)
 
 CFG = EngineConfig()
 
@@ -161,7 +162,8 @@ class TestBuildTree:
     def test_point_mass_chain(self):
         # Token 0 always proposes token 1, which always proposes token 2, ...
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
-        tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8)
+        tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8,
+                          rng=rng_stream(0, "chain"))
         assert [n.token for n in tree.nodes] == [1, 2, 3]
         assert [n.parent for n in tree.nodes] == [-1, 0, 1]
         assert all(n.confidence == 1.0 for n in tree.nodes)
@@ -177,35 +179,84 @@ class TestBuildTree:
         ref.standard_exponential((3, 6))
         assert rng.random() == ref.random()
 
-    def test_top2_of_root(self):
-        table = {0: [0.1, 0.0, 0.5, 0.15, 0.25]}
-        for t in range(1, 5):
-            table[t] = [0.2] * 5
-        tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=1, budget=2)
-        assert sorted(n.token for n in tree.nodes) == [2, 4]
+    @pytest.mark.parametrize("budget, counts", [
+        (2, {1: 0, 2: 0}), (3, {1: 1, 2: 0}), (4, {1: 2, 2: 0}),
+        (5, {1: 2, 2: 1}), (6, {1: 2, 2: 2})])
+    def test_counts_follow_expected_confidence_not_the_draws(self, budget, counts):
+        # The root's two positive tokens are always drawn, 1 (0.7) and 2
+        # (0.3), in either order.  Their slots are worth 0.7 * (0.5, 0.3) =
+        # (0.35, 0.21) and 0.3 * (0.6, 0.2) = (0.18, 0.06), so the budget's
+        # room after the root level fixes each one's child count, whatever
+        # any stream draws.
+        table = {0: [0.0, 0.7, 0.3, 0.0, 0.0, 0.0],
+                 1: [0.0, 0.0, 0.0, 0.5, 0.3, 0.2],
+                 2: [0.0, 0.0, 0.0, 0.2, 0.2, 0.6]}
+        drawn = set()
+        for run in range(8):
+            tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=2,
+                              budget=budget, rng=rng_stream(run, "counts"))
+            kids = tree.children_of()
+            assert sorted(n.token for n in tree.nodes if n.depth == 1) == [1, 2]
+            got = {tree.nodes[i].token: [tree.nodes[j].token for j in kids[i + 1]]
+                   for i in kids[0]}
+            assert {t: len(ts) for t, ts in got.items()} == counts
+            drawn.add(tuple(got[1]))
+        assert len(drawn) > 1 or counts[1] == 0
 
-    def test_budget3_matches_exhaustive_ranking(self):
-        # Root (after token 0): A=1 (0.6), B=2 (0.4); A -> C=3 (0.9);
-        # B -> E=4/F=5 (0.5 each). Exhaustive product ranking of every
-        # generated node: A(0.6) > AC(0.54) > B(0.4) > BE=BF(0.2) > AD(0.06).
-        table = {
-            0: [0.0, 0.6, 0.4, 0.0, 0.0, 0.0],
-            1: [0.0, 0.0, 0.0, 0.9, 0.1, 0.0],
-            2: [0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
-        }
-        for t in (3, 4, 5):
-            table[t] = [1 / 6.0] * 6
-        tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=2, budget=3)
-        kept = {(n.token, round(n.confidence, 12)) for n in tree.nodes}
-        assert kept == {(1, 0.6), (3, 0.54), (2, 0.4)}
+    def test_count_rule_ties_and_zero_mass(self):
+        # Equal worth goes to the earlier row, then the smaller j; slots of
+        # zero worth rank last, and all slots are kept when they all fit.
+        dists = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
+        assert _child_counts([0.5, 0.5], dists, 2, 1) == [1, 0]
+        assert _child_counts([0.5, 0.5], dists, 2, 3) == [2, 1]
+        assert _child_counts([0.5, 0.25], dists, 3, 5) == [3, 2]
+        assert _child_counts([0.0, 1.0], dists, 2, 2) == [0, 2]
+        assert _child_counts([0.0, 1.0], dists, 2, 4) == [2, 2]
+
+    @pytest.mark.parametrize("cfg, budget", [
+        (CFG, 24), (CFG, 9), (EngineConfig(vocab_size=1024, feat_dim=16), 24)])
+    def test_children_are_the_first_count_picks_of_their_race_row(self, cfg, budget):
+        """Replayed level by level on a copy of the stream: each level's
+        counts come from its nodes' confidences and dists alone, only rows
+        with a positive count are raced, and each node's children are the
+        first min(count, stop) picks of its row, in race order."""
+        target, draft = make_model_pair(cfg)
+        k_b, D = cfg.branching, cfg.depth
+        for run in range(10):
+            prompt = [int(t) for t in rng_stream(run, "p").integers(0, cfg.vocab_size,
+                                                                    cfg.window)]
+            feat = target.feature_at(prompt, cfg.window - 1)
+            rng = rng_stream(run, "d")
+            tree = build_tree(draft, feat, prompt, k_b, D, budget, rng=rng)
+            ref = rng_stream(run, "d")
+            kids = tree.children_of()
+            frontier, placed = [-1], 0
+            for _ in range(D):
+                if placed == budget or not frontier:
+                    break
+                confs = [1.0 if i == -1 else tree.nodes[i].confidence for i in frontier]
+                dists = np.array([tree.root_dist if i == -1 else tree.nodes[i].dist
+                                  for i in frontier])
+                counts = _child_counts(confs, dists, k_b, budget - placed)
+                rows = np.flatnonzero(counts)
+                picks, stops = _sample_level(dists[rows], k_b, ref)
+                expected = {frontier[r]: toks[:min(counts[r], stop)]
+                            for r, toks, stop in zip(rows, picks.tolist(), stops)}
+                for i in frontier:
+                    assert [tree.nodes[j].token for j in kids[i + 1]] == expected.get(i, [])
+                frontier = [j for i in frontier for j in kids[i + 1]]
+                placed += len(frontier)
+            assert placed == len(tree.nodes) <= budget
+            assert rng.random() == ref.random()
 
     def test_bad_shape_rejected(self):
         target, draft = make_model_pair(CFG)
         feat = target.feature_at([1, 2, 3, 4], 3)
+        rng = rng_stream(0, "bad")
         with pytest.raises(RejectedInput):
-            build_tree(draft, feat, [1, 2, 3, 4], k_b=1, D=2, budget=4)
+            build_tree(draft, feat, [1, 2, 3, 4], k_b=1, D=2, budget=4, rng=rng)
         with pytest.raises(RejectedInput):
-            build_tree(draft, feat, [1, 2, 3, 4], k_b=3, D=2, budget=2)
+            build_tree(draft, feat, [1, 2, 3, 4], k_b=3, D=2, budget=2, rng=rng)
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,
@@ -239,10 +290,11 @@ class TestBuildTree:
             assert len(toks) == len(set(toks))
 
     @pytest.mark.parametrize("cfg, digest, forward_calls", [
-        # Default config: k_b=4, D=5, budget=24, so pruning is active.
-        (CFG, "0ffcadb09d194419304e4a18db2c8d4e194b566989d6364f06446dc97b4d12b1", 5691),
+        # Default config: k_b=4, D=5, budget=24, so the budget sets the
+        # counts: levels of 4, 16 and 4 nodes, 21 drafter calls per tree.
+        (CFG, "f1f105976238c10cd5eb7f2cb20aae5f91c4b8d5bbc38678a1a51b7382b77703", 4200),
         (EngineConfig(vocab_size=1024, feat_dim=16),
-         "ac5058a19188efb0602adb96b9c79311162c62399a209786a65aa8ba7f5e09d5", 5107),
+         "a534bf6921545d7acfcb4975421eaa35fb7000346ee441b4f16ecc5b8a5fe1f5", 4200),
     ], ids=["v64", "v1024"])
     def test_sampled_trees_golden(self, cfg, digest, forward_calls):
         """200 sampled trees, each followed by the next draw of its rng,
@@ -275,7 +327,7 @@ class TestBuildTree:
     def test_short_context_rejected(self):
         target, draft = make_model_pair(CFG)
         with pytest.raises(RejectedInput):
-            build_tree(draft, np.zeros(CFG.feat_dim), [1], 2, 2, 4)
+            build_tree(draft, np.zeros(CFG.feat_dim), [1], 2, 2, 4, rng_stream(0, "short"))
 
 
 def _hand_tree():
@@ -294,7 +346,7 @@ def _hand_tree():
 class TestEnumeratePaths:
     def test_single_chain_single_path(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
-        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8)
+        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "p"))
         paths = enumerate_paths(tree)
         assert len(paths) == 1 and paths[0].tokens == [1, 2, 3]
 
@@ -303,7 +355,7 @@ class TestEnumeratePaths:
                  1: [0.0, 0.0, 0.0, 0.5, 0.5],
                  2: [0.0, 0.0, 0.0, 0.5, 0.5],
                  3: [0.2] * 5, 4: [0.2] * 5}
-        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 2, 6)
+        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 2, 6, rng_stream(0, "p"))
         assert len(enumerate_paths(tree)) == 4
 
     def test_hand_traversal(self):
@@ -341,7 +393,7 @@ def _old_ancestor_sets(tree, n_pending):
 class TestLinearize:
     def test_chain_prefix_ancestors(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
-        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8)
+        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
         linear = linearize(tree, [])
         assert linear.pending_len == 0
         assert linear.parents == [-1, 0, 1]
@@ -349,7 +401,7 @@ class TestLinearize:
 
     def test_pending_prepended(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
-        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8)
+        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
         linear = linearize(tree, [8, 9])
         assert len(linear.tokens) == 5
         assert linear.tokens[:2] == [8, 9]

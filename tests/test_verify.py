@@ -1,4 +1,4 @@
-"""Acceptance rules, residual sampling, and single-pass tree verification."""
+"""Acceptance rules and single-pass tree verification."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,13 @@ import pytest
 from specskip import verify
 from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig
-from specskip.errors import DegenerateProposal, DegenerateResidual
+from specskip.errors import DegenerateProposal
 from specskip.models import make_model_pair
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
 from specskip.verify import (RelaxConfig, pooled_mass, relaxed_accept,
-                             residual_sample, strict_accept, verify_tree)
+                             strict_accept, verify_tree)
+
+from sd_oracle import tree_distribution, two_token_tv
 
 FOUR_TOKEN_CB = EmbeddingCodebook(
     np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.0]]))
@@ -39,30 +41,6 @@ class TestStrictAccept:
         with pytest.raises(DegenerateProposal):
             strict_accept(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0,
                           rng_stream(0, "c"))
-
-
-class TestResidualSample:
-    def test_point_mass_residual(self):
-        rng = rng_stream(0, "r")
-        assert residual_sample(np.array([1.0, 0.0]), np.array([0.0, 1.0]), rng) == 0
-
-    def test_hand_subtraction(self):
-        rng = rng_stream(0, "r2")
-        q = np.array([0.7, 0.3])
-        p = np.array([0.3, 0.7])
-        assert all(residual_sample(q, p, rng) == 0 for _ in range(200))
-
-    def test_monte_carlo_point(self):
-        rng = rng_stream(2, "r3")
-        q = np.array([0.5, 0.3, 0.2])
-        p = np.array([0.2, 0.5, 0.3])
-        draws = [residual_sample(q, p, rng) for _ in range(10000)]
-        assert np.mean(np.array(draws) == 0) >= 0.99
-
-    def test_identical_distributions_degenerate(self):
-        q = np.array([0.5, 0.5])
-        with pytest.raises(DegenerateResidual):
-            residual_sample(q, q, rng_stream(0, "r4"))
 
 
 class TestRelaxedAccept:
@@ -106,7 +84,7 @@ class TestRelaxedAccept:
         assert pooled_mass(q, 0, FOUR_TOKEN_CB, cfg) == pytest.approx(0.6)
 
 
-def _unpruned_tree_outcome(cfg, run):
+def _full_tree_outcome(cfg, run):
     target, draft = make_model_pair(cfg)
     prompt = [int(t) for t in rng_stream(run, "p").integers(0, cfg.vocab_size,
                                                             cfg.window)]
@@ -121,11 +99,12 @@ def _unpruned_tree_outcome(cfg, run):
 
 class TestVerifyTree:
     def test_perfect_drafter_accepts_full_depth(self):
-        # Unpruned tree so the greedy walk can always reach max depth.
+        # A full tree (2 + 4 + 8 nodes), so the greedy walk can always reach
+        # max depth.
         cfg = EngineConfig(epsilon=0.0, accept_mode="strict", branching=2,
                            depth=3, budget=14)
         for run in range(10):
-            _, outcome = _unpruned_tree_outcome(cfg, run)
+            _, outcome = _full_tree_outcome(cfg, run)
             assert outcome.accept_length == 3
             assert outcome.terminal_origin == "bonus"
 
@@ -195,58 +174,6 @@ class TestVerifyTree:
         assert outcome.forward_passes == 1
 
 
-def _oracle_distribution(target, context, tree):
-    """Exhaustive branch-probability distribution over (accepted tokens,
-    terminal token) for a strict greedy walk — independent of verify_tree."""
-    children = tree.children_of()
-    out = {}
-
-    def q_at(prefix):
-        return target.score_prefix(context + prefix).dist
-
-    def descend(slot, prefix, weight):
-        kids = children[slot + 1]
-        q = q_at(prefix)
-        if not kids:
-            for tok, mass in enumerate(q):
-                if mass > 0:
-                    key = (tuple(prefix), tok)
-                    out[key] = out.get(key, 0.0) + weight * mass
-            return
-        p = tree.root_dist.copy() if slot == -1 else tree.nodes[slot].dist.copy()
-        q = q.copy()
-        reach = weight
-        for rank, idx in enumerate(kids):
-            tok = tree.nodes[idx].token
-            if p[tok] <= 0.0:
-                raise AssertionError("oracle tree must give proposals mass")
-            acc = min(1.0, q[tok] / p[tok])
-            if acc > 0.0:
-                descend(idx, prefix + [tok], reach * acc)
-            rej = reach * (1.0 - acc)
-            if rej <= 0.0:
-                reach = 0.0
-                break
-            res = np.maximum(q - p, 0.0)
-            if res.sum() > 0.0:
-                q = res / res.sum()
-            p[tok] = 0.0
-            if p.sum() > 0.0:
-                p = p / p.sum()
-            elif rank + 1 < len(kids):
-                reach = rej
-                break
-            reach = rej
-        if reach > 0.0:
-            for tok, mass in enumerate(q):
-                if mass > 0:
-                    key = (tuple(prefix), tok)
-                    out[key] = out.get(key, 0.0) + reach * mass
-
-    descend(-1, [], 1.0)
-    return out
-
-
 class TestBranchProbabilityOracle:
     def test_two_level_tree_matches_exhaustive_enumeration(self):
         cfg = EngineConfig(vocab_size=6, feat_dim=3, window=2, logit_scale=2.0)
@@ -263,7 +190,7 @@ class TestBranchProbabilityOracle:
             DraftNode(token=3, parent=0, prob=0.3, confidence=0.12, depth=2),
         ]
         tree = DraftTree(nodes, root_dist=d_root)
-        oracle = _oracle_distribution(target, context, tree)
+        oracle = tree_distribution(target, context, tree)
         assert abs(sum(oracle.values()) - 1.0) < 1e-9
 
         counts = {}
@@ -272,8 +199,22 @@ class TestBranchProbabilityOracle:
         for run in range(n):
             outcome = verify_tree(linear, target, context, "strict",
                                   rng_stream(run, "mc-a"), rng_stream(run, "mc-r"))
-            key = (tuple(outcome.accepted.tokens), outcome.terminal)
+            key = (*outcome.accepted.tokens, outcome.terminal)
             counts[key] = counts.get(key, 0) + 1
         tv = 0.5 * sum(abs(counts.get(k, 0) / n - oracle.get(k, 0.0))
                        for k in set(counts) | set(oracle))
         assert tv <= 0.01
+
+
+class TestExactIteration:
+    @pytest.mark.parametrize("budget", [3, 4, 6])
+    def test_two_tokens_match_the_target_exactly(self, budget):
+        """Every draw of a whole strict SD iteration enumerated, each child
+        count from the engine's rule: the first two emitted tokens follow
+        the target's two-token distribution exactly, whether or not the
+        budget (6 is the full k_b = 2, D = 2 tree) limits the tree."""
+        cfg = EngineConfig(vocab_size=5, window=1, epsilon=0.5, seed=3, branching=2,
+                           depth=2, budget=budget, accept_mode="strict")
+        target, draft = make_model_pair(cfg)
+        for context in ([0], [3]):
+            assert two_token_tv(target, draft, context, cfg.branching, budget) <= 1e-12
