@@ -6,8 +6,8 @@ from .core import (EmbeddingCodebook, TokenSequence, cosine, nearest_neighbors,
                    rng_stream, sample_index)
 from .engine import (FRESH, EngineConfig, GenerationTrace, IterationRecord,
                      Metrics, compute_metrics, config_from_mapping,
-                     replace_verified, speculative_decode, trace_to_csv,
-                     vanilla_ar, vvs_generate)
+                     speculative_decode, trace_to_csv, vanilla_ar,
+                     vvs_generate)
 from .errors import (CacheUnderflow, DegenerateProposal, DegenerateTrace,
                      DegenerateVector, RejectedInput, SpecskipError)
 from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,

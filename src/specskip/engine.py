@@ -1,10 +1,10 @@
 """Decoding pipelines and their metrics.
 
-Three pipelines share one loop: vanilla autoregressive decoding, baseline
-speculative decoding (draft then always verify), and the partial
-verification-skipping pipeline where some iterations accept a drafted path
-outright and the following verification step ratifies it (post
-verification) while restoring exact conditioning.
+Vanilla autoregressive decoding has its own loop.  Baseline speculative
+decoding (draft then always verify) and the partial verification-skipping
+pipeline, where some iterations accept a drafted path outright and the
+following verification step ratifies it (post verification) while
+restoring exact conditioning, share one draft-and-verify loop.
 
 Counters follow the device-independent speedup measure: TPF is generated
 tokens per target forward pass, with prompt prefill and post-hoc quality
@@ -136,7 +136,6 @@ class IterationRecord:
     similarity: float | None = None
     forward_passes: int = 0
     feature_source: int = FRESH
-    replaced: bool = False
 
 
 @dataclass
@@ -211,11 +210,9 @@ def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
                            iterations=iterations, n_tok=len(tokens), n_fwd=n_fwd)
 
 
-def _generate(config: EngineConfig, models=None, replace_fraction=None
-              ) -> GenerationTrace:
-    """Shared loop for baseline speculative decoding and the skipping
-    pipeline; `replace_fraction` enables the verification-replacement
-    analysis mode (pure-SD only)."""
+def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
+    """Partial verification-skipping loop; with policy="never" it is
+    baseline speculative decoding."""
     config.validate()
     target, draft = models if models else make_model_pair(config)
     streams = _Streams(config)
@@ -241,7 +238,6 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
     iterations: list[IterationRecord] = []
     n_fwd = 0
     skip_count = 0
-    verify_count = 0
     step = 0
     draft_calls_start = draft.forward_calls
     while len(emitted) < config.max_new_tokens:
@@ -253,53 +249,34 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
         skip = decide(policy, paths, codebook, step)
         similarity = policy.last_similarity
         if similarity is None and config.log_similarity:
-            similarity = path_similarity(paths, codebook, config.alpha, stride=1).value
+            # A one-path tree logs no similarity, not the policy's sentinel.
+            logged = path_similarity(paths, codebook, config.alpha, stride=1)
+            similarity = None if logged.degenerate else logged.value
 
         if not skip:
-            committed = seq[: len(seq) - pending_len]
-            linear = linearize(tree, seq[len(seq) - pending_len:])
-            outcome = verify_tree(linear, target, committed, mode,
+            base = len(seq) - pending_len
+            outcome = verify_tree(linearize(tree, seq[base:]), target, seq[:base], mode,
                                   streams["accept"], streams["residual"])
             n_fwd += 1
-            verify_count += 1
-
-            replaced = False
             new_tokens = outcome.accepted.tokens[pending_len:] + [outcome.terminal]
             new_origins = outcome.accepted.origins[pending_len:] + [outcome.terminal_origin]
-            if replace_fraction is not None:
-                # Deterministic quota: exactly floor(v * r) of the first v
-                # verify iterations are replaced, spread evenly.
-                v = verify_count - 1
-                replaced = math.floor((v + 1) * replace_fraction) > math.floor(v * replace_fraction)
-                if replaced and outcome.accept_length > 0:
-                    top = min(paths, key=lambda p: (-p.confidence, p.tokens))
-                    swap = min(outcome.accept_length, len(top))
-                    new_tokens[:swap] = top.tokens[:swap]
-
-            base = len(seq) - pending_len
-            seq = seq[:base] + outcome.accepted.tokens + [outcome.terminal]
-            if replaced:
-                seq = seq[:base + pending_len] + new_tokens
+            seq += new_tokens  # the ratified pending tokens are already its tail
             for tok, origin in zip(new_tokens, new_origins):
                 emitted.append(tok, origin)
 
             # Cache: post-verified pending positions, then verified ones.
-            all_positions = list(range(base, len(seq)))
-            all_features = outcome.features
-            if replaced:
-                all_features = [target.feature_at(seq, p) for p in all_positions]
+            positions = range(base, len(seq))
             if pending_len:
-                update(cache, all_positions[:pending_len], all_features[:pending_len],
+                update(cache, positions[:pending_len], outcome.features[:pending_len],
                        step=step, origin="post-verified")
-            update(cache, all_positions[pending_len:], all_features[pending_len:],
+            update(cache, positions[pending_len:], outcome.features[pending_len:],
                    step=step, origin="verified")
             pending_len = 0
 
             # The feature for the next draft, per the cycled schedule.
-            source = config.feature_schedule[(verify_count - 1) % len(config.feature_schedule)]
-            if source == FRESH:
-                draft_feat = all_features[-1]
-            else:
+            source = config.feature_schedule[(n_fwd - 1) % len(config.feature_schedule)]
+            draft_feat = outcome.features[-1]
+            if source != FRESH:
                 try:
                     # The paper-style offset s counts from the step before
                     # this one, hence the +1 against the freshly written step.
@@ -309,12 +286,11 @@ def _generate(config: EngineConfig, models=None, replace_fraction=None
                                                       source + 1).feature
                 except CacheUnderflow:
                     source = FRESH
-                    draft_feat = all_features[-1]
 
             iterations.append(IterationRecord(
                 index=step, kind="verify", emitted=len(new_tokens),
                 accept_length=outcome.accept_length, similarity=similarity,
-                forward_passes=1, feature_source=source, replaced=replaced))
+                forward_passes=1, feature_source=source))
         else:
             chosen = select_path(paths, selection, streams["select"])
             if selection.truncate:
@@ -341,23 +317,7 @@ def speculative_decode(config: EngineConfig, models=None) -> GenerationTrace:
     """Baseline draft-and-always-verify loop (skip policy forced to never)."""
     if config.policy != "never":
         config = replace(config, policy="never")
-    return _generate(config, models=models)
-
-
-def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
-    """Partial verification-skipping loop; with policy="never" this is
-    bit-identical to speculative_decode."""
-    return _generate(config, models=models)
-
-
-def replace_verified(config: EngineConfig, r: float, models=None) -> GenerationTrace:
-    """Pure-SD analysis mode substituting a deterministic fraction r of
-    verified paths with the max-confidence path prefix of equal length."""
-    if not 0.0 <= r <= 1.0:
-        raise RejectedInput("replacement fraction must lie in [0, 1]")
-    if config.policy != "never":
-        raise RejectedInput("replacement analysis requires policy='never'")
-    return _generate(config, models=models, replace_fraction=r)
+    return vvs_generate(config, models=models)
 
 
 def compute_metrics(trace: GenerationTrace, target: TargetModel | None = None) -> Metrics:
@@ -383,7 +343,7 @@ def compute_metrics(trace: GenerationTrace, target: TargetModel | None = None) -
 
 
 TRACE_FIELDS = ["index", "kind", "emitted", "accept_length", "similarity",
-                "forward_passes", "feature_source", "replaced"]
+                "forward_passes", "feature_source"]
 
 
 def trace_to_csv(trace: GenerationTrace) -> str:
@@ -393,7 +353,7 @@ def trace_to_csv(trace: GenerationTrace) -> str:
     for it in trace.iterations:
         writer.writerow([it.index, it.kind, it.emitted, it.accept_length,
                          "" if it.similarity is None else f"{it.similarity:.10g}",
-                         it.forward_passes, it.feature_source, int(it.replaced)])
+                         it.forward_passes, it.feature_source])
     return buf.getvalue()
 
 

@@ -46,7 +46,7 @@ class TargetModel:
     """
 
     def __init__(self, codebook: EmbeddingCodebook, mixing: np.ndarray,
-                 window: int, temperature: float, logit_scale: float, seed: int):
+                 window: int, temperature: float, logit_scale: float):
         if window < 1 or temperature <= 0.0:
             raise RejectedInput("window >= 1 and temperature > 0 required")
         self.codebook = codebook
@@ -54,7 +54,6 @@ class TargetModel:
         self.window = window
         self.temperature = float(temperature)
         self.logit_scale = float(logit_scale)
-        self.seed = seed
         # Column t is mixing @ embedding(t); window features are column means.
         self._mixed = self.mixing @ codebook.vectors.T
         self.forward_passes = 0
@@ -211,7 +210,6 @@ class DraftModel:
         self.epsilon = float(epsilon)
         self.smooth_temperature = float(smooth_temperature)
         self.noise_scale = float(noise_scale)
-        self.seed = seed
         rng = rng_stream(seed, "draft-noise")
         self._noise_head = rng.standard_normal((codebook.size, codebook.dim))
         # Row t is mixing @ embedding(t), the target's column t.
@@ -270,7 +268,7 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     mix_rng = rng_stream(config.seed, "mixing")
     q, _ = np.linalg.qr(mix_rng.standard_normal((config.feat_dim, config.feat_dim)))
     target = TargetModel(codebook, q, config.window, config.temperature,
-                         config.logit_scale, config.seed)
+                         config.logit_scale)
     draft = DraftModel(codebook, q, config.window, config.temperature,
                        config.logit_scale, config.epsilon,
                        config.smooth_temperature, config.noise_scale, config.seed)

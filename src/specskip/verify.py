@@ -44,7 +44,6 @@ class VerifyOutcome:
     terminal: int
     terminal_origin: str
     features: list[np.ndarray]  # one per accepted token, plus the terminal's
-    forward_passes: int = 1
 
 
 def strict_accept(q: np.ndarray, p: np.ndarray, t: int,
@@ -96,7 +95,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
 
     Pending tokens are ratified as-is (their role is to restore
     conditioning and yield fresh features), then a greedy root-to-leaf walk
-    accepts tree tokens: children in descending draft probability, standard
+    accepts tree tokens: children in their race (sampling) order, standard
     multi-draft residual bookkeeping on rejection, a residual terminal when
     every child fails, and a bonus terminal when a leaf is reached.
     """
@@ -174,4 +173,4 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
 
     return VerifyOutcome(accepted=accepted, accept_length=accept_length,
                          terminal=terminal, terminal_origin=terminal_origin,
-                         features=features, forward_passes=1)
+                         features=features)

@@ -1,5 +1,6 @@
 """Experiment harness: config/spec parsing, sweeps, analysis, CLI."""
 
+import hashlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -159,6 +160,17 @@ class TestRunExperiment:
             run_experiment(spec)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sweep_csv_golden(self, tmp_path):
+        # Pins the sweep bytes for a fixed spec: a change that moves rng
+        # consumption, tokens or the schema must re-record this digest.
+        out = tmp_path / "golden.csv"
+        spec = ExperimentSpec(name="golden", base=EngineConfig(max_new_tokens=24),
+                              axes={"policy": ["never", "uniform"]}, repetitions=2,
+                              output=str(out))
+        run_experiment(spec)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "7ff88d8ef82848dbe3a75d180ff1a837b68f2cb4cddd8cda020ace6327cf34f3"
+
     def test_summary_table_mentions_cells(self):
         spec = ExperimentSpec(name="sum", base=EngineConfig(**SMALL),
                               axes={"interval": [2]}, repetitions=1)
@@ -174,6 +186,13 @@ class TestAnalysisOps:
         assert out["counts"].sum() == out["iterations"]
         assert len(out["bin_edges"]) == 21
         assert 0.0 <= out["fraction_above_0.7"] <= 1.0
+
+    def test_path_similarity_counts_one_path_trees_as_degenerate(self):
+        # A point-mass drafter draws one child per node, so every tree is a
+        # single path; none may land in the histogram at the 1.0 sentinel.
+        cfg = EngineConfig(logit_scale=1e6, noise_scale=1e6, epsilon=0.0, **SMALL)
+        out = measure_path_similarity_distribution(cfg, runs=5)
+        assert out["degenerate"] == 15 and out["iterations"] == 0
 
     def test_feature_similarity_decays(self):
         table = measure_feature_similarity(EngineConfig(max_new_tokens=24),
