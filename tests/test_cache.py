@@ -111,3 +111,50 @@ class TestRetrieveWithOffset:
         with pytest.raises(RejectedInput):
             retrieve_with_offset(_seeded_cache(), 1, extra_staleness=-1)
 
+
+
+class _PerPositionCache:
+    """Reference model: one (feature, step) per position, the highest usable
+    position wins, and fewer than `count` usable positions underflow."""
+
+    def __init__(self):
+        self.entries: dict[int, tuple[np.ndarray, int]] = {}
+
+    def write(self, positions, step):
+        for pos in positions:
+            self.entries[pos] = (_feat(pos), step)
+
+    def retrieve(self, count, extra_staleness):
+        if not self.entries:
+            raise CacheUnderflow(count)
+        cutoff = max(step for _, step in self.entries.values()) - extra_staleness
+        usable = [pos for pos, (_, step) in self.entries.items() if step <= cutoff]
+        if len(usable) < count:
+            raise CacheUnderflow(count - len(usable))
+        return self.entries[max(usable)][0]
+
+
+@given(groups=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2)),
+                       min_size=1, max_size=8),
+       count=st.integers(1, 12), extra_staleness=st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_matches_per_position_reference(groups, count, extra_staleness):
+    # Contiguous write groups with nondecreasing steps, as the engine writes.
+    cache, ref = FeatureCache(), _PerPositionCache()
+    written, step = 0, 0
+    for size, step_gain in groups:
+        step += step_gain
+        positions = range(written, written + size)
+        update(cache, positions, [_feat(p) for p in positions], step=step,
+               origin="verified")
+        ref.write(positions, step)
+        written += size
+    try:
+        expected = ref.retrieve(count, extra_staleness)
+    except CacheUnderflow as exc:
+        with pytest.raises(CacheUnderflow) as got:
+            retrieve_with_offset(cache, count, extra_staleness)
+        assert got.value.deficit == exc.deficit
+    else:
+        got = retrieve_with_offset(cache, count, extra_staleness).feature
+        assert np.array_equal(got, expected)

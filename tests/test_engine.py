@@ -182,7 +182,13 @@ class TestSerialization:
         ("uniform", dict(interval=2, feature_schedule=(-1, 0, 1)),
          "7c9b301ce5e21a9876db30457ddb4a4fb03e3a87676faaecc59082fd46a8069c"),
         ("dynamic", {},
-         "9b97b52fc4951a899f4eb2dece61c59d7ccaf285d0695d12ad0ab2f07616ba24")])
+         "9b97b52fc4951a899f4eb2dece61c59d7ccaf285d0695d12ad0ab2f07616ba24"),
+        # Stale lookups that underflow and fall back to the fresh feature:
+        # 3 of 21 verifies here, and one among pending tokens below.
+        ("never", dict(feature_schedule=(3,)),
+         "2219dc831e2069e97e982900a8a622c0776e08d1dfe012f6e3f6a82ec106719a"),
+        ("uniform", dict(interval=2, feature_schedule=(0, 3)),
+         "44c926db21884e9a83bca84cbc3d10d3e986d72d1ad90c75afdbcb52175e895c")])
     def test_trace_csv_golden(self, policy, kwargs, digest):
         # Pins the trace bytes for a fixed seed: a change that moves rng
         # consumption, tokens or the schema must re-record these digests.
