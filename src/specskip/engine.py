@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cache import FeatureCache, retrieve_latest, retrieve_with_offset, update
-from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, TokenSequence, rng_stream,
-                   sample_index)
+from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, ORIGIN_VERIFIED, TokenSequence,
+                   rng_stream, sample_index)
 from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
@@ -30,7 +30,7 @@ from .select import SelectionPolicy, select_path, truncate_path
 from .tree import build_tree, enumerate_paths, linearize
 from .verify import RelaxConfig, verify_tree
 
-FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome features
+FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
 
 
 @dataclass(frozen=True)
@@ -227,13 +227,11 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     pending_len = 0
     cache = FeatureCache()
 
-    # Prefill: prompt features enter the cache at step 0; not counted as
-    # decode-phase forward passes.
-    prompt_feats = [target.feature_at(prompt, i) for i in range(len(prompt))]
-    update(cache, range(len(prompt)), prompt_feats, step=0, origin="verified")
-
     # The feature the next draft conditions on, at the last token of `seq`.
-    draft_feat = prompt_feats[-1]
+    # Prefill caches the prompt's at step 0; it is not counted as a
+    # decode-phase forward pass.
+    draft_feat = target.feature_at(prompt, len(prompt) - 1)
+    update(cache, len(prompt), draft_feat, step=0)
 
     iterations: list[IterationRecord] = []
     n_fwd = 0
@@ -246,7 +244,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                           config.depth, config.budget, rng=streams["draft"])
         paths = enumerate_paths(tree)
 
-        skip = decide(policy, paths, codebook, step)
+        skip = decide(policy, paths, codebook)
         similarity = policy.last_similarity
         if similarity is None and config.log_similarity:
             # A one-path tree logs no similarity, not the policy's sentinel.
@@ -258,30 +256,24 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             outcome = verify_tree(linearize(tree, seq[base:]), target, seq[:base], mode,
                                   streams["accept"], streams["residual"])
             n_fwd += 1
-            new_tokens = outcome.accepted.tokens[pending_len:] + [outcome.terminal]
-            new_origins = outcome.accepted.origins[pending_len:] + [outcome.terminal_origin]
+            new_tokens = outcome.accepted + [outcome.terminal]
             seq += new_tokens  # the ratified pending tokens are already its tail
-            for tok, origin in zip(new_tokens, new_origins):
-                emitted.append(tok, origin)
-
-            # Cache: post-verified pending positions, then verified ones.
-            positions = range(base, len(seq))
-            if pending_len:
-                update(cache, positions[:pending_len], outcome.features[:pending_len],
-                       step=step, origin="post-verified")
-            update(cache, positions[pending_len:], outcome.features[pending_len:],
-                   step=step, origin="verified")
+            for tok in outcome.accepted:
+                emitted.append(tok, ORIGIN_VERIFIED)
+            emitted.append(outcome.terminal, outcome.terminal_origin)
+            update(cache, len(seq), outcome.feature, step)
             pending_len = 0
 
             # The feature for the next draft, per the cycled schedule.
             source = config.feature_schedule[(n_fwd - 1) % len(config.feature_schedule)]
-            draft_feat = outcome.features[-1]
+            draft_feat = outcome.feature
             if source != FRESH:
                 try:
                     # The paper-style offset s counts from the step before
                     # this one, hence the +1 against the freshly written step.
-                    # Fewer entries at that cutoff than tokens just emitted
-                    # is an underflow, which falls back to fresh features.
+                    # Fewer positions with features at that cutoff than
+                    # tokens just emitted is an underflow, which falls back
+                    # to the fresh feature.
                     draft_feat = retrieve_with_offset(cache, len(new_tokens),
                                                       source + 1).feature
                 except CacheUnderflow:
@@ -301,7 +293,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             for tok in chosen.tokens:
                 emitted.append(tok, ORIGIN_SKIP)
             # The latest cached (stale) feature stands in for the unverified
-            # positions; the prompt's entries mean there always is one.
+            # positions; the prompt's entry means there always is one.
             draft_feat = retrieve_latest(cache).feature
             iterations.append(IterationRecord(
                 index=step, kind="skip", emitted=len(chosen.tokens),

@@ -157,6 +157,8 @@ def _tasks(spec: ExperimentSpec) -> list[tuple]:
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Full Cartesian sweep, deterministic given the spec; rows stream to
     the output CSV as they complete (single writer, cell order)."""
+    if jobs < 1:
+        raise RejectedInput("jobs must be >= 1")
     tasks = _tasks(spec)
 
     if jobs > 1:
@@ -200,6 +202,8 @@ def summary_table(rows: list[ResultRow]) -> str:
 def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dict:
     """Per-iteration stride-1 path similarity across seeded SD runs: a
     20-bin histogram over [-1, 1] plus the fraction above 0.7."""
+    if runs < 1:
+        raise RejectedInput("runs must be >= 1")
     config.validate()
     edges = np.linspace(-1.0, 1.0, 21)
     values = []
@@ -222,10 +226,13 @@ def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dic
 def measure_feature_similarity(config: EngineConfig, max_distance: int,
                                runs: int = 8) -> list[tuple[int, float]]:
     """Mean cosine between target features of token pairs at each positional
-    distance 1..max_distance over seeded generations."""
-    if max_distance < 1:
-        raise RejectedInput("max distance must be >= 1")
+    distance 1..max_distance over seeded generations, each of which has
+    window + max_new_tokens positions."""
     config.validate()
+    longest = config.window + config.max_new_tokens - 1
+    if not 1 <= max_distance <= longest:
+        raise RejectedInput(f"max distance must lie in [1, {longest}], "
+                            "within one generation's positions")
     sums = np.zeros(max_distance)
     counts = np.zeros(max_distance, dtype=int)
     for run in range(runs):

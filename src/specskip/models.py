@@ -131,22 +131,21 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
     return out
 
 
-def target_forward_masked(model: TargetModel, context, flat_tokens, parents
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def target_forward_masked(model: TargetModel, context, flat_tokens,
+                          parents) -> np.ndarray:
     """Single-pass tree scoring over a linearized candidate block.
 
     ``flat_tokens[j]`` is scored under the prefix context + its root path;
     ``parents[j]`` is the flat index of its parent (always < j), or -1 for
     the context itself.  Returns a (V, n) array whose column j is the
-    distribution after position j and a (d, n) array whose column j is
-    position j's feature; a caller reads the few columns it walks (the
-    distribution after the raw context is ``score_prefix`` of its tail).
-    One forward pass total, like any parallel verification.
+    distribution after position j; a caller reads the few columns it walks
+    (the distribution after the raw context is ``score_prefix`` of its
+    tail).  One forward pass total, like any parallel verification.
 
     Only the last ``window`` tokens of a prefix reach its feature, so each
     position's window is its parent's slid by one token, starting from the
     context's tail; the windows are gathered once and averaged as
-    ``feature_at`` averages one, so the features are those of scoring
+    ``feature_at`` averages one, so the distributions are those of scoring
     every prefix on its own.
     """
     if len(context) == 0:
@@ -157,7 +156,7 @@ def target_forward_masked(model: TargetModel, context, flat_tokens, parents
     w = model.window
     root = tuple(context[-w:])
     if not flat_tokens:
-        return np.empty((model.vocab_size, 0)), np.empty((model.codebook.dim, 0))
+        return np.empty((model.vocab_size, 0))
     windows: list[tuple] = []
     for j, (tok, parent) in enumerate(zip(flat_tokens, parents)):
         if not -1 <= parent < j:
@@ -182,7 +181,7 @@ def target_forward_masked(model: TargetModel, context, flat_tokens, parents
     dists -= dists.max(axis=0)
     np.exp(dists, out=dists)
     dists /= dists.sum(axis=0)
-    return dists, feats
+    return dists
 
 
 class DraftModel:

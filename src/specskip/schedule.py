@@ -39,8 +39,7 @@ class SkipPolicy:
     threshold: float = 0.75
     alpha: float = 0.8
     stride: int = 2
-    # Mutable per-run state.
-    v_last: bool = False          # whether the previous step verified
+    # Mutable per-run state; 0 on the first step and after a skip.
     verified_since_skip: int = 0
     last_similarity: float | None = field(default=None, repr=False)
 
@@ -94,11 +93,11 @@ def path_similarity(paths: list[TokenPath], codebook: EmbeddingCodebook,
 
 
 def decide(policy: SkipPolicy, paths: list[TokenPath],
-           codebook: EmbeddingCodebook, step: int) -> bool:
+           codebook: EmbeddingCodebook) -> bool:
     """True means skip verification this step.  Mutates policy state; a skip
     always forces the next call to verify, for every policy kind."""
     policy.last_similarity = None
-    if policy.kind == "never" or not policy.v_last:
+    if policy.kind == "never" or not policy.verified_since_skip:
         # First step and every step after a skip must verify.
         skip = False
     elif policy.kind == "uniform":
@@ -108,10 +107,5 @@ def decide(policy: SkipPolicy, paths: list[TokenPath],
         policy.last_similarity = sim.value
         skip = sim.value >= policy.threshold
 
-    if skip:
-        policy.v_last = False
-        policy.verified_since_skip = 0
-    else:
-        policy.v_last = True
-        policy.verified_since_skip += 1
+    policy.verified_since_skip = 0 if skip else policy.verified_since_skip + 1
     return skip

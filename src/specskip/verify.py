@@ -2,7 +2,8 @@
 
 Implements the lossless accept/reject/residual rule, its relaxed variant
 that pools target mass over embedding-space neighbors, and single-pass tree
-verification with post-verification of previously skipped tokens.
+verification that ratifies previously skipped tokens and hands back the one
+feature the next draft conditions on.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ORIGIN_BONUS, ORIGIN_RESAMPLED, ORIGIN_VERIFIED,
-                   EmbeddingCodebook, TokenSequence, nearest_neighbors,
-                   sample_index)
+from .core import (ORIGIN_BONUS, ORIGIN_RESAMPLED, EmbeddingCodebook,
+                   nearest_neighbors, sample_index)
 from .errors import DegenerateProposal, RejectedInput
 from .models import TargetModel, target_forward_masked
 from .tree import LinearizedTree
@@ -35,15 +35,18 @@ class RelaxConfig:
 
 @dataclass
 class VerifyOutcome:
-    """What one verification pass appends: ratified pending tokens, newly
-    accepted tree tokens, and a terminal token, with fresh features for all
-    of them (features count = accepted count + 1)."""
+    """What one verification pass appends after the ratified pending
+    tokens: the newly accepted tree tokens and a terminal token, with the
+    terminal's feature, the one the next draft conditions on."""
 
-    accepted: TokenSequence
-    accept_length: int          # newly accepted tree tokens, pending excluded
+    accepted: list[int]
     terminal: int
     terminal_origin: str
-    features: list[np.ndarray]  # one per accepted token, plus the terminal's
+    feature: np.ndarray
+
+    @property
+    def accept_length(self) -> int:
+        return len(self.accepted)
 
 
 def strict_accept(q: np.ndarray, p: np.ndarray, t: int,
@@ -93,32 +96,24 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
                 residual_rng: np.random.Generator | None = None) -> VerifyOutcome:
     """Verify a linearized candidate block in one target forward pass.
 
-    Pending tokens are ratified as-is (their role is to restore
-    conditioning and yield fresh features), then a greedy root-to-leaf walk
-    accepts tree tokens: children in their race (sampling) order, standard
-    multi-draft residual bookkeeping on rejection, a residual terminal when
-    every child fails, and a bonus terminal when a leaf is reached.
+    Pending tokens are ratified as-is (their role is to restore exact
+    conditioning), then a greedy root-to-leaf walk accepts tree tokens:
+    children in their race (sampling) order, standard multi-draft residual
+    bookkeeping on rejection, a residual terminal when every child fails,
+    and a bonus terminal when a leaf is reached.
     """
     if residual_rng is None:
         residual_rng = rng
     tree = linear.tree
-    dists, feats = target_forward_masked(target, context, linear.tokens, linear.parents)
+    dists = target_forward_masked(target, context, linear.tokens, linear.parents)
 
-    accepted = TokenSequence()
-    features: list[np.ndarray] = []
+    accepted: list[int] = []
     n_pending = linear.pending_len
-    for j in range(n_pending):
-        accepted.append(linear.tokens[j], "post-verified")
-        features.append(feats[:, j])
-
     children = tree.children_of()
     cur_slot = -1
     w = target.window
     q_cur = dists[:, n_pending - 1] if n_pending else target.score_prefix(context[-w:]).dist
     p_cur = tree.root_dist
-    accept_length = 0
-    terminal = None
-    terminal_origin = None
     codebook = target.codebook
 
     while True:
@@ -158,19 +153,14 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
             break
 
         node = tree.nodes[chosen]
-        flat = n_pending + chosen
-        accepted.append(node.token, ORIGIN_VERIFIED)
-        features.append(feats[:, flat])
-        accept_length += 1
+        accepted.append(node.token)
         cur_slot = chosen
-        q_cur = dists[:, flat]
+        q_cur = dists[:, n_pending + chosen]
         p_cur = node.dist
 
     # Feature of the terminal token, from the same parallel pass; only the
     # last `window` tokens of its prefix reach it.
-    prefix = [*context[-w:], *accepted.tokens[-w:], terminal]
-    features.append(target.feature_at(prefix, len(prefix) - 1))
-
-    return VerifyOutcome(accepted=accepted, accept_length=accept_length,
-                         terminal=terminal, terminal_origin=terminal_origin,
-                         features=features)
+    prefix = [*context[-w:], *linear.tokens[:n_pending], *accepted, terminal]
+    return VerifyOutcome(accepted=accepted, terminal=terminal,
+                         terminal_origin=terminal_origin,
+                         feature=target.feature_at(prefix, len(prefix) - 1))

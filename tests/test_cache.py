@@ -1,4 +1,4 @@
-"""Feature cache: provenance-tagged storage and staleness-aware retrieval."""
+"""Feature cache: one entry per write, and staleness-aware retrieval."""
 
 import numpy as np
 import pytest
@@ -17,52 +17,37 @@ def _feat(x):
 def _seeded_cache():
     # Positions 0..3 produced at steps 1, 1, 2, 3.
     cache = FeatureCache()
-    update(cache, [0, 1], [_feat(0), _feat(1)], step=1, origin="verified")
-    update(cache, [2], [_feat(2)], step=2, origin="verified")
-    update(cache, [3], [_feat(3)], step=3, origin="verified")
+    update(cache, 2, _feat(1), step=1)
+    update(cache, 3, _feat(2), step=2)
+    update(cache, 4, _feat(3), step=3)
     return cache
 
 
 class TestUpdate:
-    def test_overwrite_keeps_latest_step(self):
-        cache = FeatureCache()
-        update(cache, [5], [_feat(1)], step=2, origin="verified")
-        update(cache, [5], [_feat(2)], step=4, origin="post-verified")
-        assert cache.entries[5].step == 4
-        assert cache.entries[5].origin == "post-verified"
-        assert cache.entries[5].feature[0] == 2.0
-
     def test_empty_noop(self):
         cache = FeatureCache()
-        update(cache, [], [], step=1, origin="verified")
-        assert len(cache) == 0
+        update(cache, 0, _feat(0), step=1)
+        assert not cache.entries
+        update(cache, 2, _feat(1), step=1)
+        update(cache, 2, _feat(9), step=4)
+        assert len(cache.entries) == 1 and retrieve_latest(cache).step == 1
 
     def test_round_trip(self):
         cache = FeatureCache()
-        feats = [_feat(i) for i in range(3)]
-        update(cache, [0, 1, 2], feats, step=1, origin="verified")
-        assert all(np.array_equal(f, cache.entries[i].feature)
-                   for i, f in enumerate(feats))
-        assert np.array_equal(retrieve_latest(cache).feature, feats[-1])
+        update(cache, 3, _feat(2), step=1)
+        got = retrieve_latest(cache)
+        assert np.array_equal(got.feature, _feat(2))
+        assert got.step == 1 and got.written == 3
 
-    def test_misaligned_rejected(self):
+    @pytest.mark.parametrize("written, step", [(3, 3), (5, 2)])
+    def test_step_or_count_going_back_rejected(self, written, step):
+        cache = FeatureCache()
+        update(cache, 4, _feat(3), step=3)
         with pytest.raises(RejectedInput):
-            update(FeatureCache(), [0, 1], [_feat(0)], step=1, origin="verified")
-
-    def test_unsorted_positions_rejected(self):
-        with pytest.raises(RejectedInput):
-            update(FeatureCache(), [1, 0], [_feat(0), _feat(1)], step=1,
-                   origin="verified")
+            update(cache, written, _feat(0), step=step)
 
 
 class TestRetrieveLatest:
-    def test_highest_position_wins(self):
-        # Position 3 was written last here, but position wins, not step.
-        cache = _seeded_cache()
-        update(cache, [1], [_feat(10)], step=4, origin="post-verified")
-        got = retrieve_latest(cache)
-        assert got.position == 3 and got.step == 3 and got.feature[0] == 3.0
-
     def test_underflow_reports_deficit(self):
         with pytest.raises(CacheUnderflow) as exc:
             retrieve_latest(FeatureCache())
@@ -76,23 +61,24 @@ class TestRetrieveWithOffset:
 
     def test_hand_filtering(self):
         cache = FeatureCache()
-        update(cache, [0], [_feat(0)], step=1, origin="verified")
-        update(cache, [1], [_feat(1)], step=2, origin="verified")
-        update(cache, [2], [_feat(2)], step=3, origin="verified")
+        update(cache, 1, _feat(0), step=1)
+        update(cache, 2, _feat(1), step=2)
+        update(cache, 3, _feat(2), step=3)
         got = retrieve_with_offset(cache, 1, extra_staleness=1)
         assert got.feature[0] == 1.0 and got.step == 2
 
     @given(st.integers(min_value=1, max_value=12))
     @settings(max_examples=30, deadline=None)
     def test_count_underflow_reports_deficit(self, count):
-        # Offset 1 leaves the three entries of steps 1 and 2 (positions 0..2).
+        # Offset 1 leaves the writes of steps 1 and 2 (positions 0..2).
         cache = _seeded_cache()
         if count > 3:
             with pytest.raises(CacheUnderflow) as exc:
                 retrieve_with_offset(cache, count, extra_staleness=1)
             assert exc.value.deficit == count - 3
         else:
-            assert retrieve_with_offset(cache, count, extra_staleness=1).position == 2
+            got = retrieve_with_offset(cache, count, extra_staleness=1)
+            assert got.written == 3 and got.feature[0] == 2.0
 
     def test_offset_beyond_history_underflows(self):
         with pytest.raises(CacheUnderflow):
@@ -110,7 +96,6 @@ class TestRetrieveWithOffset:
     def test_negative_offset_rejected(self):
         with pytest.raises(RejectedInput):
             retrieve_with_offset(_seeded_cache(), 1, extra_staleness=-1)
-
 
 
 class _PerPositionCache:
@@ -134,21 +119,20 @@ class _PerPositionCache:
         return self.entries[max(usable)][0]
 
 
-@given(groups=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2)),
+@given(groups=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)),
                        min_size=1, max_size=8),
        count=st.integers(1, 12), extra_staleness=st.integers(0, 5))
 @settings(max_examples=200, deadline=None)
 def test_matches_per_position_reference(groups, count, extra_staleness):
-    # Contiguous write groups with nondecreasing steps, as the engine writes.
+    # Contiguous write groups with nondecreasing steps, as the engine writes;
+    # the cache keeps only each group's newest feature.
     cache, ref = FeatureCache(), _PerPositionCache()
     written, step = 0, 0
     for size, step_gain in groups:
         step += step_gain
-        positions = range(written, written + size)
-        update(cache, positions, [_feat(p) for p in positions], step=step,
-               origin="verified")
-        ref.write(positions, step)
+        ref.write(range(written, written + size), step)
         written += size
+        update(cache, written, _feat(written - 1), step=step)
     try:
         expected = ref.retrieve(count, extra_staleness)
     except CacheUnderflow as exc:

@@ -303,6 +303,37 @@ class TestCli:
                      "--max-distance", "3"]) == 0
         assert "distance=1" in capsys.readouterr().out
 
+    def test_feature_similarity_reaches_the_longest_distance(self, capsys, tmp_path):
+        # max_new_tokens = 4 after a 4-token prompt: 8 positions, so 7 is
+        # the longest distance with a pair and 8 has none.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_new_tokens = 4\n")
+        assert main(["analyze", "feature-similarity", "--config", str(cfg),
+                     "--max-distance", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "distance=7" in out and "nan" not in out
+        for distance in ("8", "10"):
+            assert main(["analyze", "feature-similarity", "--config", str(cfg),
+                         "--max-distance", distance]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+            assert "max distance" in err[0]
+
+    @pytest.mark.parametrize("args, name", [
+        (["analyze", "path-similarity", "--runs", "0"], "runs"),
+        (["analyze", "path-similarity", "--runs", "-3"], "runs"),
+        (["sweep", "SPEC", "--jobs", "0"], "jobs"),
+        (["sweep", "SPEC", "--jobs", "-2"], "jobs")])
+    def test_count_below_one_is_one_error_line(self, capsys, tmp_path, args, name):
+        spec = tmp_path / "e.spec"
+        spec.write_text(f"name = cli\nmax_new_tokens = 8\noutput = {tmp_path / 'r.csv'}\n")
+        assert main([str(spec) if a == "SPEC" else a for a in args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "r.csv").exists()
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert name in err[0]
+
     def test_error_exit_code_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("no_such_knob = 1\n")

@@ -89,7 +89,7 @@ def _root_paths(flat, parents):
 def _prefix_copy_forward(model, context, paths):
     """The masked forward as written before parent pointers: a copy of the
     whole prefix per position, whose last `window` tokens are gathered.
-    Features and dists of the parent-pointer form must equal these bits."""
+    The parent-pointer form's dists must equal these bits."""
     w = model.window
     windows = np.zeros((len(paths), w), dtype=np.intp)
     short = {}
@@ -106,20 +106,18 @@ def _prefix_copy_forward(model, context, paths):
     logits -= logits.max(axis=0)
     dists = np.exp(logits)
     dists /= dists.sum(axis=0)
-    return feats, dists
+    return dists
 
 
 def _check_masked(target, context, flat, parents):
-    dists, feats = target_forward_masked(target, context, flat, parents)
+    dists = target_forward_masked(target, context, flat, parents)
     assert dists.shape == (target.vocab_size, len(flat))
     paths = _root_paths(flat, parents)
-    old_feats, old_dists = _prefix_copy_forward(target, context, paths)
-    assert np.array_equal(feats, old_feats) and np.array_equal(dists, old_dists)
+    assert np.array_equal(dists, _prefix_copy_forward(target, context, paths))
     for j, path in enumerate(paths):
         oracle = target.score_prefix(list(context) + path)
-        # The feature is the prefix's own; the dist comes from one (V, d) x
-        # (d, n) readout, which rounds unlike score_prefix's (V, d) x (d,).
-        assert np.array_equal(feats[:, j], oracle.feature)
+        # The dist comes from one (V, d) x (d, n) readout, which rounds
+        # unlike score_prefix's (V, d) x (d,).
         assert np.allclose(dists[:, j], oracle.dist, rtol=0, atol=1e-12)
 
 
@@ -153,9 +151,9 @@ class TestMaskedForward:
         before = target.forward_passes
         target_forward_masked(target, [1, 2], [3, 4], [-1, 0])
         assert target.forward_passes == before + 1
-        dists, feats = target_forward_masked(target, [1, 2], [], [])
+        dists = target_forward_masked(target, [1, 2], [], [])
         assert target.forward_passes == before + 2
-        assert dists.shape == (CFG.vocab_size, 0) and feats.shape == (CFG.feat_dim, 0)
+        assert dists.shape == (CFG.vocab_size, 0)
 
     def test_short_prefix_positions(self, pair):
         target, _ = pair

@@ -127,38 +127,38 @@ class TestPathSimilarity:
 class TestDecide:
     def test_never_policy(self):
         policy = SkipPolicy(kind="never")
-        assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB, s)
-                       for s in range(1, 20))
+        assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB)
+                       for _ in range(19))
 
     def test_uniform_i2_alternates(self):
         policy = SkipPolicy(kind="uniform", interval=2)
-        pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB, s)
-                   for s in range(1, 9)]
+        pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB)
+                   for _ in range(8)]
         assert pattern == [False, True] * 4
 
     def test_uniform_counts_over_120(self):
         for interval in (2, 3, 4):
             policy = SkipPolicy(kind="uniform", interval=interval)
-            skips = sum(decide(policy, _paths([0], [1]), POSITIVE_CB, s)
-                        for s in range(1, 121))
+            skips = sum(decide(policy, _paths([0], [1]), POSITIVE_CB)
+                        for _ in range(120))
             assert skips == 120 // interval
 
     def test_dynamic_floor_threshold_alternates(self):
         policy = SkipPolicy(kind="dynamic", threshold=0.0)
-        pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB, s)
-                   for s in range(1, 9)]
+        pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB)
+                   for _ in range(8)]
         assert pattern == [False, True] * 4
 
     def test_dynamic_unreachable_threshold_never_skips(self):
         policy = SkipPolicy(kind="dynamic", threshold=1.0 + 1e-9)
-        assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB, s)
-                       for s in range(1, 20))
+        assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB)
+                       for _ in range(19))
 
     def test_similarity_logged_on_dynamic_checks(self):
         policy = SkipPolicy(kind="dynamic", threshold=0.9)
-        decide(policy, _paths([0], [1]), POSITIVE_CB, 1)
+        decide(policy, _paths([0], [1]), POSITIVE_CB)
         assert policy.last_similarity is None  # first step: guard, no check
-        decide(policy, _paths([0], [1]), POSITIVE_CB, 2)
+        decide(policy, _paths([0], [1]), POSITIVE_CB)
         assert policy.last_similarity is not None
 
     def test_guard_invariance_fuzz(self):
@@ -168,13 +168,13 @@ class TestDecide:
             policy = SkipPolicy(kind=kind, interval=int(rng.integers(2, 6)),
                                 threshold=float(rng.uniform(-1, 1)))
             prev = False
-            for s in range(1, 30):
+            for _ in range(29):
                 toks = rng.integers(0, 4, size=(3, 2))
-                skip = decide(policy, _paths(*toks.tolist()), POSITIVE_CB, s)
+                skip = decide(policy, _paths(*toks.tolist()), POSITIVE_CB)
                 assert not (skip and prev)
                 prev = skip
             assert not decide(SkipPolicy(kind=kind), _paths([0], [1]),
-                              POSITIVE_CB, 1)  # fresh policy verifies first
+                              POSITIVE_CB)  # fresh policy verifies first
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(RejectedInput):

@@ -153,13 +153,11 @@ class TestVerifyTree:
         pending = [5, 9]
         outcome = verify_tree(linearize(tree, pending), target, prompt,
                               cfg.verify_mode(), rng_stream(0, "a"))
-        assert outcome.accepted.tokens[:2] == pending
-        assert outcome.accepted.origins[:2] == ["post-verified", "post-verified"]
-        assert len(outcome.features) == len(outcome.accepted) + 1
-        # Ratified features are the target's true features at those positions.
-        full = prompt + pending
-        assert np.allclose(outcome.features[0], target.feature_at(full, 4))
-        assert np.allclose(outcome.features[1], target.feature_at(full, 5))
+        # Only the new tree tokens come back, and the feature is the target's
+        # own at the terminal, with the ratified pending tokens before it.
+        assert outcome.accept_length == len(outcome.accepted)
+        full = prompt + pending + outcome.accepted + [outcome.terminal]
+        assert np.array_equal(outcome.feature, target.feature_at(full, len(full) - 1))
 
     def test_single_forward_pass(self):
         cfg = EngineConfig()
@@ -197,7 +195,7 @@ class TestBranchProbabilityOracle:
         for run in range(n):
             outcome = verify_tree(linear, target, context, "strict",
                                   rng_stream(run, "mc-a"), rng_stream(run, "mc-r"))
-            key = (*outcome.accepted.tokens, outcome.terminal)
+            key = (*outcome.accepted, outcome.terminal)
             counts[key] = counts.get(key, 0) + 1
         tv = 0.5 * sum(abs(counts.get(k, 0) / n - oracle.get(k, 0.0))
                        for k in set(counts) | set(oracle))
