@@ -14,10 +14,10 @@ from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,
                      target_forward, target_forward_masked)
 from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
                        path_similarity)
-from .select import SelectionPolicy, select_path, truncate_path
+from .select import select_path, truncate_path
 from .tree import (DraftNode, DraftTree, LinearizedTree, TokenPath, build_tree,
                    enumerate_paths, linearize)
-from .verify import (RelaxConfig, VerifyOutcome, pooled_mass, relaxed_accept,
-                     strict_accept, verify_tree)
+from .verify import (VerifyOutcome, pooled_mass, relaxed_accept, strict_accept,
+                     verify_tree)
 
 __version__ = "0.1.0"

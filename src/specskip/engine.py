@@ -26,16 +26,24 @@ from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, ORIGIN_VERIFIED, TokenSequence,
 from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
-from .select import SelectionPolicy, select_path, truncate_path
+from .select import select_path, truncate_path
 from .tree import build_tree, enumerate_paths, linearize
-from .verify import RelaxConfig, verify_tree
+from .verify import verify_tree
 
 FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every knob of the models, tree, verifier, scheduler, and selector."""
+    """Every knob of the models, tree, verifier, scheduler, and selector.
+
+    The only home of these settings and their defaults: the pipeline
+    modules read them from the config, and ``validate`` checks them.  A
+    mode's own settings are checked only under that mode: ``interval``
+    under the uniform policy, ``alpha`` and ``stride`` under the dynamic
+    one (``alpha`` also when ``log_similarity`` is set), and ``pool_k``
+    under relaxed acceptance, where it must not exceed ``vocab_size``.
+    """
 
     # toy models
     vocab_size: int = 64
@@ -101,23 +109,22 @@ class EngineConfig:
             raise RejectedInput("feature schedule cannot be empty")
         if any(s < FRESH for s in self.feature_schedule):
             raise RejectedInput("feature schedule offsets must be >= -1")
-        SkipPolicy(kind=self.policy, interval=self.interval,
-                   threshold=self.threshold, alpha=self.alpha, stride=self.stride)
-        SelectionPolicy(strategy=self.strategy, truncate=self.truncate)
+        if self.policy not in ("never", "uniform", "dynamic"):
+            raise RejectedInput(f"unknown skip policy {self.policy!r}")
+        if self.policy == "uniform" and self.interval < 2:
+            raise RejectedInput("uniform skip interval must be >= 2")
+        if (self.policy == "dynamic" or self.log_similarity) and not 0.0 < self.alpha <= 1.0:
+            raise RejectedInput("alpha must lie in (0, 1]")
+        if self.policy == "dynamic" and self.stride not in (1, 2):
+            raise RejectedInput("stride must be 1 or 2")
+        if self.strategy not in ("uniform", "max_confidence"):
+            raise RejectedInput(f"unknown selection strategy {self.strategy!r}")
         if self.accept_mode == "relaxed":
-            RelaxConfig(self.delta, self.pool_k)
+            if self.pool_k < 1:
+                raise RejectedInput("pool size must be >= 1")
+            if self.pool_k > self.vocab_size:
+                raise RejectedInput(f"pool_k={self.pool_k} exceeds vocab_size={self.vocab_size}")
         return self
-
-    def skip_policy(self) -> SkipPolicy:
-        return SkipPolicy(kind=self.policy, interval=self.interval,
-                          threshold=self.threshold, alpha=self.alpha,
-                          stride=self.stride)
-
-    def selection_policy(self) -> SelectionPolicy:
-        return SelectionPolicy(strategy=self.strategy, truncate=self.truncate)
-
-    def verify_mode(self):
-        return "strict" if self.accept_mode == "strict" else RelaxConfig(self.delta, self.pool_k)
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(EngineConfig) if isinstance(f.default, float))
@@ -217,9 +224,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     target, draft = models if models else make_model_pair(config)
     streams = _Streams(config)
     prompt = _make_prompt(config, streams["prompt"])
-    policy = config.skip_policy()
-    selection = config.selection_policy()
-    mode = config.verify_mode()
+    policy = SkipPolicy(config)
     codebook = target.codebook
 
     seq: list[int] = list(prompt)          # prompt + all emitted tokens
@@ -253,7 +258,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
 
         if not skip:
             base = len(seq) - pending_len
-            outcome = verify_tree(linearize(tree, seq[base:]), target, seq[:base], mode,
+            outcome = verify_tree(linearize(tree, seq[base:]), target, seq[:base], config,
                                   streams["accept"], streams["residual"])
             n_fwd += 1
             new_tokens = outcome.accepted + [outcome.terminal]
@@ -284,8 +289,8 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 accept_length=outcome.accept_length, similarity=similarity,
                 forward_passes=1, feature_source=source))
         else:
-            chosen = select_path(paths, selection, streams["select"])
-            if selection.truncate:
+            chosen = select_path(paths, config.strategy, streams["select"])
+            if config.truncate:
                 chosen = truncate_path(chosen, paths)
             skip_count += 1
             seq = seq + chosen.tokens

@@ -8,8 +8,8 @@ forces the next step to verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -18,6 +18,9 @@ import numpy as np
 from .core import EmbeddingCodebook, cosine  # noqa: F401
 from .errors import RejectedInput
 from .tree import TokenPath
+
+if TYPE_CHECKING:
+    from .engine import EngineConfig
 
 # A bound on the p99 of |stride-1 - stride-2| path similarity per
 # default-config tree.  Measured over 10,000 trees (runs 0-9999): mean 0.028,
@@ -34,25 +37,13 @@ class PathSimilarity(NamedTuple):
 
 @dataclass
 class SkipPolicy:
-    kind: str = "never"          # "never" | "uniform" | "dynamic"
-    interval: int = 3
-    threshold: float = 0.75
-    alpha: float = 0.8
-    stride: int = 2
-    # Mutable per-run state; 0 on the first step and after a skip.
-    verified_since_skip: int = 0
-    last_similarity: float | None = field(default=None, repr=False)
+    """One run's scheduling state over the config whose policy, interval,
+    threshold, alpha and stride it reads (``EngineConfig.validate`` checks
+    them)."""
 
-    def __post_init__(self):
-        if self.kind not in ("never", "uniform", "dynamic"):
-            raise RejectedInput(f"unknown skip policy {self.kind!r}")
-        if self.kind == "uniform" and self.interval < 2:
-            raise RejectedInput("uniform skip interval must be >= 2")
-        if self.kind == "dynamic":
-            if not 0.0 < self.alpha <= 1.0:
-                raise RejectedInput("alpha must lie in (0, 1]")
-            if self.stride not in (1, 2):
-                raise RejectedInput("stride must be 1 or 2")
+    config: EngineConfig
+    verified_since_skip: int = 0  # 0 on the first step and after a skip
+    last_similarity: float | None = None
 
 
 def decay_weights(alpha: float, length: int) -> np.ndarray:
@@ -96,16 +87,17 @@ def decide(policy: SkipPolicy, paths: list[TokenPath],
            codebook: EmbeddingCodebook) -> bool:
     """True means skip verification this step.  Mutates policy state; a skip
     always forces the next call to verify, for every policy kind."""
+    cfg = policy.config
     policy.last_similarity = None
-    if policy.kind == "never" or not policy.verified_since_skip:
+    if cfg.policy == "never" or not policy.verified_since_skip:
         # First step and every step after a skip must verify.
         skip = False
-    elif policy.kind == "uniform":
-        skip = policy.verified_since_skip == policy.interval - 1
+    elif cfg.policy == "uniform":
+        skip = policy.verified_since_skip == cfg.interval - 1
     else:  # dynamic
-        sim = path_similarity(paths, codebook, policy.alpha, policy.stride)
+        sim = path_similarity(paths, codebook, cfg.alpha, cfg.stride)
         policy.last_similarity = sim.value
-        skip = sim.value >= policy.threshold
+        skip = sim.value >= cfg.threshold
 
     policy.verified_since_skip = 0 if skip else policy.verified_since_skip + 1
     return skip

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,23 +10,13 @@ from .errors import RejectedInput
 from .tree import TokenPath
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    strategy: str = "uniform"   # "uniform" or "max_confidence"
-    truncate: bool = True
-
-    def __post_init__(self):
-        if self.strategy not in ("uniform", "max_confidence"):
-            raise RejectedInput(f"unknown selection strategy {self.strategy!r}")
-
-
-def select_path(paths: list[TokenPath], policy: SelectionPolicy,
+def select_path(paths: list[TokenPath], strategy: str,
                 rng: np.random.Generator) -> TokenPath:
-    """Pick one candidate path: a uniform draw, or the confidence argmax
-    (ties broken lexicographically on tokens)."""
+    """Pick one candidate path: a uniform draw (strategy "uniform"), or the
+    confidence argmax (ties broken lexicographically on tokens)."""
     if not paths:
         raise RejectedInput("no candidate paths to select from")
-    if policy.strategy == "uniform":
+    if strategy == "uniform":
         return paths[int(rng.integers(len(paths)))]
     return min(paths, key=lambda p: (-p.confidence, p.tokens))
 

@@ -9,28 +9,18 @@ feature the next draft conditions on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (ORIGIN_BONUS, ORIGIN_RESAMPLED, EmbeddingCodebook,
                    nearest_neighbors, sample_index)
-from .errors import DegenerateProposal, RejectedInput
+from .errors import DegenerateProposal
 from .models import TargetModel, target_forward_masked
 from .tree import LinearizedTree
 
-
-@dataclass(frozen=True)
-class RelaxConfig:
-    """Relaxed-acceptance knobs; delta=0 degenerates to strict acceptance."""
-
-    delta: float
-    pool_k: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise RejectedInput("delta must lie in [0, 1]")
-        if self.pool_k < 1:
-            raise RejectedInput("pool size must be >= 1")
+if TYPE_CHECKING:
+    from .engine import EngineConfig
 
 
 @dataclass
@@ -58,41 +48,33 @@ def strict_accept(q: np.ndarray, p: np.ndarray, t: int,
 
 
 def pooled_mass(q: np.ndarray, t: int, codebook: EmbeddingCodebook,
-                cfg: RelaxConfig) -> float:
-    """Largest prefix sum of q over t's nearest neighbors staying <= delta.
+                delta: float, pool_k: int) -> float:
+    """Largest prefix sum of q over t's pool_k nearest neighbors staying
+    <= delta.
 
     The proposed token itself is always included, even when q(t) alone
     exceeds delta, so relaxation can never be stricter than strict
-    acceptance.
+    acceptance; delta=0 degenerates to strict acceptance.
     """
     total = float(q[t])
-    for nb in nearest_neighbors(codebook, t, cfg.pool_k)[1:]:
-        if total + q[nb] > cfg.delta:
+    for nb in nearest_neighbors(codebook, t, pool_k)[1:]:
+        if total + q[nb] > delta:
             break
         total += float(q[nb])
     return total
 
 
 def relaxed_accept(q: np.ndarray, p: np.ndarray, t: int,
-                   codebook: EmbeddingCodebook, cfg: RelaxConfig,
+                   codebook: EmbeddingCodebook, delta: float, pool_k: int,
                    rng: np.random.Generator) -> bool:
     if p[t] <= 0.0:
         raise DegenerateProposal(f"drafter assigned zero mass to token {t}")
-    pooled = pooled_mass(q, t, codebook, cfg)
+    pooled = pooled_mass(q, t, codebook, delta, pool_k)
     return rng.random() < min(1.0, pooled / p[t])
 
 
-def _accept_one(q: np.ndarray, p: np.ndarray, t: int, mode,
-                codebook: EmbeddingCodebook, rng: np.random.Generator) -> bool:
-    if isinstance(mode, RelaxConfig):
-        return relaxed_accept(q, p, t, codebook, cfg=mode, rng=rng)
-    if mode == "strict":
-        return strict_accept(q, p, t, rng)
-    raise RejectedInput(f"unknown verification mode {mode!r}")
-
-
-def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
-                rng: np.random.Generator,
+def verify_tree(linear: LinearizedTree, target: TargetModel, context,
+                config: EngineConfig, rng: np.random.Generator,
                 residual_rng: np.random.Generator | None = None) -> VerifyOutcome:
     """Verify a linearized candidate block in one target forward pass.
 
@@ -100,7 +82,8 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
     conditioning), then a greedy root-to-leaf walk accepts tree tokens:
     children in their race (sampling) order, standard multi-draft residual
     bookkeeping on rejection, a residual terminal when every child fails,
-    and a bonus terminal when a leaf is reached.
+    and a bonus terminal when a leaf is reached.  Each child is accepted by
+    the config's ``accept_mode``, relaxed with its ``delta`` and ``pool_k``.
     """
     if residual_rng is None:
         residual_rng = rng
@@ -115,6 +98,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
     q_cur = dists[:, n_pending - 1] if n_pending else target.score_prefix(context[-w:]).dist
     p_cur = tree.root_dist
     codebook = target.codebook
+    relaxed = config.accept_mode == "relaxed"
 
     while True:
         # Insertion order is sampling order, the order the residual scheme
@@ -130,7 +114,8 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context, mode,
         chosen = None
         for rank, idx in enumerate(kids):
             tok = tree.nodes[idx].token
-            if _accept_one(q_view, p_view, tok, mode, codebook, rng):
+            if (relaxed_accept(q_view, p_view, tok, codebook, config.delta, config.pool_k, rng)
+                    if relaxed else strict_accept(q_view, p_view, tok, rng)):
                 chosen = idx
                 break
             # Standard multi-draft residual update before the next child.

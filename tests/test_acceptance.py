@@ -20,7 +20,7 @@ from specskip.models import make_model_pair
 from specskip.schedule import SkipPolicy, decay_weights, decide, path_similarity
 from specskip.select import truncate_path
 from specskip.tree import TokenPath
-from specskip.verify import RelaxConfig, relaxed_accept, strict_accept
+from specskip.verify import relaxed_accept, strict_accept
 
 
 def _report(name, ok, detail):
@@ -53,7 +53,6 @@ def test_criterion_1_losslessness_of_strict_sd():
 
 def test_criterion_2_relaxation_degeneracy():
     codebook = EmbeddingCodebook(rng_stream(11, "cb").standard_normal((8, 3)))
-    relax0 = RelaxConfig(delta=0.0, pool_k=8)
     rng = rng_stream(11, "dists")
     mismatches = 0
     for trial in range(10_000):
@@ -61,7 +60,7 @@ def test_criterion_2_relaxation_degeneracy():
         p = rng.dirichlet(np.ones(8))
         t = int(rng.integers(8))
         a = strict_accept(q, p, t, rng_stream(trial, "shared"))
-        b = relaxed_accept(q, p, t, codebook, relax0, rng_stream(trial, "shared"))
+        b = relaxed_accept(q, p, t, codebook, 0.0, 8, rng_stream(trial, "shared"))
         mismatches += a != b
     _report("criterion 2 (delta=0 relaxed == strict)", mismatches == 0,
             f"{mismatches} mismatches over 10,000 shared-rng calls")
@@ -151,7 +150,7 @@ def _fuzzed_traces():
 def test_criterion_5_scheduling_arithmetic():
     counts_ok = True
     for interval in (2, 3, 4):
-        policy = SkipPolicy(kind="uniform", interval=interval)
+        policy = SkipPolicy(EngineConfig(policy="uniform", interval=interval))
         paths = [TokenPath([0], [0.5]), TokenPath([1], [0.5])]
         cb = EmbeddingCodebook(np.array([[1.0, 0.0], [0.9, 0.1]]))
         skips = sum(decide(policy, paths, cb) for _ in range(120))

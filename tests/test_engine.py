@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specskip.core import TokenSequence
 from specskip.engine import (EngineConfig, GenerationTrace, compute_metrics,
@@ -210,6 +212,66 @@ class TestValidateTypes:
     def test_float_field_takes_int(self):
         cfg = EngineConfig(delta=0, temperature=2, epsilon=1).validate()
         assert cfg.delta == 0 and vvs_generate(replace(cfg, **FAST)).n_tok >= 24
+
+
+class TestValidateModes:
+    """The scheduler, selector and verifier settings are checked once, in
+    validate, and only where their mode reads them."""
+
+    @pytest.mark.parametrize("values, message", [
+        ({"policy": "sometimes"}, "unknown skip policy"),
+        ({"policy": "uniform", "interval": "1"}, "interval"),
+        ({"policy": "dynamic", "alpha": "0"}, "alpha"),
+        ({"policy": "dynamic", "alpha": "1.5"}, "alpha"),
+        ({"policy": "dynamic", "stride": "3"}, "stride"),
+        ({"log_similarity": "true", "alpha": "0"}, "alpha"),
+        ({"strategy": "best"}, "unknown selection strategy"),
+        ({"accept_mode": "relaxed", "pool_k": "0"}, "pool size"),
+        ({"vocab_size": "4"}, "pool_k"),
+        ({"vocab_size": "16", "pool_k": "17"}, "pool_k")],
+        ids=["unknown-policy", "uniform-interval", "dynamic-alpha-zero",
+             "dynamic-alpha-above-one", "dynamic-stride", "logged-alpha",
+             "unknown-strategy", "relaxed-pool-below-one", "relaxed-default-pool-v4",
+             "relaxed-pool-above-vocab"])
+    def test_rejected(self, values, message):
+        with pytest.raises(RejectedInput, match=message):
+            config_from_mapping(values)
+
+    @pytest.mark.parametrize("values", [
+        {"policy": "never", "interval": "1"},
+        {"policy": "dynamic", "interval": "0"},
+        {"policy": "uniform", "alpha": "0", "stride": "3"},
+        {"policy": "never", "alpha": "1.5", "stride": "0"},
+        {"accept_mode": "strict", "pool_k": "0"},
+        {"accept_mode": "strict", "vocab_size": "4"},
+        {"vocab_size": "8", "pool_k": "8"}],
+        ids=["never-interval", "dynamic-interval", "uniform-alpha-stride",
+             "never-alpha-stride", "strict-pool", "strict-v4", "pool-equals-vocab"])
+    def test_out_of_scope_values_accepted(self, values):
+        cfg = config_from_mapping({**values, "max_new_tokens": "4"})
+        assert vvs_generate(cfg).n_tok >= 4
+
+
+@settings(max_examples=500, deadline=None)
+@given(vocab_size=st.integers(4, 16), feat_dim=st.integers(2, 4),
+       window=st.integers(1, 3), epsilon=st.floats(0.0, 1.0),
+       branching=st.integers(2, 4), depth=st.integers(1, 4), budget=st.integers(2, 16),
+       accept_mode=st.sampled_from(["strict", "relaxed"]), delta=st.floats(0.0, 1.0),
+       pool_k=st.integers(1, 16),
+       policy=st.sampled_from(["never", "uniform", "dynamic"]), interval=st.integers(1, 5),
+       threshold=st.floats(-1.0, 1.0), alpha=st.floats(0.0, 1.0), stride=st.integers(1, 3),
+       strategy=st.sampled_from(["uniform", "max_confidence"]), truncate=st.booleans(),
+       max_new_tokens=st.integers(1, 8), seed=st.integers(0, 3),
+       feature_schedule=st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple),
+       log_similarity=st.booleans())
+def test_a_config_that_validates_runs(**settings_):
+    """Small configs either fail validate or complete a run and its metrics."""
+    cfg = EngineConfig(**settings_)
+    try:
+        cfg.validate()
+    except RejectedInput:
+        return
+    compute_metrics(vvs_generate(cfg))
 
 
 class TestConfigFromMapping:

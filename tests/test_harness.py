@@ -340,6 +340,18 @@ class TestCli:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: RejectedInput")
 
+    def test_pool_larger_than_vocabulary_is_one_error_line(self, capsys, tmp_path):
+        # The default relaxed pool_k = 8 exceeds the smallest allowed vocabulary.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("vocab_size = 4\n")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert "pool_k" in err[0]
+        cfg.write_text("vocab_size = 4\naccept_mode = strict\nmax_new_tokens = 4\n")
+        assert main(["generate", "--config", str(cfg)]) == 0
+
     def test_bad_number_in_config_is_one_error_line(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("max_new_tokens = abc\n")

@@ -20,6 +20,10 @@ def _paths(*token_lists):
     return [TokenPath(list(toks), [0.5] * len(toks)) for toks in token_lists]
 
 
+def _policy(**settings):
+    return SkipPolicy(EngineConfig(**settings).validate())
+
+
 class TestDecayWeights:
     def test_uniform_limit(self):
         assert np.allclose(decay_weights(1.0, 3), [1 / 3] * 3)
@@ -126,36 +130,36 @@ class TestPathSimilarity:
 
 class TestDecide:
     def test_never_policy(self):
-        policy = SkipPolicy(kind="never")
+        policy = _policy(policy="never")
         assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB)
                        for _ in range(19))
 
     def test_uniform_i2_alternates(self):
-        policy = SkipPolicy(kind="uniform", interval=2)
+        policy = _policy(policy="uniform", interval=2)
         pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB)
                    for _ in range(8)]
         assert pattern == [False, True] * 4
 
     def test_uniform_counts_over_120(self):
         for interval in (2, 3, 4):
-            policy = SkipPolicy(kind="uniform", interval=interval)
+            policy = _policy(policy="uniform", interval=interval)
             skips = sum(decide(policy, _paths([0], [1]), POSITIVE_CB)
                         for _ in range(120))
             assert skips == 120 // interval
 
     def test_dynamic_floor_threshold_alternates(self):
-        policy = SkipPolicy(kind="dynamic", threshold=0.0)
+        policy = _policy(policy="dynamic", threshold=0.0)
         pattern = [decide(policy, _paths([0], [1]), POSITIVE_CB)
                    for _ in range(8)]
         assert pattern == [False, True] * 4
 
     def test_dynamic_unreachable_threshold_never_skips(self):
-        policy = SkipPolicy(kind="dynamic", threshold=1.0 + 1e-9)
+        policy = _policy(policy="dynamic", threshold=1.0 + 1e-9)
         assert not any(decide(policy, _paths([0], [1]), POSITIVE_CB)
                        for _ in range(19))
 
     def test_similarity_logged_on_dynamic_checks(self):
-        policy = SkipPolicy(kind="dynamic", threshold=0.9)
+        policy = _policy(policy="dynamic", threshold=0.9)
         decide(policy, _paths([0], [1]), POSITIVE_CB)
         assert policy.last_similarity is None  # first step: guard, no check
         decide(policy, _paths([0], [1]), POSITIVE_CB)
@@ -165,20 +169,16 @@ class TestDecide:
         rng = rng_stream(3, "fuzz")
         for trial in range(300):
             kind = ["uniform", "dynamic"][trial % 2]
-            policy = SkipPolicy(kind=kind, interval=int(rng.integers(2, 6)),
-                                threshold=float(rng.uniform(-1, 1)))
+            policy = _policy(policy=kind, interval=int(rng.integers(2, 6)),
+                             threshold=float(rng.uniform(-1, 1)))
             prev = False
             for _ in range(29):
                 toks = rng.integers(0, 4, size=(3, 2))
                 skip = decide(policy, _paths(*toks.tolist()), POSITIVE_CB)
                 assert not (skip and prev)
                 prev = skip
-            assert not decide(SkipPolicy(kind=kind), _paths([0], [1]),
+            assert not decide(_policy(policy=kind), _paths([0], [1]),
                               POSITIVE_CB)  # fresh policy verifies first
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(RejectedInput):
-            SkipPolicy(kind="sometimes")
 
 
 class TestStrideFidelity:

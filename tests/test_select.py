@@ -5,7 +5,7 @@ import pytest
 
 from specskip.core import rng_stream
 from specskip.errors import RejectedInput
-from specskip.select import SelectionPolicy, select_path, truncate_path
+from specskip.select import select_path, truncate_path
 from specskip.tree import TokenPath
 
 
@@ -17,34 +17,30 @@ class TestSelectPath:
     def test_single_path_both_strategies(self):
         path = _path([1, 2], 0.5)
         rng = rng_stream(0, "s")
-        assert select_path([path], SelectionPolicy("uniform"), rng) is path
-        assert select_path([path], SelectionPolicy("max_confidence"), rng) is path
+        assert select_path([path], "uniform", rng) is path
+        assert select_path([path], "max_confidence", rng) is path
 
     def test_uniform_frequencies(self):
         paths = [_path([i], 0.25) for i in range(4)]
         rng = rng_stream(1, "u")
         counts = np.zeros(4)
         for _ in range(10000):
-            counts[select_path(paths, SelectionPolicy("uniform"), rng).tokens[0]] += 1
+            counts[select_path(paths, "uniform", rng).tokens[0]] += 1
         assert np.allclose(counts / 10000, 0.25, atol=0.02)
 
     def test_max_confidence_argmax(self):
         paths = [TokenPath([1], [0.5]), TokenPath([2], [0.12]), TokenPath([3], [0.3])]
         rng = rng_stream(0, "m")
-        assert select_path(paths, SelectionPolicy("max_confidence"), rng).tokens == [1]
+        assert select_path(paths, "max_confidence", rng).tokens == [1]
 
     def test_tie_breaks_lexicographic(self):
         paths = [TokenPath([4, 1], [0.5, 0.8]), TokenPath([2, 9], [0.8, 0.5])]
         rng = rng_stream(0, "t")
-        assert select_path(paths, SelectionPolicy("max_confidence"), rng).tokens == [2, 9]
+        assert select_path(paths, "max_confidence", rng).tokens == [2, 9]
 
     def test_empty_rejected(self):
         with pytest.raises(RejectedInput):
-            select_path([], SelectionPolicy("uniform"), rng_stream(0, "e"))
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(RejectedInput):
-            SelectionPolicy("best")
+            select_path([], "uniform", rng_stream(0, "e"))
 
 
 class TestTruncatePath:

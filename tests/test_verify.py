@@ -9,13 +9,13 @@ from specskip.engine import EngineConfig
 from specskip.errors import DegenerateProposal
 from specskip.models import make_model_pair
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
-from specskip.verify import (RelaxConfig, pooled_mass, relaxed_accept,
-                             strict_accept, verify_tree)
+from specskip.verify import pooled_mass, relaxed_accept, strict_accept, verify_tree
 
 from sd_oracle import tree_distribution, two_token_tv
 
 FOUR_TOKEN_CB = EmbeddingCodebook(
     np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.0]]))
+STRICT = EngineConfig(accept_mode="strict")
 
 
 class TestStrictAccept:
@@ -45,43 +45,39 @@ class TestStrictAccept:
 
 class TestRelaxedAccept:
     def test_delta_zero_is_strict_bitwise(self):
-        cfg = RelaxConfig(delta=0.0, pool_k=4)
         rng = rng_stream(3, "q")
         for trial in range(500):
             q = rng.dirichlet(np.ones(4))
             p = rng.dirichlet(np.ones(4))
             t = int(rng.integers(4))
             a = strict_accept(q, p, t, rng_stream(trial, "shared"))
-            b = relaxed_accept(q, p, t, FOUR_TOKEN_CB, cfg,
+            b = relaxed_accept(q, p, t, FOUR_TOKEN_CB, 0.0, 4,
                                rng_stream(trial, "shared"))
             assert a == b
 
     def test_full_pooling_always_accepts(self):
-        cfg = RelaxConfig(delta=1.0, pool_k=4)
         rng = rng_stream(4, "full")
         q = np.array([0.1, 0.2, 0.3, 0.4])
         p = np.array([0.7, 0.1, 0.1, 0.1])
-        assert pooled_mass(q, 0, FOUR_TOKEN_CB, cfg) == pytest.approx(1.0)
-        assert all(relaxed_accept(q, p, 0, FOUR_TOKEN_CB, cfg, rng)
+        assert pooled_mass(q, 0, FOUR_TOKEN_CB, 1.0, 4) == pytest.approx(1.0)
+        assert all(relaxed_accept(q, p, 0, FOUR_TOKEN_CB, 1.0, 4, rng)
                    for _ in range(200))
 
     def test_hand_prefix_sum_and_rate(self):
         # Neighbors of token 0 are [0, 1]; q pools 0.2 + 0.15 = 0.35 and
         # stops because adding the next neighbor would exceed delta.
-        cfg = RelaxConfig(delta=0.4, pool_k=4)
         q = np.array([0.2, 0.15, 0.5, 0.15])
         p = np.array([0.5, 0.3, 0.1, 0.1])
-        assert pooled_mass(q, 0, FOUR_TOKEN_CB, cfg) == pytest.approx(0.35)
+        assert pooled_mass(q, 0, FOUR_TOKEN_CB, 0.4, 4) == pytest.approx(0.35)
         rng = rng_stream(5, "rate")
-        rate = np.mean([relaxed_accept(q, p, 0, FOUR_TOKEN_CB, cfg, rng)
+        rate = np.mean([relaxed_accept(q, p, 0, FOUR_TOKEN_CB, 0.4, 4, rng)
                         for _ in range(10000)])
         assert abs(rate - 0.7) <= 0.02
 
     def test_proposed_token_always_pooled(self):
         # q(t) alone exceeds delta, yet t's own mass is never dropped.
-        cfg = RelaxConfig(delta=0.1, pool_k=4)
         q = np.array([0.6, 0.2, 0.1, 0.1])
-        assert pooled_mass(q, 0, FOUR_TOKEN_CB, cfg) == pytest.approx(0.6)
+        assert pooled_mass(q, 0, FOUR_TOKEN_CB, 0.1, 4) == pytest.approx(0.6)
 
 
 def _full_tree_outcome(cfg, run):
@@ -91,8 +87,7 @@ def _full_tree_outcome(cfg, run):
     feat = target.feature_at(prompt, cfg.window - 1)
     tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                       cfg.budget, rng=rng_stream(run, "d"))
-    outcome = verify_tree(linearize(tree, []), target, prompt,
-                          cfg.verify_mode(), rng_stream(run, "a"),
+    outcome = verify_tree(linearize(tree, []), target, prompt, cfg, rng_stream(run, "a"),
                           rng_stream(run, "r"))
     return tree, outcome
 
@@ -118,7 +113,7 @@ class TestVerifyTree:
         assert q_root[dead] == 0.0
         node = DraftNode(token=dead, parent=-1, prob=1.0, confidence=1.0, depth=1)
         tree = DraftTree([node], root_dist=np.eye(8)[dead])
-        outcome = verify_tree(linearize(tree, []), target, context, "strict",
+        outcome = verify_tree(linearize(tree, []), target, context, STRICT,
                               rng_stream(0, "a"))
         assert outcome.accept_length == 0
         assert outcome.terminal_origin == "resampled"
@@ -137,11 +132,11 @@ class TestVerifyTree:
         monkeypatch.setattr(target, "score_prefix",
                             lambda toks: scored.append(list(toks)) or score_prefix(toks))
         empty = DraftTree([], root_dist=np.full(target.vocab_size, 1 / target.vocab_size))
-        outcome = verify_tree(linearize(empty, []), target, context, "strict",
+        outcome = verify_tree(linearize(empty, []), target, context, STRICT,
                               rng_stream(0, "a"))
         assert outcome.terminal_origin == "bonus" and scored == [context[-window:]]
         assert np.array_equal(drawn_from[0], score_prefix(context).dist)
-        verify_tree(linearize(empty, [3, 9]), target, context, "strict", rng_stream(0, "a"))
+        verify_tree(linearize(empty, [3, 9]), target, context, STRICT, rng_stream(0, "a"))
         assert len(scored) == 1
 
     def test_pending_ratified_with_features(self):
@@ -151,8 +146,8 @@ class TestVerifyTree:
         feat = target.feature_at(prompt, 3)
         tree = build_tree(draft, feat, prompt, 2, 2, 6, rng=rng_stream(0, "d"))
         pending = [5, 9]
-        outcome = verify_tree(linearize(tree, pending), target, prompt,
-                              cfg.verify_mode(), rng_stream(0, "a"))
+        outcome = verify_tree(linearize(tree, pending), target, prompt, cfg,
+                              rng_stream(0, "a"))
         # Only the new tree tokens come back, and the feature is the target's
         # own at the terminal, with the ratified pending tokens before it.
         assert outcome.accept_length == len(outcome.accepted)
@@ -166,7 +161,7 @@ class TestVerifyTree:
         feat = target.feature_at(prompt, 3)
         tree = build_tree(draft, feat, prompt, 4, 3, 16, rng=rng_stream(1, "d"))
         before = target.forward_passes
-        verify_tree(linearize(tree, []), target, prompt, "strict", rng_stream(1, "a"))
+        verify_tree(linearize(tree, []), target, prompt, STRICT, rng_stream(1, "a"))
         assert target.forward_passes == before + 1
 
 
@@ -193,7 +188,7 @@ class TestBranchProbabilityOracle:
         n = 50_000
         linear = linearize(tree, [])
         for run in range(n):
-            outcome = verify_tree(linear, target, context, "strict",
+            outcome = verify_tree(linear, target, context, STRICT,
                                   rng_stream(run, "mc-a"), rng_stream(run, "mc-r"))
             key = (*outcome.accepted, outcome.terminal)
             counts[key] = counts.get(key, 0) + 1
