@@ -10,9 +10,9 @@ from .engine import (EngineConfig, compute_metrics, trace_to_csv, vanilla_ar,
                      vvs_generate)
 from .errors import SpecskipError
 from .harness import (measure_feature_similarity,
-                      measure_path_similarity_distribution, parse_config_file,
-                      parse_spec_file, run_experiment, summary_table,
-                      write_rows)
+                      measure_path_similarity_distribution, open_output,
+                      parse_config_file, parse_spec_file, run_experiment,
+                      summary_table, write_rows)
 
 
 def _load_config(args) -> EngineConfig:
@@ -27,7 +27,7 @@ def cmd_generate(args) -> int:
     trace = vanilla_ar(config) if args.vanilla else vvs_generate(config)
     metrics = compute_metrics(trace)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
+        with open_output(args.output) as fh:
             fh.write(trace_to_csv(trace))
     print(f"tokens={metrics.n_tok} forwards={metrics.n_fwd} "
           f"tpf={metrics.tpf:.4f} mal={metrics.mal:.4f} "

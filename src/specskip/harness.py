@@ -73,16 +73,22 @@ class ResultRow:
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise RejectedInput(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise RejectedInput(f"{path} is not UTF-8 text") from None
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise RejectedInput(f"{path}:{lineno}: expected key = value")
-            key, raw = line.split("=", 1)
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise RejectedInput(f"{path}:{lineno}: expected key = value")
+        key, raw = line.split("=", 1)
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -172,8 +178,17 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     return rows
 
 
+def open_output(path):
+    """Open a CSV output file; a path that cannot be written is rejected
+    input."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise RejectedInput(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_rows(path, rows: list[ResultRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for row in rows:

@@ -21,8 +21,7 @@ class DraftNode:
     prob: float             # drafter probability of this token at its parent
     confidence: float       # product of probs along the root path
     depth: int
-    # Set on the nodes of every level the drafter extended: the dist their
-    # children are drawn from.
+    # Set only on the nodes that get children: the dist they are drawn from.
     dist: np.ndarray = field(repr=False, default=None)
 
 
@@ -75,24 +74,23 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     node is ever cut.
 
     The drafter conditions the root on one (d,) feature, the one at the
-    last context token, and that token.
+    last context token, and that token.  The root gets m = min(k_b, V)
+    child slots.
 
-    Each level first fixes every frontier node's child count (0 to k_b) by
-    ``_child_counts``, from confidences and distributions known before the
-    level's draws, then races one row per node with a positive count (see
+    After each level's draws, ``_child_counts`` fixes every new node's
+    child count (0 to m) from the new nodes' confidences alone.  Only the
+    nodes with a positive count get a drafter feature and a child
+    distribution (``DraftNode.dist``), from one batched ``extend_feature``
+    and one batched ``next_dist`` call, and only their rows are raced (see
     ``_sample_level``): a node's children are the first count picks of its
     row, drawn sequentially without replacement from its draft
     distribution, and kept in sampling order.  A child count fixed before
     the node's own draws keeps the verifier's sequential residual scheme
     exact (SpecInfer's multi-step speculative sampling, Miao et al. 2024),
     so strict decoding reproduces the target distribution for every tree
-    this builds.  A node draws no token of zero mass, so it has fewer
-    children than its count when its distribution has fewer positive
-    entries.
-
-    The nodes of a level that is neither the last nor fills the budget get
-    their drafter features and child distributions from one batched
-    ``extend_feature`` and one batched ``next_dist`` call.
+    this builds.  A node draws no token of zero mass, so a node whose
+    distribution has fewer positive entries than its count leaves its
+    unused slots empty.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -101,56 +99,57 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
         raise RejectedInput(f"context shorter than drafter window {window}")
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
+    m = min(k_b, len(root_dist))
 
     nodes: list[DraftNode] = []
-    # The frontier: its first node's index (-1 for the root; the rest
-    # follow in order), confidences, draft dists (n, V), drafter features
-    # (n, d) and tails (the last `window` tokens of context + root path).
-    first, confs, dists = -1, [1.0], root_dist[None]
+    # The frontier, the nodes that get children: their indices (-1 for the
+    # root), child counts, confidences, draft dists (n, V), drafter
+    # features (n, d) and tails (the last `window` tokens of context + root
+    # path).
+    parents, counts, confs, dists = [-1], [m], [1.0], root_dist[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
     for depth in range(1, D + 1):
-        counts = _child_counts(confs, dists, k_b, budget - len(nodes))
-        rows = [i for i, c in enumerate(counts) if c]
-        drawn = dists if len(rows) == len(dists) else dists[rows]
-        picks, stops = _sample_level(drawn, k_b, rng)
-        probs = drawn[np.arange(len(rows))[:, None], picks].tolist()
+        picks, stops = _sample_level(dists, k_b, rng)
+        probs = dists[np.arange(len(dists))[:, None], picks].tolist()
         start = len(nodes)
         born = []   # each new node's frontier row
-        for row, toks, ps, stop in zip(rows, picks.tolist(), probs, stops.tolist()):
+        for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
             c = min(counts[row], stop)
             for tok, p in zip(toks[:c], ps[:c]):
-                nodes.append(DraftNode(token=tok, parent=first + row, prob=p,
+                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p,
                                        confidence=confs[row] * p, depth=depth))
                 born.append(row)
-        new = nodes[start:]
-        if depth == D or len(nodes) == budget or not new:
+        if depth == D or len(nodes) == budget:
             break
+        counts = _child_counts([node.confidence for node in nodes[start:]], m,
+                               budget - len(nodes))
+        grow = [i for i, c in enumerate(counts) if c]
+        new = [nodes[start + i] for i in grow]
+        rows = [born[i] for i in grow]
         toks = np.array([node.token for node in new])
-        feats = draft.extend_feature(feats.take(born, axis=0),
-                                     np.array([tails[r][0] for r in born]), toks)
+        feats = draft.extend_feature(feats.take(rows, axis=0),
+                                     np.array([tails[r][0] for r in rows]), toks)
         dists = draft.next_dist(feats, toks)
         for node, dist in zip(new, dists):
             node.dist = dist
-        tails = [tails[r][1:] + (node.token,) for r, node in zip(born, new)]
-        first = start
+        tails = [tails[r][1:] + (node.token,) for r, node in zip(rows, new)]
+        parents = [start + i for i in grow]
+        counts = [counts[i] for i in grow]
         confs = [node.confidence for node in new]
     return DraftTree(nodes=nodes, root_dist=root_dist)
 
 
-def _child_counts(confs: list[float], dists: np.ndarray, k_b: int,
-                  room: int) -> list[int]:
-    """Each frontier node's child count, from what is known before its
-    draws: slot (i, j), j < min(k_b, V), is worth confs[i] times the j-th
-    largest entry of dists[i], and the `room` most valuable slots are kept
-    (ties: earlier row, then smaller j).  A row's worth falls with j, so
-    its kept slots are its first counts[i].  A slot of zero worth ranks
-    last and yields no node, as its row's race stops at the support."""
-    n, V = dists.shape
-    m = min(k_b, V)
+def _child_counts(confs: list[float], m: int, room: int) -> list[int]:
+    """Each node's child count, from its confidence alone, fixed before its
+    draws: slot (i, j), j < m = min(k_b, V), is worth confs[i] * 2**-j, the
+    chance that the walk reaches and accepts node i's j-th child when each
+    try succeeds with probability 1/2 (only the order matters).  The `room`
+    most valuable slots are kept (ties: earlier row, then smaller j).  A
+    row's worth falls with j, so its kept slots are its first counts[i]."""
+    n = len(confs)
     if room >= n * m:
         return [m] * n   # every slot is kept; no ranking needed
-    top = np.sort(np.partition(dists, V - m, axis=1)[:, V - m:], axis=1)[:, ::-1]
-    worth = (np.array(confs)[:, None] * top).ravel()
+    worth = (np.array(confs)[:, None] * 0.5 ** np.arange(m)).ravel()
     kept = np.argsort(-worth, kind="stable")[:room]
     return np.bincount(kept // m, minlength=n).tolist()
 

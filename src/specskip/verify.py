@@ -141,7 +141,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
         accepted.append(node.token)
         cur_slot = chosen
         q_cur = dists[:, n_pending + chosen]
-        p_cur = node.dist
+        p_cur = node.dist   # None on a leaf, which goes straight to the bonus
 
     # Feature of the terminal token, from the same parallel pass; only the
     # last `window` tokens of its prefix reach it.

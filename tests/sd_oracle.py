@@ -85,30 +85,34 @@ def iteration_distribution(target, draft, context, k_b, budget):
     count rule: {emitted tokens: prob}.
 
     The root's ordered picks are enumerated; given them, each root child's
-    count is fixed and its ordered children are drawn independently of its
-    siblings', so each child's walk is averaged over its own draws alone.
+    count is fixed from the picks' confidences and its ordered children are
+    drawn independently of its siblings', so each child's walk is averaged
+    over its own draws alone.  Only root children with a positive count get
+    a drafter row, as in the engine.
     """
     def q(suffix):
         return target.score_prefix(context + list(suffix)).dist
 
     feat = target.feature_at(context, len(context) - 1)[None]
     root = draft.next_dist(feat, [context[-1]])[0]
-    (c,) = _child_counts([1.0], root[None], k_b, budget)
+    width = min(k_b, len(root))
+    (c,) = _child_counts([1.0], width, budget)
     out = {}
     for picks, weight in ordered_draws(root, c):
-        toks = np.array(picks)
-        feats = draft.extend_feature(feat.repeat(c, axis=0),
-                                     [context[-draft.window]] * c, toks)
-        dists = draft.next_dist(feats, toks)
-        counts = _child_counts(root[toks], dists, k_b, budget - c)
+        counts = _child_counts(root[list(picks)], width, budget - c)
+        grow = np.array([t for t, n in zip(picks, counts) if n])
+        feats = draft.extend_feature(feat.repeat(len(grow), axis=0),
+                                     [context[-draft.window]] * len(grow), grow)
+        dists = dict(zip(grow.tolist(), draft.next_dist(feats, grow)))
         subtree = {}
-        for t, p, n in zip(picks, dists, counts):
+        for t, n in zip(picks, counts):
             subtree[t] = {}
 
             def bonus(s, t=t):
                 return {(u,): m for u, m in enumerate(q((t, s))) if m > 0}
 
-            for kids, w in ordered_draws(p, n):
+            p = dists.get(t)   # only a root child with children has a dist
+            for kids, w in ordered_draws(p, n) if n else [((), 1.0)]:
                 for key, mass in node_walk(q((t,)), p, list(kids), bonus).items():
                     _add(subtree[t], key, w * mass)
         for key, mass in node_walk(q(()), root, list(picks), subtree.__getitem__).items():

@@ -180,17 +180,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("policy, kwargs, digest", [
         ("never", {},
-         "a6da644d8cffd74eb08d343e30a1376cea22ecf85939a833fb9d68b434afdd25"),
+         "5985c050194cd1931c12b998f9b91c46667f06471d6e06913895a0f24536ec48"),
         ("uniform", dict(interval=2, feature_schedule=(-1, 0, 1)),
-         "7c9b301ce5e21a9876db30457ddb4a4fb03e3a87676faaecc59082fd46a8069c"),
+         "8083783e8a752cdc3e6c747ed93f7877262cfb1ac4dc0a387371b03185fe165b"),
         ("dynamic", {},
-         "9b97b52fc4951a899f4eb2dece61c59d7ccaf285d0695d12ad0ab2f07616ba24"),
+         "b8918a72a4ab7a9a57a61fed70036edfd5b1c6f6bb989d6329d14f6c86732d5b"),
         # Stale lookups that underflow and fall back to the fresh feature:
-        # 3 of 21 verifies here, and one among pending tokens below.
+        # 3 of 20 verifies here, and one among pending tokens below.
         ("never", dict(feature_schedule=(3,)),
-         "2219dc831e2069e97e982900a8a622c0776e08d1dfe012f6e3f6a82ec106719a"),
+         "72f7048ab551c9dddc1e8fa5cf4b03acba846072ea12e6c49dd6c9f4c933f47b"),
         ("uniform", dict(interval=2, feature_schedule=(0, 3)),
-         "44c926db21884e9a83bca84cbc3d10d3e986d72d1ad90c75afdbcb52175e895c")])
+         "928c4c5f5830e2d62d5a93e35b77e09759f8babaa17c5a45af0d709a81bb93e8")],
+        ids=["never", "uniform", "dynamic", "never-underflow", "uniform-underflow"])
     def test_trace_csv_golden(self, policy, kwargs, digest):
         # Pins the trace bytes for a fixed seed: a change that moves rng
         # consumption, tokens or the schema must re-record these digests.

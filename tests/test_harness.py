@@ -169,7 +169,7 @@ class TestRunExperiment:
                               output=str(out))
         run_experiment(spec)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "7ff88d8ef82848dbe3a75d180ff1a837b68f2cb4cddd8cda020ace6327cf34f3"
+            "6a982ccf1cc766e2189af5b146e7666a7b2488438b9ab950cb364390aa7be8b7"
 
     def test_summary_table_mentions_cells(self):
         spec = ExperimentSpec(name="sum", base=EngineConfig(**SMALL),
@@ -400,3 +400,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: RejectedInput")
         assert name in err[0]
+
+    @pytest.mark.parametrize("args, name", [
+        (["generate", "--config", "MISSING"], "MISSING"),
+        (["generate", "--config", "LATIN1"], "LATIN1"),
+        (["sweep", "MISSING"], "MISSING"),
+        (["generate", "--config", "CFG", "--output", "NODIR"], "NODIR"),
+        (["sweep", "SPEC", "--output", "NODIR"], "NODIR")])
+    def test_file_errors_are_one_error_line(self, capsys, tmp_path, args, name):
+        """An unreadable config or spec, a config that is not UTF-8 and an
+        output path in a missing directory each end in one error line
+        naming the path, not a traceback."""
+        paths = {"MISSING": tmp_path / "missing.cfg", "LATIN1": tmp_path / "latin1.cfg",
+                 "CFG": tmp_path / "c.cfg", "SPEC": tmp_path / "e.spec",
+                 "NODIR": tmp_path / "no" / "such" / "dir.csv"}
+        paths["LATIN1"].write_bytes("max_new_tokens = 8 # caf\xe9\n".encode("latin-1"))
+        paths["CFG"].write_text("max_new_tokens = 8\n")
+        paths["SPEC"].write_text("name = cli\nmax_new_tokens = 8\n")
+        assert main([str(paths[a]) if a in paths else a for a in args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert str(paths[name]) in err[0]

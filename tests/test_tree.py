@@ -184,10 +184,10 @@ class TestBuildTree:
         (5, {1: 2, 2: 1}), (6, {1: 2, 2: 2})])
     def test_counts_follow_expected_confidence_not_the_draws(self, budget, counts):
         # The root's two positive tokens are always drawn, 1 (0.7) and 2
-        # (0.3), in either order.  Their slots are worth 0.7 * (0.5, 0.3) =
-        # (0.35, 0.21) and 0.3 * (0.6, 0.2) = (0.18, 0.06), so the budget's
-        # room after the root level fixes each one's child count, whatever
-        # any stream draws.
+        # (0.3), in either order.  Their slots are worth 0.7 * (1, 1/2) =
+        # (0.7, 0.35) and 0.3 * (1, 1/2) = (0.3, 0.15), so the budget's room
+        # after the root level fixes each one's child count, whatever any
+        # stream draws.
         table = {0: [0.0, 0.7, 0.3, 0.0, 0.0, 0.0],
                  1: [0.0, 0.0, 0.0, 0.5, 0.3, 0.2],
                  2: [0.0, 0.0, 0.0, 0.2, 0.2, 0.6]}
@@ -204,24 +204,31 @@ class TestBuildTree:
         assert len(drawn) > 1 or counts[1] == 0
 
     def test_count_rule_ties_and_zero_mass(self):
-        # Equal worth goes to the earlier row, then the smaller j; slots of
-        # zero worth rank last, and all slots are kept when they all fit.
-        dists = np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0]])
-        assert _child_counts([0.5, 0.5], dists, 2, 1) == [1, 0]
-        assert _child_counts([0.5, 0.5], dists, 2, 3) == [2, 1]
-        assert _child_counts([0.5, 0.25], dists, 3, 5) == [3, 2]
-        assert _child_counts([0.0, 1.0], dists, 2, 2) == [0, 2]
-        assert _child_counts([0.0, 1.0], dists, 2, 4) == [2, 2]
+        # Slot (i, j) is worth confs[i] * 2**-j.  Equal worth goes to the
+        # earlier row, then the smaller j; a row of zero confidence ranks
+        # last, and all slots are kept when they all fit.
+        assert _child_counts([0.5, 0.5], 2, 1) == [1, 0]
+        assert _child_counts([0.5, 0.5], 2, 3) == [2, 1]
+        assert _child_counts([0.5, 0.25], 3, 5) == [3, 2]
+        assert _child_counts([0.0, 1.0], 2, 2) == [0, 2]
+        assert _child_counts([0.0, 1.0], 2, 4) == [2, 2]
+        # (0, 0) and (1, 1) are both worth 0.5: the earlier row wins.
+        assert _child_counts([0.5, 1.0], 2, 2) == [1, 1]
+        assert _child_counts([0.5, 1.0], 2, 3) == [1, 2]
+        # A second child at half the worth loses to a sibling's first.
+        assert _child_counts([0.6, 0.4], 2, 2) == [1, 1]
+        assert _child_counts([0.6, 0.2], 3, 3) == [2, 1]
 
     @pytest.mark.parametrize("cfg, budget", [
         (CFG, 24), (CFG, 9), (EngineConfig(vocab_size=1024, feat_dim=16), 24)])
     def test_children_are_the_first_count_picks_of_their_race_row(self, cfg, budget):
         """Replayed level by level on a copy of the stream: each level's
-        counts come from its nodes' confidences and dists alone, only rows
-        with a positive count are raced, and each node's children are the
-        first min(count, stop) picks of its row, in race order."""
+        counts come from its nodes' confidences alone, only rows of nodes
+        with a positive count are raced, and each node's children
+        are the first min(count, stop) picks of its row, in race order."""
         target, draft = make_model_pair(cfg)
         k_b, D = cfg.branching, cfg.depth
+        m = min(k_b, cfg.vocab_size)
         for run in range(10):
             prompt = [int(t) for t in rng_stream(run, "p").integers(0, cfg.vocab_size,
                                                                     cfg.window)]
@@ -230,24 +237,44 @@ class TestBuildTree:
             tree = build_tree(draft, feat, prompt, k_b, D, budget, rng=rng)
             ref = rng_stream(run, "d")
             kids = tree.children_of()
-            frontier, placed = [-1], 0
+            level, placed = [-1], 0
             for _ in range(D):
-                if placed == budget or not frontier:
+                if placed == budget or not level:
                     break
-                confs = [1.0 if i == -1 else tree.nodes[i].confidence for i in frontier]
+                confs = [1.0 if i == -1 else tree.nodes[i].confidence for i in level]
+                counts = _child_counts(confs, m, budget - placed)
+                grow = [i for i, c in zip(level, counts) if c]
                 dists = np.array([tree.root_dist if i == -1 else tree.nodes[i].dist
-                                  for i in frontier])
-                counts = _child_counts(confs, dists, k_b, budget - placed)
-                rows = np.flatnonzero(counts)
-                picks, stops = _sample_level(dists[rows], k_b, ref)
-                expected = {frontier[r]: toks[:min(counts[r], stop)]
-                            for r, toks, stop in zip(rows, picks.tolist(), stops)}
-                for i in frontier:
+                                  for i in grow])
+                picks, stops = _sample_level(dists, k_b, ref)
+                expected = {i: toks[:min(c, stop)] for i, c, toks, stop in
+                            zip(grow, [c for c in counts if c], picks.tolist(), stops)}
+                for i in level:
                     assert [tree.nodes[j].token for j in kids[i + 1]] == expected.get(i, [])
-                frontier = [j for i in frontier for j in kids[i + 1]]
-                placed += len(frontier)
+                level = [j for i in level for j in kids[i + 1]]
+                placed += len(level)
             assert placed == len(tree.nodes) <= budget
             assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
+                             ids=["v64", "v1024"])
+    def test_drafter_rows_only_for_nodes_with_children(self, cfg):
+        """Over sampled default trees, a node has a dist exactly when it has
+        children, and the build takes one drafter row for the root and one
+        per node with children."""
+        target, draft = make_model_pair(cfg)
+        for run in range(50):
+            prompt = [int(t) for t in rng_stream(run, "rows-prompt").integers(
+                0, cfg.vocab_size, cfg.window)]
+            feat = target.feature_at(prompt, cfg.window - 1)
+            before = draft.forward_calls
+            tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
+                              cfg.budget, rng=rng_stream(run, "rows-draw"))
+            kids = tree.children_of()
+            for i, node in enumerate(tree.nodes):
+                assert (node.dist is not None) == bool(kids[i + 1])
+            parents = sum(1 for group in kids[1:] if group)
+            assert draft.forward_calls - before == 1 + parents
 
     def test_bad_shape_rejected(self):
         target, draft = make_model_pair(CFG)
@@ -291,10 +318,11 @@ class TestBuildTree:
 
     @pytest.mark.parametrize("cfg, digest, forward_calls", [
         # Default config: k_b=4, D=5, budget=24, so the budget sets the
-        # counts: levels of 4, 16 and 4 nodes, 21 drafter calls per tree.
-        (CFG, "f1f105976238c10cd5eb7f2cb20aae5f91c4b8d5bbc38678a1a51b7382b77703", 4200),
+        # counts: levels of 4, 16 and 4 nodes, and a drafter row for the
+        # root, each level-1 node and each level-2 node with children.
+        (CFG, "b7976e17c31ddc1ef788280ea32635f33020d5f7c4fd9f376024f8ef5ea03e84", 1572),
         (EngineConfig(vocab_size=1024, feat_dim=16),
-         "a534bf6921545d7acfcb4975421eaa35fb7000346ee441b4f16ecc5b8a5fe1f5", 4200),
+         "97c2a4b8598ddf092e7432a4665c8123fa9c6310e6788f7c7aa5fa3e804c9fb4", 1527),
     ], ids=["v64", "v1024"])
     def test_sampled_trees_golden(self, cfg, digest, forward_calls):
         """200 sampled trees, each followed by the next draw of its rng,

@@ -198,13 +198,16 @@ class TestBranchProbabilityOracle:
 
 
 class TestExactIteration:
-    @pytest.mark.parametrize("budget", [3, 4, 6])
-    def test_two_tokens_match_the_target_exactly(self, budget):
+    @pytest.mark.parametrize("k_b, budget", [(2, 3), (2, 4), (2, 6), (3, 5), (3, 7)],
+                             ids=["3", "4", "6", "k_b3-5", "k_b3-7"])
+    def test_two_tokens_match_the_target_exactly(self, k_b, budget):
         """Every draw of a whole strict SD iteration enumerated, each child
         count from the engine's rule: the first two emitted tokens follow
         the target's two-token distribution exactly, whether or not the
-        budget (6 is the full k_b = 2, D = 2 tree) limits the tree."""
-        cfg = EngineConfig(vocab_size=5, window=1, epsilon=0.5, seed=3, branching=2,
+        budget (6 is the full k_b = 2, D = 2 tree) limits the tree.  At
+        k_b = 3, budgets 5 and 7 split the level-2 slots across sibling
+        ranks and across root children."""
+        cfg = EngineConfig(vocab_size=5, window=1, epsilon=0.5, seed=3, branching=k_b,
                            depth=2, budget=budget, accept_mode="strict")
         target, draft = make_model_pair(cfg)
         for context in ([0], [3]):
