@@ -12,7 +12,7 @@ from .errors import SpecskipError
 from .harness import (measure_feature_similarity,
                       measure_path_similarity_distribution, open_output,
                       parse_config_file, parse_spec_file, run_experiment,
-                      summary_table, write_rows)
+                      summary_table)
 
 
 def _load_config(args) -> EngineConfig:
@@ -38,11 +38,8 @@ def cmd_generate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = parse_spec_file(args.spec)
-    if args.output:
-        spec.output = args.output
+    spec.output = args.output or spec.output or "results.csv"
     rows = run_experiment(spec, jobs=args.jobs)
-    if spec.output is None:
-        write_rows("results.csv", rows)
     print(summary_table(rows))
     return 0
 

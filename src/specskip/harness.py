@@ -8,6 +8,7 @@ plain-text summary table; plotting is left to external tools.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
@@ -161,20 +162,29 @@ def _tasks(spec: ExperimentSpec) -> list[tuple]:
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
-    """Full Cartesian sweep, deterministic given the spec; rows stream to
-    the output CSV as they complete (single writer, cell order)."""
+    """Full Cartesian sweep, deterministic given the spec.  The output CSV,
+    if any, is opened before the first cell runs, so an unwritable path
+    fails at once, and each row is written and flushed in cell order as
+    its cell completes (single writer)."""
     if jobs < 1:
         raise RejectedInput("jobs must be >= 1")
     tasks = _tasks(spec)
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, tasks))
-    else:
-        rows = [_run_cell(task) for task in tasks]
-
-    if spec.output:
-        write_rows(spec.output, rows)
+    rows = []
+    with contextlib.ExitStack() as stack:
+        if spec.output:
+            fh = stack.enter_context(open_output(spec.output))
+            writer = _csv_writer(fh)
+            fh.flush()
+        if jobs > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_run_cell, tasks)
+        else:
+            results = map(_run_cell, tasks)
+        for row in results:
+            rows.append(row)
+            if spec.output:
+                writer.writerow(row.as_csv())
+                fh.flush()
     return rows
 
 
@@ -187,12 +197,16 @@ def open_output(path):
         raise RejectedInput(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _csv_writer(fh):
+    """A CSV writer on `fh`, its header row written."""
+    writer = csv.writer(fh)
+    writer.writerow(CSV_FIELDS)
+    return writer
+
+
 def write_rows(path, rows: list[ResultRow]) -> None:
     with open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.as_csv())
+        _csv_writer(fh).writerows(row.as_csv() for row in rows)
 
 
 def summary_table(rows: list[ResultRow]) -> str:

@@ -23,9 +23,9 @@ if TYPE_CHECKING:
     from .engine import EngineConfig
 
 # A bound on the p99 of |stride-1 - stride-2| path similarity per
-# default-config tree.  Measured over 10,000 trees (runs 0-9999): mean 0.028,
-# p99 0.101, max 0.236; over each 1,000-tree window the p99 lay in
-# 0.086-0.107.  See sample_similarity_gaps in the harness module and the repo
+# default-config tree.  Measured over 10,000 trees (runs 0-9999): mean 0.026,
+# p99 0.095, max 0.213; over each 1,000-tree window the p99 lay in
+# 0.084-0.105.  See sample_similarity_gaps in the harness module and the repo
 # README.
 STRIDE2_SIMILARITY_TOLERANCE = 0.2
 

@@ -19,7 +19,6 @@ class DraftNode:
     token: int
     parent: int            # index into DraftTree.nodes, -1 for the root
     prob: float             # drafter probability of this token at its parent
-    confidence: float       # product of probs along the root path
     depth: int
     # Set only on the nodes that get children: the dist they are drawn from.
     dist: np.ndarray = field(repr=False, default=None)
@@ -49,7 +48,6 @@ class TokenPath:
 
     @property
     def confidence(self) -> float:
-        # The left-to-right product, as each node's stored confidence is made.
         return math.prod(self.probs)
 
     def __len__(self) -> int:
@@ -78,7 +76,9 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     child slots.
 
     After each level's draws, ``_child_counts`` fixes every new node's
-    child count (0 to m) from the new nodes' confidences alone.  Only the
+    child count (0 to m) from the new nodes' rank reaches alone: a node's
+    rank reach is the product of 2**-r over the race ranks r on its root
+    path (the root's is 1), so it reads no draft probability.  Only the
     nodes with a positive count get a drafter feature and a child
     distribution (``DraftNode.dist``), from one batched ``extend_feature``
     and one batched ``next_dist`` call, and only their rows are raced (see
@@ -103,26 +103,25 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
 
     nodes: list[DraftNode] = []
     # The frontier, the nodes that get children: their indices (-1 for the
-    # root), child counts, confidences, draft dists (n, V), drafter
+    # root), child counts, rank reaches, draft dists (n, V), drafter
     # features (n, d) and tails (the last `window` tokens of context + root
     # path).
-    parents, counts, confs, dists = [-1], [m], [1.0], root_dist[None]
+    parents, counts, reach, dists = [-1], [m], [1.0], root_dist[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
     for depth in range(1, D + 1):
         picks, stops = _sample_level(dists, k_b, rng)
         probs = dists[np.arange(len(dists))[:, None], picks].tolist()
         start = len(nodes)
-        born = []   # each new node's frontier row
+        born, new_reach = [], []   # each new node's frontier row and rank reach
         for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
             c = min(counts[row], stop)
-            for tok, p in zip(toks[:c], ps[:c]):
-                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p,
-                                       confidence=confs[row] * p, depth=depth))
+            for rank, (tok, p) in enumerate(zip(toks[:c], ps[:c])):
+                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p, depth=depth))
                 born.append(row)
+                new_reach.append(reach[row] * 0.5 ** rank)
         if depth == D or len(nodes) == budget:
             break
-        counts = _child_counts([node.confidence for node in nodes[start:]], m,
-                               budget - len(nodes))
+        counts = _child_counts(new_reach, m, budget - len(nodes))
         grow = [i for i, c in enumerate(counts) if c]
         new = [nodes[start + i] for i in grow]
         rows = [born[i] for i in grow]
@@ -135,21 +134,22 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
         tails = [tails[r][1:] + (node.token,) for r, node in zip(rows, new)]
         parents = [start + i for i in grow]
         counts = [counts[i] for i in grow]
-        confs = [node.confidence for node in new]
+        reach = [new_reach[i] for i in grow]
     return DraftTree(nodes=nodes, root_dist=root_dist)
 
 
-def _child_counts(confs: list[float], m: int, room: int) -> list[int]:
-    """Each node's child count, from its confidence alone, fixed before its
-    draws: slot (i, j), j < m = min(k_b, V), is worth confs[i] * 2**-j, the
-    chance that the walk reaches and accepts node i's j-th child when each
-    try succeeds with probability 1/2 (only the order matters).  The `room`
-    most valuable slots are kept (ties: earlier row, then smaller j).  A
-    row's worth falls with j, so its kept slots are its first counts[i]."""
-    n = len(confs)
+def _child_counts(reach: list[float], m: int, room: int) -> list[int]:
+    """Each node's child count, from its rank reach alone, fixed before its
+    draws: slot (i, j), j < m = min(k_b, V), is worth reach[i] * 2**-j, the
+    chance that the walk reaches node i and accepts its j-th child when
+    each try succeeds with probability 1/2 (only the order matters).  The
+    `room` most valuable slots are kept (ties: earlier row, then smaller
+    j).  A row's worth falls with j, so its kept slots are its first
+    counts[i]."""
+    n = len(reach)
     if room >= n * m:
         return [m] * n   # every slot is kept; no ranking needed
-    worth = (np.array(confs)[:, None] * 0.5 ** np.arange(m)).ravel()
+    worth = (np.array(reach)[:, None] * 0.5 ** np.arange(m)).ravel()
     kept = np.argsort(-worth, kind="stable")[:room]
     return np.bincount(kept // m, minlength=n).tolist()
 

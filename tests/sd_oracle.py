@@ -84,8 +84,9 @@ def iteration_distribution(target, draft, context, k_b, budget):
     every draw of a depth-2 tree whose child counts come from the engine's
     count rule: {emitted tokens: prob}.
 
-    The root's ordered picks are enumerated; given them, each root child's
-    count is fixed from the picks' confidences and its ordered children are
+    The root's ordered picks are enumerated.  Each root child's count is
+    fixed by its race rank r alone, through the engine's count rule at rank
+    reach 2**-r, so it is the same for every draw; its ordered children are
     drawn independently of its siblings', so each child's walk is averaged
     over its own draws alone.  Only root children with a positive count get
     a drafter row, as in the engine.
@@ -97,9 +98,9 @@ def iteration_distribution(target, draft, context, k_b, budget):
     root = draft.next_dist(feat, [context[-1]])[0]
     width = min(k_b, len(root))
     (c,) = _child_counts([1.0], width, budget)
+    counts = _child_counts([0.5 ** r for r in range(c)], width, budget - c)
     out = {}
     for picks, weight in ordered_draws(root, c):
-        counts = _child_counts(root[list(picks)], width, budget - c)
         grow = np.array([t for t, n in zip(picks, counts) if n])
         feats = draft.extend_feature(feat.repeat(len(grow), axis=0),
                                      [context[-draft.window]] * len(grow), grow)

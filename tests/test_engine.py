@@ -180,17 +180,17 @@ class TestSerialization:
 
     @pytest.mark.parametrize("policy, kwargs, digest", [
         ("never", {},
-         "5985c050194cd1931c12b998f9b91c46667f06471d6e06913895a0f24536ec48"),
+         "574d0f7aeaaaf60e6e42b403b0e6645db33c01208815286290858d19fb7a988a"),
         ("uniform", dict(interval=2, feature_schedule=(-1, 0, 1)),
-         "8083783e8a752cdc3e6c747ed93f7877262cfb1ac4dc0a387371b03185fe165b"),
+         "e0094065c337fa4e72a298b796e87aea16ff601e1fca6ef446a85860371876c9"),
         ("dynamic", {},
-         "b8918a72a4ab7a9a57a61fed70036edfd5b1c6f6bb989d6329d14f6c86732d5b"),
+         "ac83a64cda5d95c461f5a3e0f0bfaf0072fdfe309bd2dc995dcc606e45d433a0"),
         # Stale lookups that underflow and fall back to the fresh feature:
-        # 3 of 20 verifies here, and one among pending tokens below.
+        # 3 of 16 verifies here, and one among pending tokens below.
         ("never", dict(feature_schedule=(3,)),
-         "72f7048ab551c9dddc1e8fa5cf4b03acba846072ea12e6c49dd6c9f4c933f47b"),
+         "2f57d83ec2ca6f7be96667fa5bf8d27ba84a4eae3ef5fcd40127599a00206b94"),
         ("uniform", dict(interval=2, feature_schedule=(0, 3)),
-         "928c4c5f5830e2d62d5a93e35b77e09759f8babaa17c5a45af0d709a81bb93e8")],
+         "a117ec54d229b199cb04caf43d7d3c7463ba98a0f678b9bb7288e9af14a1f083")],
         ids=["never", "uniform", "dynamic", "never-underflow", "uniform-underflow"])
     def test_trace_csv_golden(self, policy, kwargs, digest):
         # Pins the trace bytes for a fixed seed: a change that moves rng

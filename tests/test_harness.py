@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from specskip import harness
 from specskip.cli import main
 from specskip.engine import FRESH, EngineConfig
 from specskip.errors import RejectedInput, SpecskipError
@@ -152,12 +153,13 @@ class TestRunExperiment:
                                           "interval=3;policy=uniform"}
 
     def test_rerun_byte_identical(self, tmp_path):
+        # A rerun writes the same bytes, serially or from two workers.
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (out1, out2):
+        for out, jobs in ((out1, 1), (out2, 2)):
             spec = ExperimentSpec(name="rep", base=EngineConfig(**SMALL),
                                   axes={"delta": [0.0, 0.2]}, repetitions=2,
                                   output=str(out))
-            run_experiment(spec)
+            run_experiment(spec, jobs=jobs)
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_sweep_csv_golden(self, tmp_path):
@@ -169,7 +171,37 @@ class TestRunExperiment:
                               output=str(out))
         run_experiment(spec)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "6a982ccf1cc766e2189af5b146e7666a7b2488438b9ab950cb364390aa7be8b7"
+            "babc78e103a0d6f203f923f536ee1babac772bf88d9967fd73f100449c126fbb"
+
+    def test_unwritable_output_fails_before_any_cell(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "_run_cell", calls.append)
+        spec = ExperimentSpec(name="nodir", base=EngineConfig(**SMALL),
+                              axes={"interval": [2, 3]},
+                              output=str(tmp_path / "missing" / "x.csv"))
+        with pytest.raises(RejectedInput, match="cannot write"):
+            run_experiment(spec)
+        assert calls == []
+
+    def test_rows_stream_in_cell_order(self, tmp_path, monkeypatch):
+        """When a cell runs, the output already holds the header and one
+        line per earlier cell; the file ends as write_rows writes the
+        returned rows."""
+        out, seen = tmp_path / "stream.csv", []
+        run_cell = harness._run_cell
+
+        def spy(task):
+            seen.append(len(out.read_text().splitlines()))
+            return run_cell(task)
+
+        monkeypatch.setattr(harness, "_run_cell", spy)
+        spec = ExperimentSpec(name="stream", base=EngineConfig(**SMALL),
+                              axes={"interval": [2, 3]}, repetitions=2,
+                              output=str(out))
+        rows = run_experiment(spec)
+        assert seen == [1, 2, 3, 4]
+        write_rows(tmp_path / "whole.csv", rows)
+        assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_summary_table_mentions_cells(self):
         spec = ExperimentSpec(name="sum", base=EngineConfig(**SMALL),
@@ -295,6 +327,20 @@ class TestCli:
         assert main(["sweep", str(spec), "--output", str(out)]) == 0
         assert out.exists()
         assert "cli" in capsys.readouterr().out
+
+    def test_sweep_output_precedence(self, tmp_path, monkeypatch):
+        # --output, else the spec's output, else results.csv in the working
+        # directory; the same rows whichever path they go to.
+        monkeypatch.chdir(tmp_path)
+        body = "name = cli\nmax_new_tokens = 12\n"
+        Path("plain.spec").write_text(body)
+        Path("named.spec").write_text(body + "output = named.csv\n")
+        assert main(["sweep", "plain.spec"]) == 0
+        assert main(["sweep", "named.spec"]) == 0
+        assert main(["sweep", "named.spec", "--output", "flag.csv"]) == 0
+        texts = [Path(name).read_text()
+                 for name in ("results.csv", "named.csv", "flag.csv")]
+        assert texts[0] == texts[1] == texts[2] and texts[0].count("\n") == 2
 
     def test_analyze_feature_similarity(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -166,7 +166,7 @@ class TestBuildTree:
                           rng=rng_stream(0, "chain"))
         assert [n.token for n in tree.nodes] == [1, 2, 3]
         assert [n.parent for n in tree.nodes] == [-1, 0, 1]
-        assert all(n.confidence == 1.0 for n in tree.nodes)
+        assert all(n.prob == 1.0 for n in tree.nodes)
 
     def test_sampled_point_mass_chain_draws_once_per_node(self):
         # One positive entry per distribution: each node's race yields one
@@ -180,33 +180,33 @@ class TestBuildTree:
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("budget, counts", [
-        (2, {1: 0, 2: 0}), (3, {1: 1, 2: 0}), (4, {1: 2, 2: 0}),
-        (5, {1: 2, 2: 1}), (6, {1: 2, 2: 2})])
+        (2, [0, 0]), (3, [1, 0]), (4, [2, 0]), (5, [2, 1]), (6, [2, 2])])
     def test_counts_follow_expected_confidence_not_the_draws(self, budget, counts):
         # The root's two positive tokens are always drawn, 1 (0.7) and 2
-        # (0.3), in either order.  Their slots are worth 0.7 * (1, 1/2) =
-        # (0.7, 0.35) and 0.3 * (1, 1/2) = (0.3, 0.15), so the budget's room
-        # after the root level fixes each one's child count, whatever any
-        # stream draws.
+        # (0.3), in either order.  The first-drawn has rank reach 1 and the
+        # second 1/2, so their slots are worth (1, 1/2) and (1/2, 1/4), and
+        # the budget's room after the root level fixes the child count of
+        # each race rank, whichever token holds it and whatever any stream
+        # draws.  (The counts follow the rank, not any draft probability.)
         table = {0: [0.0, 0.7, 0.3, 0.0, 0.0, 0.0],
                  1: [0.0, 0.0, 0.0, 0.5, 0.3, 0.2],
                  2: [0.0, 0.0, 0.0, 0.2, 0.2, 0.6]}
-        drawn = set()
-        for run in range(8):
+        firsts, drawn = set(), set()
+        for run in range(16):
             tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=2,
                               budget=budget, rng=rng_stream(run, "counts"))
             kids = tree.children_of()
             assert sorted(n.token for n in tree.nodes if n.depth == 1) == [1, 2]
-            got = {tree.nodes[i].token: [tree.nodes[j].token for j in kids[i + 1]]
-                   for i in kids[0]}
-            assert {t: len(ts) for t, ts in got.items()} == counts
-            drawn.add(tuple(got[1]))
-        assert len(drawn) > 1 or counts[1] == 0
+            assert [len(kids[i + 1]) for i in kids[0]] == counts
+            firsts.add(tree.nodes[kids[0][0]].token)
+            drawn.add(tuple(tree.nodes[j].token for j in kids[kids[0][0] + 1]))
+        assert firsts == {1, 2}
+        assert len(drawn) > 1 or counts[0] == 0
 
     def test_count_rule_ties_and_zero_mass(self):
-        # Slot (i, j) is worth confs[i] * 2**-j.  Equal worth goes to the
-        # earlier row, then the smaller j; a row of zero confidence ranks
-        # last, and all slots are kept when they all fit.
+        # Slot (i, j) is worth reach[i] * 2**-j.  Equal worth goes to the
+        # earlier row, then the smaller j; a row of zero reach ranks last,
+        # and all slots are kept when they all fit.
         assert _child_counts([0.5, 0.5], 2, 1) == [1, 0]
         assert _child_counts([0.5, 0.5], 2, 3) == [2, 1]
         assert _child_counts([0.5, 0.25], 3, 5) == [3, 2]
@@ -223,9 +223,10 @@ class TestBuildTree:
         (CFG, 24), (CFG, 9), (EngineConfig(vocab_size=1024, feat_dim=16), 24)])
     def test_children_are_the_first_count_picks_of_their_race_row(self, cfg, budget):
         """Replayed level by level on a copy of the stream: each level's
-        counts come from its nodes' confidences alone, only rows of nodes
-        with a positive count are raced, and each node's children
-        are the first min(count, stop) picks of its row, in race order."""
+        counts come from its nodes' rank reaches alone (the product of
+        2**-r over the race ranks r on the root path), only rows of nodes
+        with a positive count are raced, and each node's children are the
+        first min(count, stop) picks of its row, in race order."""
         target, draft = make_model_pair(cfg)
         k_b, D = cfg.branching, cfg.depth
         m = min(k_b, cfg.vocab_size)
@@ -237,12 +238,11 @@ class TestBuildTree:
             tree = build_tree(draft, feat, prompt, k_b, D, budget, rng=rng)
             ref = rng_stream(run, "d")
             kids = tree.children_of()
-            level, placed = [-1], 0
+            level, placed, reach = [-1], 0, {-1: 1.0}
             for _ in range(D):
                 if placed == budget or not level:
                     break
-                confs = [1.0 if i == -1 else tree.nodes[i].confidence for i in level]
-                counts = _child_counts(confs, m, budget - placed)
+                counts = _child_counts([reach[i] for i in level], m, budget - placed)
                 grow = [i for i, c in zip(level, counts) if c]
                 dists = np.array([tree.root_dist if i == -1 else tree.nodes[i].dist
                                   for i in grow])
@@ -251,6 +251,8 @@ class TestBuildTree:
                             zip(grow, [c for c in counts if c], picks.tolist(), stops)}
                 for i in level:
                     assert [tree.nodes[j].token for j in kids[i + 1]] == expected.get(i, [])
+                    for rank, j in enumerate(kids[i + 1]):
+                        reach[j] = reach[i] * 0.5 ** rank
                 level = [j for i in level for j in kids[i + 1]]
                 placed += len(level)
             assert placed == len(tree.nodes) <= budget
@@ -287,7 +289,7 @@ class TestBuildTree:
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,
-        confidences multiply, stored probs come from the parent dist."""
+        stored probs come from the parent dist."""
         target, draft = make_model_pair(CFG)
         for run in range(25):
             rng = rng_stream(run, "fuzz")
@@ -298,8 +300,8 @@ class TestBuildTree:
             assert 1 <= len(tree.nodes) <= CFG.budget
             for i, node in enumerate(tree.nodes):
                 assert node.parent < i
-                parent_conf = 1.0 if node.parent == -1 else tree.nodes[node.parent].confidence
-                assert abs(node.confidence - parent_conf * node.prob) < 1e-12
+                dist = tree.root_dist if node.parent == -1 else tree.nodes[node.parent].dist
+                assert node.prob == dist[node.token]
                 assert 1 <= node.depth <= CFG.depth
                 if node.parent != -1:
                     assert node.depth == tree.nodes[node.parent].depth + 1
@@ -319,10 +321,11 @@ class TestBuildTree:
     @pytest.mark.parametrize("cfg, digest, forward_calls", [
         # Default config: k_b=4, D=5, budget=24, so the budget sets the
         # counts: levels of 4, 16 and 4 nodes, and a drafter row for the
-        # root, each level-1 node and each level-2 node with children.
-        (CFG, "b7976e17c31ddc1ef788280ea32635f33020d5f7c4fd9f376024f8ef5ea03e84", 1572),
+        # root, each level-1 node and the three level-2 nodes with children:
+        # 8 rows per tree.
+        (CFG, "a12e08162f11efa00be09616e1bf1bc8f6981887311c4ee0376100a781007707", 1600),
         (EngineConfig(vocab_size=1024, feat_dim=16),
-         "97c2a4b8598ddf092e7432a4665c8123fa9c6310e6788f7c7aa5fa3e804c9fb4", 1527),
+         "3469ce86a2f18888dfa58ff4b7c28a115565b0e8c07a9868b8c7d265d78bb8e4", 1600),
     ], ids=["v64", "v1024"])
     def test_sampled_trees_golden(self, cfg, digest, forward_calls):
         """200 sampled trees, each followed by the next draw of its rng,
@@ -336,18 +339,40 @@ class TestBuildTree:
         assert h.hexdigest() == digest
         assert draft.forward_calls == forward_calls
 
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
+                             ids=["v64", "v1024"])
+    def test_level_three_hangs_under_the_likeliest_rank_paths(self, cfg):
+        """In the golden trees, levels hold 4, 16 and 4 nodes, and the four
+        level-3 nodes hang under the level-2 nodes of rank paths (0, 0)
+        twice, (0, 1) and (1, 0): the slots of rank reach 1 and 1/2."""
+        for _, tree, _ in _golden_trees(cfg):
+            kids = tree.children_of()
+            rank_path = {-1: ()}
+            for i in range(-1, len(tree.nodes)):
+                for rank, j in enumerate(kids[i + 1]):
+                    rank_path[j] = rank_path[i] + (rank,)
+            depths = [node.depth for node in tree.nodes]
+            assert [depths.count(d) for d in (1, 2, 3)] == [4, 16, 4]
+            assert sorted(rank_path[node.parent] for node in tree.nodes
+                          if node.depth == 3) == [(0, 0), (0, 0), (0, 1), (1, 0)]
+
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)])
     def test_path_confidence_equals_leaf_confidence(self, cfg):
-        """A path's confidence is its leaf's stored confidence and the
-        numpy product of its probs, exactly."""
+        """A path's confidence is its leaf's confidence, the product of the
+        probs on the leaf's root path from the root down, and the numpy
+        product of its probs, exactly."""
         for _, tree, _ in _golden_trees(cfg):
             conf_of_path = {}
             for i, node in enumerate(tree.nodes):
-                toks, j = [], i
+                toks, probs, j = [], [], i
                 while j != -1:
                     toks.append(tree.nodes[j].token)
+                    probs.append(tree.nodes[j].prob)
                     j = tree.nodes[j].parent
-                conf_of_path[tuple(toks[::-1])] = node.confidence
+                conf = 1.0
+                for p in probs[::-1]:
+                    conf *= p
+                conf_of_path[tuple(toks[::-1])] = conf
             for path in enumerate_paths(tree):
                 assert path.confidence == conf_of_path[tuple(path.tokens)]
                 assert path.confidence == float(np.prod(path.probs))
@@ -361,11 +386,11 @@ class TestBuildTree:
 def _hand_tree():
     # 5 nodes: 0 and 1 are root children; 2,3 children of 0; 4 child of 1.
     nodes = [
-        DraftNode(token=5, parent=-1, prob=0.6, confidence=0.6, depth=1),
-        DraftNode(token=9, parent=-1, prob=0.4, confidence=0.4, depth=1),
-        DraftNode(token=2, parent=0, prob=0.5, confidence=0.3, depth=2),
-        DraftNode(token=7, parent=0, prob=0.2, confidence=0.12, depth=2),
-        DraftNode(token=1, parent=1, prob=0.9, confidence=0.36, depth=2),
+        DraftNode(token=5, parent=-1, prob=0.6, depth=1),
+        DraftNode(token=9, parent=-1, prob=0.4, depth=1),
+        DraftNode(token=2, parent=0, prob=0.5, depth=2),
+        DraftNode(token=7, parent=0, prob=0.2, depth=2),
+        DraftNode(token=1, parent=1, prob=0.9, depth=2),
     ]
     root = np.full(10, 0.1)
     return DraftTree(nodes=nodes, root_dist=root)

@@ -111,7 +111,7 @@ class TestVerifyTree:
         q_root = target.score_prefix(context).dist
         dead = int(np.argmin(q_root))
         assert q_root[dead] == 0.0
-        node = DraftNode(token=dead, parent=-1, prob=1.0, confidence=1.0, depth=1)
+        node = DraftNode(token=dead, parent=-1, prob=1.0, depth=1)
         tree = DraftTree([node], root_dist=np.eye(8)[dead])
         outcome = verify_tree(linearize(tree, []), target, context, STRICT,
                               rng_stream(0, "a"))
@@ -174,11 +174,10 @@ class TestBranchProbabilityOracle:
         d_root = np.array([0.1, 0.4, 0.1, 0.1, 0.25, 0.05])
         d_n1 = np.array([0.3, 0.05, 0.15, 0.3, 0.1, 0.1])
         nodes = [
-            DraftNode(token=1, parent=-1, prob=0.4, confidence=0.4, depth=1,
-                      dist=d_n1),
-            DraftNode(token=4, parent=-1, prob=0.25, confidence=0.25, depth=1),
-            DraftNode(token=0, parent=0, prob=0.3, confidence=0.12, depth=2),
-            DraftNode(token=3, parent=0, prob=0.3, confidence=0.12, depth=2),
+            DraftNode(token=1, parent=-1, prob=0.4, depth=1, dist=d_n1),
+            DraftNode(token=4, parent=-1, prob=0.25, depth=1),
+            DraftNode(token=0, parent=0, prob=0.3, depth=2),
+            DraftNode(token=3, parent=0, prob=0.3, depth=2),
         ]
         tree = DraftTree(nodes, root_dist=d_root)
         oracle = tree_distribution(target, context, tree)
@@ -205,8 +204,8 @@ class TestExactIteration:
         count from the engine's rule: the first two emitted tokens follow
         the target's two-token distribution exactly, whether or not the
         budget (6 is the full k_b = 2, D = 2 tree) limits the tree.  At
-        k_b = 3, budgets 5 and 7 split the level-2 slots across sibling
-        ranks and across root children."""
+        k_b = 3, budgets 5 and 7 give the root children, by race rank, 2, 0,
+        0 and 3, 1, 0 children."""
         cfg = EngineConfig(vocab_size=5, window=1, epsilon=0.5, seed=3, branching=k_b,
                            depth=2, budget=budget, accept_mode="strict")
         target, draft = make_model_pair(cfg)
