@@ -232,11 +232,16 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     pending_len = 0
     cache = FeatureCache()
 
+    # Only a skip or a stale schedule entry reads the cache; when neither
+    # can happen, nothing is written to it.
+    cache_read = config.policy != "never" or any(s != FRESH for s in config.feature_schedule)
+
     # The feature the next draft conditions on, at the last token of `seq`.
     # Prefill caches the prompt's at step 0; it is not counted as a
     # decode-phase forward pass.
     draft_feat = target.feature_at(prompt, len(prompt) - 1)
-    update(cache, len(prompt), draft_feat, step=0)
+    if cache_read:
+        update(cache, len(prompt), draft_feat, step=0)
 
     iterations: list[IterationRecord] = []
     n_fwd = 0
@@ -266,7 +271,8 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             for tok in outcome.accepted:
                 emitted.append(tok, ORIGIN_VERIFIED)
             emitted.append(outcome.terminal, outcome.terminal_origin)
-            update(cache, len(seq), outcome.feature, step)
+            if cache_read:
+                update(cache, len(seq), outcome.feature, step)
             pending_len = 0
 
             # The feature for the next draft, per the cycled schedule.

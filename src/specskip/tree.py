@@ -1,8 +1,14 @@
 """Candidate token tree: budgeted construction, path enumeration, and
-linearization for single-pass verification."""
+linearization for single-pass verification.
+
+A tree's shape, its parent pointers, is fixed before its draws: it depends
+only on (min(k_b, V), D, budget, drafter window) and on which rows stop
+short at their support.  So each shape is worked out once and memoized, and
+building, linearizing and verifying a tree does only its own draws."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,17 +30,72 @@ class DraftNode:
     dist: np.ndarray = field(repr=False, default=None)
 
 
+class TreeShape:
+    """What a tree's parent pointers fix.  One instance per distinct parents
+    tuple (see ``tree_shape``) is shared by every tree of that shape, so it
+    hands out tuples only."""
+
+    __slots__ = ("parents", "depths", "children", "expanding", "_linear")
+
+    def __init__(self, parents: tuple[int, ...], depths: tuple[int, ...],
+                 children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
+        self.parents = parents          # -1 for the root
+        self.depths = depths
+        self.children = children        # position 0 holds the root's children
+        self.expanding = expanding      # the nodes with children, in index order
+        self._linear: dict[int, tuple[int, ...]] = {}   # pending length -> parents
+
+    def linear_parents(self, n_pending: int) -> tuple[int, ...]:
+        """Parent pointers of ``n_pending`` pending tokens (a chain) followed
+        by the nodes; a root child's parent is the last pending token."""
+        parents = self._linear.get(n_pending)
+        if parents is None:
+            parents = self._linear[n_pending] = (
+                *range(-1, n_pending - 1),
+                *(n_pending - 1 if p == -1 else n_pending + p for p in self.parents))
+        return parents
+
+
+# Shapes by parents tuple, and build templates by (m, D, budget, window).
+# Both stay small: a key holds no token or probability, so a config has one
+# template and, unless rows stop short at their support, one shape.
+_SHAPES: dict[tuple[int, ...], TreeShape] = {}
+_TEMPLATES: dict[tuple[int, int, int, int], "_Level"] = {}
+
+
+def tree_shape(parents: tuple[int, ...]) -> TreeShape:
+    """The shape of a parents tuple, from the memo; a node whose parent is
+    not in [-1, its index) is rejected."""
+    shape = _SHAPES.get(parents)
+    if shape is None:
+        depths: list[int] = []
+        kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
+        for i, p in enumerate(parents):
+            if not -1 <= p < i:
+                raise RejectedInput(f"node {i} has parent {p}, not in [-1, {i})")
+            depths.append(1 if p == -1 else depths[p] + 1)
+            kids[p + 1].append(i)
+        shape = _SHAPES[parents] = TreeShape(
+            parents, tuple(depths), tuple(map(tuple, kids)),
+            tuple(i for i in range(len(parents)) if kids[i + 1]))
+    return shape
+
+
 @dataclass
 class DraftTree:
     nodes: list[DraftNode]
     root_dist: np.ndarray
+    # Set by build_tree; a tree put together by hand looks its shape up from
+    # its nodes' parents.
+    shape: TreeShape = field(default=None, repr=False, compare=False)
 
-    def children_of(self) -> list[list[int]]:
-        """Child index lists, position 0 holding the root's children."""
-        kids: list[list[int]] = [[] for _ in range(len(self.nodes) + 1)]
-        for i, node in enumerate(self.nodes):
-            kids[node.parent + 1].append(i)
-        return kids
+    def __post_init__(self):
+        if self.shape is None:
+            self.shape = tree_shape(tuple(node.parent for node in self.nodes))
+
+    def children_of(self) -> tuple[tuple[int, ...], ...]:
+        """Child index tuples, position 0 holding the root's children."""
+        return self.shape.children
 
 
 @dataclass
@@ -61,9 +122,86 @@ class LinearizedTree:
     positions on its parent chain, which is the tree-attention mask."""
 
     tokens: list[int]
-    parents: list[int]   # flat index of each position's parent (always earlier), -1 for the context
+    parents: tuple[int, ...]   # flat index of each position's parent (always earlier), -1 for the context
     pending_len: int
     tree: DraftTree
+
+
+class _Level:
+    """One level of a build template, before its race: the frontier (the
+    nodes that get children, -1 for the root), their child counts and rank
+    reaches, and the parents of the nodes placed so far.  ``steps`` holds
+    what follows each race outcome seen, keyed by ``None`` when no row stops
+    short of its count and by the clipped counts otherwise."""
+
+    __slots__ = ("key", "depth", "parents", "frontier", "counts", "most", "reach", "steps")
+
+    def __init__(self, key, depth, parents, frontier, counts, reach):
+        self.key = key               # (m, D, budget, window)
+        self.depth = depth           # of the nodes this level draws
+        self.parents = parents
+        self.frontier = frontier
+        self.counts = counts
+        self.most = max(counts)
+        self.reach = reach
+        self.steps: dict[tuple[int, ...] | None, _Step] = {}
+
+    def step(self, stops: np.ndarray) -> "_Step":
+        """What follows a race whose rows stop at ``stops`` picks."""
+        key = None
+        if stops.min() < self.most:
+            clipped = tuple(map(min, self.counts, stops.tolist()))
+            if clipped != self.counts:
+                key = clipped
+        step = self.steps.get(key)
+        if step is None:
+            step = self.steps[key] = _Step(self, key or self.counts)
+        return step
+
+
+class _Step:
+    """A level's nodes, for one race outcome: node lo + k is pick ranks[k]
+    of frontier row rows[k].  Either the tree ends here (``shape``) or the
+    nodes at ``grow`` (positions in the level) get children at level
+    ``next``: each extends the feature of its row's node (``grow_rows``),
+    the token at ``leave`` (an index into the context's last `window`
+    tokens followed by the node tokens) leaving the drafter's window."""
+
+    __slots__ = ("rows", "ranks", "lo", "hi", "shape", "grow", "grow_rows", "leave", "next")
+
+    def __init__(self, level: _Level, counts: tuple[int, ...]):
+        m, D, budget, window = level.key
+        rows = [r for r, c in enumerate(counts) for _ in range(c)]
+        ranks = [k for c in counts for k in range(c)]
+        self.rows = np.array(rows, dtype=np.intp)
+        self.ranks = np.array(ranks, dtype=np.intp)
+        self.lo = len(level.parents)
+        self.hi = self.lo + len(rows)
+        parents = level.parents + tuple(level.frontier[r] for r in rows)
+        self.shape = self.grow = self.grow_rows = self.leave = self.next = None
+        if level.depth == D or self.hi == budget:
+            self.shape = tree_shape(parents)
+            return
+        reach = [level.reach[r] * 0.5 ** k for r, k in zip(rows, ranks)]
+        counts = _child_counts(reach, m, budget - self.hi)
+        grow = [i for i, c in enumerate(counts) if c]
+        leave = []
+        for i in grow:
+            # The token `window` places before this node's, on the context
+            # followed by the node's root path.
+            if level.depth <= window:
+                leave.append(level.depth - 1)
+            else:
+                j = self.lo + i
+                for _ in range(window):
+                    j = parents[j]
+                leave.append(window + j)
+        self.grow = np.array(grow, dtype=np.intp)
+        self.grow_rows = self.rows[self.grow]
+        self.leave = np.array(leave, dtype=np.intp)
+        self.next = _Level(level.key, level.depth + 1, parents,
+                           tuple(self.lo + i for i in grow),
+                           tuple(counts[i] for i in grow), tuple(reach[i] for i in grow))
 
 
 def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
@@ -91,6 +229,11 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     this builds.  A node draws no token of zero mass, so a node whose
     distribution has fewer positive entries than its count leaves its
     unused slots empty.
+
+    Counts, parents and every index the build reads come from a template
+    memoized per (m, D, budget, window) and per race outcome (see
+    ``_Level``), so a level costs one race, one gather of its picks and the
+    drafter calls; the nodes are made once, at the end.
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -99,43 +242,35 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
         raise RejectedInput(f"context shorter than drafter window {window}")
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
-    m = min(k_b, len(root_dist))
-
-    nodes: list[DraftNode] = []
-    # The frontier, the nodes that get children: their indices (-1 for the
-    # root), child counts, rank reaches, draft dists (n, V), drafter
-    # features (n, d) and tails (the last `window` tokens of context + root
-    # path).
-    parents, counts, reach, dists = [-1], [m], [1.0], root_dist[None]
-    tails = [tuple(map(int, tokens[len(tokens) - window:]))]
-    for depth in range(1, D + 1):
+    key = (min(k_b, len(root_dist)), D, budget, window)
+    level = _TEMPLATES.get(key)
+    if level is None:
+        level = _TEMPLATES[key] = _Level(key, 1, (), (-1,), (key[0],), (1.0,))
+    # The context's last `window` tokens, then the node tokens.
+    seq = np.empty(window + budget, dtype=np.intp)
+    seq[:window] = tokens[len(tokens) - window:]
+    probs = np.empty(budget)
+    dists, grown = root_dist[None], []
+    while True:
         picks, stops = _sample_level(dists, k_b, rng)
-        probs = dists[np.arange(len(dists))[:, None], picks].tolist()
-        start = len(nodes)
-        born, new_reach = [], []   # each new node's frontier row and rank reach
-        for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
-            c = min(counts[row], stop)
-            for rank, (tok, p) in enumerate(zip(toks[:c], ps[:c])):
-                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p, depth=depth))
-                born.append(row)
-                new_reach.append(reach[row] * 0.5 ** rank)
-        if depth == D or len(nodes) == budget:
+        step = level.step(stops)
+        toks = picks[step.rows, step.ranks]
+        seq[window + step.lo:window + step.hi] = toks
+        probs[step.lo:step.hi] = dists[step.rows, toks]
+        if step.next is None:
             break
-        counts = _child_counts(new_reach, m, budget - len(nodes))
-        grow = [i for i, c in enumerate(counts) if c]
-        new = [nodes[start + i] for i in grow]
-        rows = [born[i] for i in grow]
-        toks = np.array([node.token for node in new])
-        feats = draft.extend_feature(feats.take(rows, axis=0),
-                                     np.array([tails[r][0] for r in rows]), toks)
+        toks = toks[step.grow]
+        feats = draft.extend_feature(feats[step.grow_rows], seq[step.leave], toks)
         dists = draft.next_dist(feats, toks)
-        for node, dist in zip(new, dists):
-            node.dist = dist
-        tails = [tails[r][1:] + (node.token,) for r, node in zip(rows, new)]
-        parents = [start + i for i in grow]
-        counts = [counts[i] for i in grow]
-        reach = [new_reach[i] for i in grow]
-    return DraftTree(nodes=nodes, root_dist=root_dist)
+        grown.append(dists)
+        level = step.next
+    shape, n = step.shape, step.hi
+    dist = [None] * n
+    for i, row in zip(shape.expanding, itertools.chain.from_iterable(grown)):
+        dist[i] = row
+    nodes = list(map(DraftNode, seq[window:window + n].tolist(), shape.parents,
+                     probs[:n].tolist(), shape.depths, dist))
+    return DraftTree(nodes, root_dist, shape)
 
 
 def _child_counts(reach: list[float], m: int, room: int) -> list[int]:
@@ -209,10 +344,7 @@ def linearize(tree: DraftTree, pending) -> LinearizedTree:
     root child's parent is the last pending token, if any."""
     tokens = [int(t) for t in pending]
     n_pending = len(tokens)
-    parents = list(range(-1, n_pending - 1))
-    for node in tree.nodes:
-        tokens.append(node.token)
-        parents.append(n_pending - 1 if node.parent == -1 else n_pending + node.parent)
-    return LinearizedTree(tokens=tokens, parents=parents,
+    tokens += [node.token for node in tree.nodes]
+    return LinearizedTree(tokens=tokens, parents=tree.shape.linear_parents(n_pending),
                           pending_len=n_pending, tree=tree)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specskip import engine
 from specskip.core import TokenSequence
 from specskip.engine import (EngineConfig, GenerationTrace, compute_metrics,
                              config_from_mapping, speculative_decode,
@@ -126,6 +127,23 @@ class TestVVS:
         assert sources[0] == -1       # no old-enough entries yet
         assert 3 in sources           # later iterations really use offset 3
         check_counters(trace)
+
+    @pytest.mark.parametrize("kwargs, writes", [
+        ({}, False),
+        (dict(feature_schedule=(-1, -1)), False),
+        (dict(feature_schedule=(-1, 0)), True),
+        (dict(policy="uniform", interval=2), True),
+        (dict(policy="dynamic"), True),
+    ])
+    def test_feature_cache_written_only_when_it_can_be_read(self, monkeypatch,
+                                                            kwargs, writes):
+        """Under never with an all-fresh schedule nothing reads the cache,
+        so nothing is written to it; a skip or a stale entry can read it."""
+        calls = []
+        update = engine.update
+        monkeypatch.setattr(engine, "update", lambda *a, **k: calls.append(a) or update(*a, **k))
+        vvs_generate(EngineConfig(**kwargs, **FAST))
+        assert bool(calls) == writes
 
     def test_policy_validation(self):
         with pytest.raises(RejectedInput):

@@ -131,7 +131,7 @@ class TestMaskedForward:
         _check_masked(target, [5, 2, 8, 1], [7, 3, 10, 11, 12], [-1, 0, 1, 1, 2])
 
     @pytest.mark.parametrize("window", [1, 4])
-    @pytest.mark.parametrize("n_pending", [0, 3])
+    @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
     def test_sampled_trees_match_prefix_scoring(self, window, n_pending):
         cfg = EngineConfig(window=window)
         target, draft = make_model_pair(cfg)
@@ -162,9 +162,11 @@ class TestMaskedForward:
 
     @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 5], [-2, 0]])
     def test_parent_not_before_child_rejected(self, pair, parents):
+        # Rejected every time: a bad parents tuple is never memoized.
         target, _ = pair
-        with pytest.raises(RejectedInput):
-            target_forward_masked(target, [1, 2], [3] * len(parents), parents)
+        for _ in range(2):
+            with pytest.raises(RejectedInput):
+                target_forward_masked(target, [1, 2], [3] * len(parents), parents)
 
 
 class TestLogprobs:

@@ -6,8 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
+from specskip import models as model_mod
+from specskip import tree as tree_mod
 from specskip.core import rng_stream
-from specskip.engine import EngineConfig
+from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.tree import (DraftNode, DraftTree, TokenPath, _child_counts,
@@ -70,6 +72,66 @@ def _reference_race(dists, k_b, rng):
         order = np.argsort(keys, kind="stable")[:min(k_b, len(dist))]
         picks.append([int(t) for t in order if np.isfinite(keys[t])])
     return picks
+
+
+def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
+    """Per-node oracle for build_tree: the level loop that recomputes the
+    shape in every tree, placing each node as it is drawn, with counts from
+    ``_child_counts`` on the rank reaches and each growing node's drafter
+    window carried as a tuple of tokens."""
+    window = draft.window
+    feats = np.asarray(feature, dtype=np.float64)[None]
+    root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
+    m = min(k_b, len(root_dist))
+    nodes = []
+    parents, counts, reach, dists = [-1], [m], [1.0], root_dist[None]
+    tails = [tuple(map(int, tokens[len(tokens) - window:]))]
+    for depth in range(1, D + 1):
+        picks, stops = _sample_level(dists, k_b, rng)
+        probs = dists[np.arange(len(dists))[:, None], picks].tolist()
+        start = len(nodes)
+        born, new_reach = [], []
+        for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
+            c = min(counts[row], stop)
+            for rank, (tok, p) in enumerate(zip(toks[:c], ps[:c])):
+                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p, depth=depth))
+                born.append(row)
+                new_reach.append(reach[row] * 0.5 ** rank)
+        if depth == D or len(nodes) == budget:
+            break
+        counts = _child_counts(new_reach, m, budget - len(nodes))
+        grow = [i for i, c in enumerate(counts) if c]
+        new = [nodes[start + i] for i in grow]
+        rows = [born[i] for i in grow]
+        toks = np.array([node.token for node in new])
+        feats = draft.extend_feature(feats.take(rows, axis=0),
+                                     np.array([tails[r][0] for r in rows]), toks)
+        dists = draft.next_dist(feats, toks)
+        for node, dist in zip(new, dists):
+            node.dist = dist
+        tails = [tails[r][1:] + (node.token,) for r, node in zip(rows, new)]
+        parents = [start + i for i in grow]
+        counts = [counts[i] for i in grow]
+        reach = [new_reach[i] for i in grow]
+    return DraftTree(nodes=nodes, root_dist=root_dist)
+
+
+def _node_bytes(tree):
+    """Each node's token, parent, depth, prob and dist, bit for bit."""
+    return [(n.token, n.parent, n.depth, n.prob.hex(),
+             None if n.dist is None else n.dist.tobytes()) for n in tree.nodes]
+
+
+def _assert_builds_match(draft, feat, prompt, k_b, D, budget, rng_key):
+    """build_tree and _reference_build give the same nodes and root dist,
+    and leave their streams in the same state."""
+    got_rng, ref_rng = rng_stream(*rng_key), rng_stream(*rng_key)
+    got = build_tree(draft, feat, prompt, k_b, D, budget, rng=got_rng)
+    ref = _reference_build(draft, feat, prompt, k_b, D, budget, ref_rng)
+    assert _node_bytes(got) == _node_bytes(ref)
+    assert got.root_dist.tobytes() == ref.root_dist.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
 
 
 def _softmax_level(seed, n, vocab):
@@ -383,6 +445,126 @@ class TestBuildTree:
             build_tree(draft, np.zeros(CFG.feat_dim), [1], 2, 2, 4, rng_stream(0, "short"))
 
 
+def _sparse_table(seed, vocab, supports):
+    """A TableDrafter table whose row for each token has a seeded number of
+    positive entries, drawn from ``supports``, at seeded tokens."""
+    src = rng_stream(seed, "sparse-table")
+    table = {}
+    for t in range(vocab):
+        dist = np.zeros(vocab)
+        k = int(src.choice(supports))
+        dist[src.choice(vocab, k, replace=False)] = src.random(k) + 0.05
+        table[t] = dist / dist.sum()
+    return table
+
+
+def _template_steps(level):
+    """How many race outcomes a build template holds, over all its levels."""
+    return sum(1 + (0 if step.next is None else _template_steps(step.next))
+               for step in level.steps.values())
+
+
+class TestBuildMatchesReference:
+    """build_tree, which reads every count, parent and index from a memoized
+    template, against the per-node loop it replaced: nodes, probs and dists
+    bit for bit, and the same rng consumption."""
+
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
+                             ids=["v64", "v1024"])
+    def test_golden_trees(self, cfg):
+        target, draft = make_model_pair(cfg)
+        for run in range(200):
+            prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
+                0, cfg.vocab_size, cfg.window)]
+            feat = target.feature_at(prompt, cfg.window - 1)
+            _assert_builds_match(draft, feat, prompt, cfg.branching, cfg.depth,
+                                 cfg.budget, (run, "golden-draw"))
+
+    @pytest.mark.parametrize("cfg, deepest", [
+        # The sd-tiny-pairs benchmark config: window 1, full 2 / 4 trees.
+        (EngineConfig(vocab_size=16, feat_dim=4, epsilon=0.3, window=1,
+                      concentration=0.0, logit_scale=20.0, temperature=0.5,
+                      branching=2, depth=2, budget=6, seed=7), 2),
+        (EngineConfig(branching=3, budget=5), 2),
+        (EngineConfig(branching=3, budget=7), 2),
+        (EngineConfig(window=1), 3),
+        # Trees deeper than the drafter window: a leaving token is read
+        # through an ancestor `window` levels up.
+        (EngineConfig(window=2, branching=2, depth=5, budget=24), 4),
+        (EngineConfig(window=3, branching=2, depth=6, budget=40, vocab_size=1024,
+                      feat_dim=16), 5),
+    ], ids=["sd-tiny-pairs", "k3-b5", "k3-b7", "w1", "w2-deep", "w3-v1024-deep"])
+    def test_configs(self, cfg, deepest):
+        target, draft = make_model_pair(cfg)
+        for run in range(60):
+            # Contexts of window to window + 2 tokens.
+            prompt = [int(t) for t in rng_stream(run, "ref-prompt").integers(
+                0, cfg.vocab_size, cfg.window + run % 3)]
+            feat = target.feature_at(prompt, len(prompt) - 1)
+            tree = _assert_builds_match(draft, feat, prompt, cfg.branching, cfg.depth,
+                                        cfg.budget, (run, "ref-draw"))
+            assert max(node.depth for node in tree.nodes) == deepest
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_stopping_at_their_support(self, seed):
+        """Rows with fewer positive entries than their count, the root's
+        included, take the template's other keys and still match."""
+        table = _sparse_table(seed, 7, [1, 2, 3, 7])
+        drafter = TableDrafter(table)
+        shapes = set()
+        for run in range(40):
+            for k_b, D, budget in [(3, 4, 9), (3, 3, 5), (2, 5, 12)]:
+                tree = _assert_builds_match(drafter, _feat(), [run % 7], k_b, D, budget,
+                                            (run, "stop-draw"))
+                shapes.add(tree.shape.parents)
+        assert len(shapes) > 3
+
+    def test_root_stopping_short(self):
+        # The root has two positive entries for three slots, and token 2's
+        # row has one.
+        table = {0: [0.0, 0.6, 0.4, 0.0], 1: [0.25] * 4,
+                 2: [0.0, 0.0, 0.0, 1.0], 3: [0.1, 0.2, 0.3, 0.4]}
+        for run in range(20):
+            tree = _assert_builds_match(TableDrafter(table), _feat(), [0], 3, 3, 8,
+                                        (run, "root-stop"))
+            assert len(tree.children_of()[0]) == 2
+
+
+class TestMemoBounds:
+    """The shape, template and window memos are keyed by shape alone, so a
+    config fills them once; a key that took in tokens or probs would grow
+    them with every tree."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self, monkeypatch):
+        monkeypatch.setattr(tree_mod, "_SHAPES", {})
+        monkeypatch.setattr(tree_mod, "_TEMPLATES", {})
+        monkeypatch.setattr(model_mod, "_WINDOWS", {})
+
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
+                             ids=["v64", "v1024"])
+    def test_golden_trees_fill_one_shape(self, cfg):
+        for _, tree, _ in _golden_trees(cfg):
+            pass
+        assert list(tree_mod._TEMPLATES) == [(4, 5, 24, 4)]
+        assert len(tree_mod._SHAPES) == 1
+        # One race outcome per level of the 4 / 16 / 4 tree.
+        assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
+
+    def test_dynamic_run_with_skips(self):
+        pending, skips = {0}, 0
+        for run in range(6):
+            trace = vvs_generate(EngineConfig(policy="dynamic", run=run))
+            skips += trace.skip_count
+            pending |= {it.emitted for it in trace.iterations if it.kind == "skip"}
+        assert skips > 0
+        assert len(tree_mod._SHAPES) == 1
+        assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
+        (shape,) = tree_mod._SHAPES.values()
+        seen = [len(parents) - len(shape.parents) for parents, _, _ in model_mod._WINDOWS]
+        assert len(seen) == len(set(seen)) and set(seen) <= pending
+
+
 def _hand_tree():
     # 5 nodes: 0 and 1 are root children; 2,3 children of 0; 4 child of 1.
     nodes = [
@@ -394,6 +576,17 @@ def _hand_tree():
     ]
     root = np.full(10, 0.1)
     return DraftTree(nodes=nodes, root_dist=root)
+
+
+def test_hand_built_tree_takes_its_shape_from_its_parents():
+    tree = _hand_tree()
+    assert tree.shape is tree_mod.tree_shape((-1, -1, 0, 0, 1))
+    assert tree.children_of() == ((0, 1), (2, 3), (4,), (), (), ())
+    assert tree.shape.depths == (1, 1, 2, 2, 2)
+    assert tree.shape.expanding == (0, 1)
+    for _ in range(2):
+        with pytest.raises(RejectedInput):
+            DraftTree([DraftNode(token=1, parent=0, prob=0.5, depth=1)], np.ones(2) / 2)
 
 
 class TestEnumeratePaths:
@@ -449,7 +642,7 @@ class TestLinearize:
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
         linear = linearize(tree, [])
         assert linear.pending_len == 0
-        assert linear.parents == [-1, 0, 1]
+        assert linear.parents == (-1, 0, 1)
         assert _ancestor_sets(linear) == [frozenset(), frozenset({0}), frozenset({0, 1})]
 
     def test_pending_prepended(self):
@@ -458,7 +651,7 @@ class TestLinearize:
         linear = linearize(tree, [8, 9])
         assert len(linear.tokens) == 5
         assert linear.tokens[:2] == [8, 9]
-        assert linear.parents == [-1, 0, 1, 2, 3]
+        assert linear.parents == (-1, 0, 1, 2, 3)
         assert _ancestor_sets(linear)[-1] == frozenset({0, 1, 2, 3})
 
     def test_ancestors_transitively_closed(self):
