@@ -396,5 +396,8 @@ def _coerce(key: str, raw):
             raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
         return raw
     if isinstance(default, tuple) and not isinstance(raw, tuple):
-        return tuple(raw)
+        try:
+            return tuple(raw)
+        except TypeError:
+            raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
     return raw

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import EmbeddingCodebook, rng_stream
 from .errors import RejectedInput
+from .tree import tree_shape
 
 
 @dataclass(frozen=True)
@@ -131,35 +132,6 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
     return out
 
 
-# Window gather indices by (parents tuple, window, context tail length).  A
-# key holds no token, so it stays small: one entry per tree shape and
-# pending length the engine meets.
-_WINDOWS: dict[tuple, tuple[np.ndarray, tuple]] = {}
-
-
-def _window_index(parents: tuple, w: int, r: int) -> tuple[np.ndarray, tuple]:
-    """Each position's window as indices into the context's last r <= w
-    tokens followed by the flat tokens: an (n, w) read-only array, plus the
-    (position, indices) pairs of the windows shorter than w, whose rows of
-    the array are padding.  A parent not in [-1, j) at position j is
-    rejected, and nothing is memoized for it."""
-    key = (parents, w, r)
-    found = _WINDOWS.get(key)
-    if found is None:
-        windows: list[tuple] = []
-        for j, parent in enumerate(parents):
-            if not -1 <= parent < j:
-                raise RejectedInput(f"position {j} has parent {parent}, not in [-1, {j})")
-            prev = tuple(range(r)) if parent == -1 else windows[parent]
-            windows.append((prev[1:] if len(prev) == w else prev) + (r + j,))
-        index = np.array([win if len(win) == w else (0,) * w for win in windows],
-                         dtype=np.intp).reshape(len(windows), w)
-        index.flags.writeable = False
-        found = _WINDOWS[key] = (index, tuple((j, win) for j, win in enumerate(windows)
-                                              if len(win) < w))
-    return found
-
-
 def target_forward_masked(model: TargetModel, context, flat_tokens,
                           parents) -> np.ndarray:
     """Single-pass tree scoring over a linearized candidate block.
@@ -173,10 +145,11 @@ def target_forward_masked(model: TargetModel, context, flat_tokens,
 
     Only the last ``window`` tokens of a prefix reach its feature, so each
     position's window is its parent's slid by one token, starting from the
-    context's tail; the windows are gathered once, through indices memoized
-    per parents tuple (``_window_index``), and averaged as ``feature_at``
-    averages one, so the distributions are those of scoring every prefix on
-    its own.
+    context's tail.  The windows are gathered once, through the index the
+    parents' ``TreeShape`` memoizes (``TreeShape.windows``; a parent not in
+    [-1, j) at position j is rejected before the pass is counted), and
+    averaged as ``feature_at`` averages one, so the distributions are those
+    of scoring every prefix on its own.
     """
     if len(context) == 0:
         raise RejectedInput("empty context")
@@ -184,7 +157,7 @@ def target_forward_masked(model: TargetModel, context, flat_tokens,
         raise RejectedInput("flat tokens and parents must align")
     w = model.window
     root = list(context[-w:])
-    index, short = _window_index(tuple(parents), w, len(root))
+    index, short = tree_shape(tuple(parents)).windows(w, len(root))
     model.forward_passes += 1
     if not len(flat_tokens):
         return np.empty((model.vocab_size, 0))

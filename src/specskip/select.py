@@ -24,6 +24,8 @@ def select_path(paths: list[TokenPath], strategy: str,
 def truncate_path(selected: TokenPath, all_paths: list[TokenPath]) -> TokenPath:
     """Clip the selected path to min(its length, floor of the mean path
     length), never below one token; per-step probs are clipped in lockstep."""
+    if not all_paths:
+        raise RejectedInput("no candidate paths to average over")
     mean_len = sum(len(p) for p in all_paths) / len(all_paths)
     keep = min(len(selected), math.floor(mean_len))
     keep = max(keep, 1)

@@ -11,13 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # Unused here, but bench/tracing.py wraps specskip.tree.sample_index by name.
 from .core import sample_index  # noqa: F401
 from .errors import RejectedInput
-from .models import DraftModel
+
+if TYPE_CHECKING:
+    from .models import DraftModel
 
 
 @dataclass
@@ -25,25 +28,37 @@ class DraftNode:
     token: int
     parent: int            # index into DraftTree.nodes, -1 for the root
     prob: float             # drafter probability of this token at its parent
-    depth: int
     # Set only on the nodes that get children: the dist they are drawn from.
     dist: np.ndarray = field(repr=False, default=None)
+
+
+def _root_windows(parents: tuple[int, ...], w: int, r: int) -> list[tuple[int, ...]]:
+    """Each node's window: the last w tokens of the context followed by its
+    root path, as indices into the context's last r <= w tokens followed by
+    the nodes (node j at r + j).  Node j's window is its parent's slid by
+    one, starting from the context tail; it holds fewer than w indices only
+    while the context tail and the path are shorter than w together."""
+    windows: list[tuple[int, ...]] = []
+    for j, p in enumerate(parents):
+        prev = tuple(range(r)) if p == -1 else windows[p]
+        windows.append((prev[1:] if len(prev) == w else prev) + (r + j,))
+    return windows
 
 
 class TreeShape:
     """What a tree's parent pointers fix.  One instance per distinct parents
     tuple (see ``tree_shape``) is shared by every tree of that shape, so it
-    hands out tuples only."""
+    hands out tuples and read-only arrays only."""
 
-    __slots__ = ("parents", "depths", "children", "expanding", "_linear")
+    __slots__ = ("parents", "children", "expanding", "_linear", "_windows")
 
-    def __init__(self, parents: tuple[int, ...], depths: tuple[int, ...],
+    def __init__(self, parents: tuple[int, ...],
                  children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
         self.parents = parents          # -1 for the root
-        self.depths = depths
         self.children = children        # position 0 holds the root's children
         self.expanding = expanding      # the nodes with children, in index order
         self._linear: dict[int, tuple[int, ...]] = {}   # pending length -> parents
+        self._windows: dict[tuple[int, int], tuple[np.ndarray, tuple]] = {}
 
     def linear_parents(self, n_pending: int) -> tuple[int, ...]:
         """Parent pointers of ``n_pending`` pending tokens (a chain) followed
@@ -54,6 +69,20 @@ class TreeShape:
                 *range(-1, n_pending - 1),
                 *(n_pending - 1 if p == -1 else n_pending + p for p in self.parents))
         return parents
+
+    def windows(self, w: int, r: int) -> tuple[np.ndarray, tuple]:
+        """Each node's window (see ``_root_windows``) as a read-only (n, w)
+        gather index, plus the (node, window) pairs of the windows shorter
+        than w, whose rows of the index are padding."""
+        found = self._windows.get((w, r))
+        if found is None:
+            windows = _root_windows(self.parents, w, r)
+            index = np.array([win if len(win) == w else (0,) * w for win in windows],
+                             dtype=np.intp).reshape(len(windows), w)
+            index.flags.writeable = False
+            found = self._windows[w, r] = (index, tuple(
+                (j, win) for j, win in enumerate(windows) if len(win) < w))
+        return found
 
 
 # Shapes by parents tuple, and build templates by (m, D, budget, window).
@@ -68,15 +97,13 @@ def tree_shape(parents: tuple[int, ...]) -> TreeShape:
     not in [-1, its index) is rejected."""
     shape = _SHAPES.get(parents)
     if shape is None:
-        depths: list[int] = []
         kids: list[list[int]] = [[] for _ in range(len(parents) + 1)]
         for i, p in enumerate(parents):
             if not -1 <= p < i:
                 raise RejectedInput(f"node {i} has parent {p}, not in [-1, {i})")
-            depths.append(1 if p == -1 else depths[p] + 1)
             kids[p + 1].append(i)
         shape = _SHAPES[parents] = TreeShape(
-            parents, tuple(depths), tuple(map(tuple, kids)),
+            parents, tuple(map(tuple, kids)),
             tuple(i for i in range(len(parents)) if kids[i + 1]))
     return shape
 
@@ -92,10 +119,6 @@ class DraftTree:
     def __post_init__(self):
         if self.shape is None:
             self.shape = tree_shape(tuple(node.parent for node in self.nodes))
-
-    def children_of(self) -> tuple[tuple[int, ...], ...]:
-        """Child index tuples, position 0 holding the root's children."""
-        return self.shape.children
 
 
 @dataclass
@@ -164,8 +187,9 @@ class _Step:
     of frontier row rows[k].  Either the tree ends here (``shape``) or the
     nodes at ``grow`` (positions in the level) get children at level
     ``next``: each extends the feature of its row's node (``grow_rows``),
-    the token at ``leave`` (an index into the context's last `window`
-    tokens followed by the node tokens) leaving the drafter's window."""
+    the token at ``leave`` leaving the drafter's window: the first of its
+    parent's window (see ``_root_windows``), an index into the context's
+    last `window` tokens followed by the node tokens."""
 
     __slots__ = ("rows", "ranks", "lo", "hi", "shape", "grow", "grow_rows", "leave", "next")
 
@@ -185,17 +209,9 @@ class _Step:
         reach = [level.reach[r] * 0.5 ** k for r, k in zip(rows, ranks)]
         counts = _child_counts(reach, m, budget - self.hi)
         grow = [i for i, c in enumerate(counts) if c]
-        leave = []
-        for i in grow:
-            # The token `window` places before this node's, on the context
-            # followed by the node's root path.
-            if level.depth <= window:
-                leave.append(level.depth - 1)
-            else:
-                j = self.lo + i
-                for _ in range(window):
-                    j = parents[j]
-                leave.append(window + j)
+        windows = _root_windows(level.parents, window, window)
+        leave = [0 if p == -1 else windows[p][0]
+                 for p in (parents[self.lo + i] for i in grow)]
         self.grow = np.array(grow, dtype=np.intp)
         self.grow_rows = self.rows[self.grow]
         self.leave = np.array(leave, dtype=np.intp)
@@ -269,7 +285,7 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     for i, row in zip(shape.expanding, itertools.chain.from_iterable(grown)):
         dist[i] = row
     nodes = list(map(DraftNode, seq[window:window + n].tolist(), shape.parents,
-                     probs[:n].tolist(), shape.depths, dist))
+                     probs[:n].tolist(), dist))
     return DraftTree(nodes, root_dist, shape)
 
 
@@ -320,13 +336,9 @@ def enumerate_paths(tree: DraftTree) -> list[TokenPath]:
     broken lexicographically on token ids."""
     if not tree.nodes:
         raise RejectedInput("empty tree")
-    has_child = [False] * len(tree.nodes)
-    for node in tree.nodes:
-        if node.parent != -1:
-            has_child[node.parent] = True
     paths = []
-    for i, node in enumerate(tree.nodes):
-        if has_child[i]:
+    for i, kids in enumerate(tree.shape.children[1:]):
+        if kids:
             continue
         toks, probs = [], []
         j = i

@@ -92,7 +92,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
 
     accepted: list[int] = []
     n_pending = linear.pending_len
-    children = tree.children_of()
+    children = tree.shape.children
     cur_slot = -1
     w = target.window
     q_cur = dists[:, n_pending - 1] if n_pending else target.score_prefix(context[-w:]).dist

@@ -68,7 +68,7 @@ def node_walk(q, p, kids, after_accept):
 def tree_distribution(target, context, tree):
     """What verify_tree emits (accepted tokens, then the terminal) for one
     fixed tree under strict acceptance, exactly: {emitted tokens: prob}."""
-    children = tree.children_of()
+    children = tree.shape.children
 
     def walk(slot, prefix):
         by_token = {tree.nodes[i].token: i for i in children[slot + 1]}

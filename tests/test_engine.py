@@ -309,3 +309,8 @@ class TestConfigFromMapping:
     def test_bad_bool_rejected(self):
         with pytest.raises(RejectedInput):
             config_from_mapping({"truncate": "maybe"})
+
+    @pytest.mark.parametrize("raw", [5, 0.5, True, None])
+    def test_non_iterable_tuple_value_rejected(self, raw):
+        with pytest.raises(RejectedInput, match="feature_schedule"):
+            config_from_mapping({"feature_schedule": raw})

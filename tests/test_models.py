@@ -130,7 +130,7 @@ class TestMaskedForward:
         # (root children 10, 11; 12 is a child of 10).
         _check_masked(target, [5, 2, 8, 1], [7, 3, 10, 11, 12], [-1, 0, 1, 1, 2])
 
-    @pytest.mark.parametrize("window", [1, 4])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
     def test_sampled_trees_match_prefix_scoring(self, window, n_pending):
         cfg = EngineConfig(window=window)
@@ -142,7 +142,7 @@ class TestMaskedForward:
                               cfg.branching, cfg.depth, cfg.budget, rng=rng)
             pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
             linear = linearize(tree, pending)
-            # Full contexts, and a one-token one shorter than window 4.
+            # Full contexts, and a one-token one shorter than windows 2 to 4.
             for context in (prompt, prompt[-1:]):
                 _check_masked(target, context, linear.tokens, linear.parents)
 

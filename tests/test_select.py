@@ -65,6 +65,10 @@ class TestTruncatePath:
         paths = [_path(range(2), 0.5), _path(range(3), 0.5)]
         assert len(truncate_path(paths[1], paths)) == 2
 
+    def test_no_paths_rejected(self):
+        with pytest.raises(RejectedInput):
+            truncate_path(_path([7], 0.5), [])
+
     def test_selected_shorter_than_mean_unchanged(self):
         paths = [_path(range(2), 0.5), _path(range(6), 0.5)]
         out = truncate_path(paths[0], paths)

@@ -6,7 +6,6 @@ import itertools
 import numpy as np
 import pytest
 
-from specskip import models as model_mod
 from specskip import tree as tree_mod
 from specskip.core import rng_stream
 from specskip.engine import EngineConfig, vvs_generate
@@ -51,9 +50,18 @@ def _golden_trees(cfg, runs=200):
         yield draft, tree, rng
 
 
+def _depths(tree):
+    """Each node's depth, from the parent pointers (a root child's is 1)."""
+    depths = []
+    for node in tree.nodes:
+        depths.append(1 if node.parent == -1 else depths[node.parent] + 1)
+    return depths
+
+
 def _node_tuples(tree):
     """Each node's (token, parent, depth, prob.hex()): probs bit for bit."""
-    return [(n.token, n.parent, n.depth, n.prob.hex()) for n in tree.nodes]
+    return [(n.token, n.parent, depth, n.prob.hex())
+            for n, depth in zip(tree.nodes, _depths(tree))]
 
 
 def _children(dists, k_b, rng):
@@ -94,7 +102,7 @@ def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
         for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
             c = min(counts[row], stop)
             for rank, (tok, p) in enumerate(zip(toks[:c], ps[:c])):
-                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p, depth=depth))
+                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p))
                 born.append(row)
                 new_reach.append(reach[row] * 0.5 ** rank)
         if depth == D or len(nodes) == budget:
@@ -117,8 +125,8 @@ def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
 
 
 def _node_bytes(tree):
-    """Each node's token, parent, depth, prob and dist, bit for bit."""
-    return [(n.token, n.parent, n.depth, n.prob.hex(),
+    """Each node's token, parent, prob and dist, bit for bit."""
+    return [(n.token, n.parent, n.prob.hex(),
              None if n.dist is None else n.dist.tobytes()) for n in tree.nodes]
 
 
@@ -257,8 +265,8 @@ class TestBuildTree:
         for run in range(16):
             tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=2,
                               budget=budget, rng=rng_stream(run, "counts"))
-            kids = tree.children_of()
-            assert sorted(n.token for n in tree.nodes if n.depth == 1) == [1, 2]
+            kids = tree.shape.children
+            assert sorted(n.token for n in tree.nodes if n.parent == -1) == [1, 2]
             assert [len(kids[i + 1]) for i in kids[0]] == counts
             firsts.add(tree.nodes[kids[0][0]].token)
             drawn.add(tuple(tree.nodes[j].token for j in kids[kids[0][0] + 1]))
@@ -299,7 +307,7 @@ class TestBuildTree:
             rng = rng_stream(run, "d")
             tree = build_tree(draft, feat, prompt, k_b, D, budget, rng=rng)
             ref = rng_stream(run, "d")
-            kids = tree.children_of()
+            kids = tree.shape.children
             level, placed, reach = [-1], 0, {-1: 1.0}
             for _ in range(D):
                 if placed == budget or not level:
@@ -334,7 +342,7 @@ class TestBuildTree:
             before = draft.forward_calls
             tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                               cfg.budget, rng=rng_stream(run, "rows-draw"))
-            kids = tree.children_of()
+            kids = tree.shape.children
             for i, node in enumerate(tree.nodes):
                 assert (node.dist is not None) == bool(kids[i + 1])
             parents = sum(1 for group in kids[1:] if group)
@@ -364,9 +372,7 @@ class TestBuildTree:
                 assert node.parent < i
                 dist = tree.root_dist if node.parent == -1 else tree.nodes[node.parent].dist
                 assert node.prob == dist[node.token]
-                assert 1 <= node.depth <= CFG.depth
-                if node.parent != -1:
-                    assert node.depth == tree.nodes[node.parent].depth + 1
+            assert max(_depths(tree)) <= CFG.depth
 
     def test_sampled_children_distinct_and_deterministic(self):
         target, draft = make_model_pair(CFG)
@@ -375,7 +381,7 @@ class TestBuildTree:
         t1 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
         t2 = build_tree(draft, feat, prompt, 4, 3, 24, rng=rng_stream(0, "s"))
         assert _node_tuples(t1) == _node_tuples(t2)
-        kids = t1.children_of()
+        kids = t1.shape.children
         for group in kids:
             toks = [t1.nodes[i].token for i in group]
             assert len(toks) == len(set(toks))
@@ -408,15 +414,15 @@ class TestBuildTree:
         level-3 nodes hang under the level-2 nodes of rank paths (0, 0)
         twice, (0, 1) and (1, 0): the slots of rank reach 1 and 1/2."""
         for _, tree, _ in _golden_trees(cfg):
-            kids = tree.children_of()
+            kids = tree.shape.children
             rank_path = {-1: ()}
             for i in range(-1, len(tree.nodes)):
                 for rank, j in enumerate(kids[i + 1]):
                     rank_path[j] = rank_path[i] + (rank,)
-            depths = [node.depth for node in tree.nodes]
+            depths = _depths(tree)
             assert [depths.count(d) for d in (1, 2, 3)] == [4, 16, 4]
-            assert sorted(rank_path[node.parent] for node in tree.nodes
-                          if node.depth == 3) == [(0, 0), (0, 0), (0, 1), (1, 0)]
+            assert sorted(rank_path[node.parent] for node, depth in zip(tree.nodes, depths)
+                          if depth == 3) == [(0, 0), (0, 0), (0, 1), (1, 0)]
 
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)])
     def test_path_confidence_equals_leaf_confidence(self, cfg):
@@ -503,7 +509,7 @@ class TestBuildMatchesReference:
             feat = target.feature_at(prompt, len(prompt) - 1)
             tree = _assert_builds_match(draft, feat, prompt, cfg.branching, cfg.depth,
                                         cfg.budget, (run, "ref-draw"))
-            assert max(node.depth for node in tree.nodes) == deepest
+            assert max(_depths(tree)) == deepest
 
     @pytest.mark.parametrize("seed", range(6))
     def test_rows_stopping_at_their_support(self, seed):
@@ -527,19 +533,24 @@ class TestBuildMatchesReference:
         for run in range(20):
             tree = _assert_builds_match(TableDrafter(table), _feat(), [0], 3, 3, 8,
                                         (run, "root-stop"))
-            assert len(tree.children_of()[0]) == 2
+            assert len(tree.shape.children[0]) == 2
+
+
+def _template_shapes(level):
+    """The tree shapes a build template ends in, over all its race outcomes."""
+    return {shape for step in level.steps.values()
+            for shape in ([step.shape] if step.next is None else _template_shapes(step.next))}
 
 
 class TestMemoBounds:
-    """The shape, template and window memos are keyed by shape alone, so a
-    config fills them once; a key that took in tokens or probs would grow
-    them with every tree."""
+    """The shape and template memos, and each shape's window memo, are keyed
+    by shape alone, so a config fills them once; a key that took in tokens
+    or probs would grow them with every tree."""
 
     @pytest.fixture(autouse=True)
     def fresh_memos(self, monkeypatch):
         monkeypatch.setattr(tree_mod, "_SHAPES", {})
         monkeypatch.setattr(tree_mod, "_TEMPLATES", {})
-        monkeypatch.setattr(model_mod, "_WINDOWS", {})
 
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
                              ids=["v64", "v1024"])
@@ -558,21 +569,27 @@ class TestMemoBounds:
             skips += trace.skip_count
             pending |= {it.emitted for it in trace.iterations if it.kind == "skip"}
         assert skips > 0
-        assert len(tree_mod._SHAPES) == 1
+        assert list(tree_mod._TEMPLATES) == [(4, 5, 24, 4)]
         assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
-        (shape,) = tree_mod._SHAPES.values()
-        seen = [len(parents) - len(shape.parents) for parents, _, _ in model_mod._WINDOWS]
-        assert len(seen) == len(set(seen)) and set(seen) <= pending
+        (shape,) = _template_shapes(tree_mod._TEMPLATES[4, 5, 24, 4])
+        # Every other shape is the tree's linearized behind pending tokens
+        # (pending length 0 is the tree's own), one per pending length seen,
+        # each with the one window index its verifies read.
+        seen = {len(s.parents) - len(shape.parents): s for s in tree_mod._SHAPES.values()}
+        assert len(seen) == len(tree_mod._SHAPES) and set(seen) <= pending
+        for n, linear in seen.items():
+            assert linear.parents == shape.linear_parents(n)
+            assert list(linear._windows) == [(4, 4)]
 
 
 def _hand_tree():
     # 5 nodes: 0 and 1 are root children; 2,3 children of 0; 4 child of 1.
     nodes = [
-        DraftNode(token=5, parent=-1, prob=0.6, depth=1),
-        DraftNode(token=9, parent=-1, prob=0.4, depth=1),
-        DraftNode(token=2, parent=0, prob=0.5, depth=2),
-        DraftNode(token=7, parent=0, prob=0.2, depth=2),
-        DraftNode(token=1, parent=1, prob=0.9, depth=2),
+        DraftNode(token=5, parent=-1, prob=0.6),
+        DraftNode(token=9, parent=-1, prob=0.4),
+        DraftNode(token=2, parent=0, prob=0.5),
+        DraftNode(token=7, parent=0, prob=0.2),
+        DraftNode(token=1, parent=1, prob=0.9),
     ]
     root = np.full(10, 0.1)
     return DraftTree(nodes=nodes, root_dist=root)
@@ -581,12 +598,19 @@ def _hand_tree():
 def test_hand_built_tree_takes_its_shape_from_its_parents():
     tree = _hand_tree()
     assert tree.shape is tree_mod.tree_shape((-1, -1, 0, 0, 1))
-    assert tree.children_of() == ((0, 1), (2, 3), (4,), (), (), ())
-    assert tree.shape.depths == (1, 1, 2, 2, 2)
+    assert tree.shape.children == ((0, 1), (2, 3), (4,), (), (), ())
     assert tree.shape.expanding == (0, 1)
+    # Windows of 3 over a one-token context tail: a node's is its parent's
+    # slid by one, and the root children's are short (rows padded).
+    index, short = tree.shape.windows(3, 1)
+    assert index.tolist() == [[0] * 3, [0] * 3, [0, 1, 3], [0, 1, 4], [0, 2, 5]]
+    assert short == ((0, (0, 1)), (1, (0, 2)))
+    assert not index.flags.writeable
+    assert tree.shape.windows(3, 1)[0] is index
+    assert tree.shape.windows(2, 2)[0].tolist() == [[1, 2], [1, 3], [2, 4], [2, 5], [3, 6]]
     for _ in range(2):
         with pytest.raises(RejectedInput):
-            DraftTree([DraftNode(token=1, parent=0, prob=0.5, depth=1)], np.ones(2) / 2)
+            DraftTree([DraftNode(token=1, parent=0, prob=0.5)], np.ones(2) / 2)
 
 
 class TestEnumeratePaths:

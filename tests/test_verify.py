@@ -111,7 +111,7 @@ class TestVerifyTree:
         q_root = target.score_prefix(context).dist
         dead = int(np.argmin(q_root))
         assert q_root[dead] == 0.0
-        node = DraftNode(token=dead, parent=-1, prob=1.0, depth=1)
+        node = DraftNode(token=dead, parent=-1, prob=1.0)
         tree = DraftTree([node], root_dist=np.eye(8)[dead])
         outcome = verify_tree(linearize(tree, []), target, context, STRICT,
                               rng_stream(0, "a"))
@@ -174,10 +174,10 @@ class TestBranchProbabilityOracle:
         d_root = np.array([0.1, 0.4, 0.1, 0.1, 0.25, 0.05])
         d_n1 = np.array([0.3, 0.05, 0.15, 0.3, 0.1, 0.1])
         nodes = [
-            DraftNode(token=1, parent=-1, prob=0.4, depth=1, dist=d_n1),
-            DraftNode(token=4, parent=-1, prob=0.25, depth=1),
-            DraftNode(token=0, parent=0, prob=0.3, depth=2),
-            DraftNode(token=3, parent=0, prob=0.3, depth=2),
+            DraftNode(token=1, parent=-1, prob=0.4, dist=d_n1),
+            DraftNode(token=4, parent=-1, prob=0.25),
+            DraftNode(token=0, parent=0, prob=0.3),
+            DraftNode(token=3, parent=0, prob=0.3),
         ]
         tree = DraftTree(nodes, root_dist=d_root)
         oracle = tree_distribution(target, context, tree)
