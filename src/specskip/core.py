@@ -106,9 +106,12 @@ def nearest_neighbors(codebook: EmbeddingCodebook, t: int, k: int) -> list[int]:
         raise RejectedInput(f"k={k} outside [1, {V}]")
     found = codebook._neighbors.get((t, k))
     if found is None:
-        sims = codebook._unit @ codebook.unit(t)
-        ids = np.arange(V)
-        order = np.lexsort((ids, -sims))
+        neg = -(codebook._unit @ codebook.unit(t))
+        # The first k of the ranking by (-similarity, id) are the tokens
+        # below the k-th smallest -similarity and the smallest ids at it, so
+        # only the tokens at or below it are ranked.
+        ids = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        order = ids[np.lexsort((ids, neg[ids]))]
         # t is one of the first k or not; either way the k - 1 others come
         # from the first k, so the rest of the ranking is never read.
         ranked = [i for i in order[:k].tolist() if i != t]

@@ -252,11 +252,15 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
         step += 1
         tree = build_tree(draft, draft_feat, seq, config.branching,
                           config.depth, config.budget, rng=streams["draft"])
-        paths = enumerate_paths(tree)
+        # The paths are enumerated only when something reads them: the
+        # policy's decision, a logged similarity or a skip's selection.
+        paths = enumerate_paths(tree) if policy.reads_paths else None
 
         skip = decide(policy, paths, codebook)
         similarity = policy.last_similarity
         if similarity is None and config.log_similarity:
+            if paths is None:
+                paths = enumerate_paths(tree)
             # A one-path tree logs no similarity, not the policy's sentinel.
             logged = path_similarity(paths, codebook, config.alpha, stride=1)
             similarity = None if logged.degenerate else logged.value
@@ -295,19 +299,21 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 accept_length=outcome.accept_length, similarity=similarity,
                 forward_passes=1, feature_source=source))
         else:
+            if paths is None:
+                paths = enumerate_paths(tree)
             chosen = select_path(paths, config.strategy, streams["select"])
             if config.truncate:
                 chosen = truncate_path(chosen, paths)
             skip_count += 1
-            seq = seq + chosen.tokens
-            pending_len = len(chosen.tokens)
-            for tok in chosen.tokens:
+            seq = seq + chosen
+            pending_len = len(chosen)
+            for tok in chosen:
                 emitted.append(tok, ORIGIN_SKIP)
             # The latest cached (stale) feature stands in for the unverified
             # positions; the prompt's entry means there always is one.
             draft_feat = retrieve_latest(cache).feature
             iterations.append(IterationRecord(
-                index=step, kind="skip", emitted=len(chosen.tokens),
+                index=step, kind="skip", emitted=len(chosen),
                 similarity=similarity, forward_passes=0))
 
     return GenerationTrace(config=config, prompt=prompt, tokens=emitted,

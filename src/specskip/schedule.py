@@ -8,6 +8,7 @@ forces the next step to verify.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 # by name.
 from .core import EmbeddingCodebook, cosine  # noqa: F401
 from .errors import RejectedInput
-from .tree import TokenPath
+from .tree import TreePaths
 
 if TYPE_CHECKING:
     from .engine import EngineConfig
@@ -45,18 +46,28 @@ class SkipPolicy:
     verified_since_skip: int = 0  # 0 on the first step and after a skip
     last_similarity: float | None = None
 
+    @property
+    def reads_paths(self) -> bool:
+        """Whether the next ``decide`` reads the tree's paths: under the
+        dynamic policy, on a step after a verify."""
+        return self.config.policy == "dynamic" and self.verified_since_skip > 0
 
+
+@functools.lru_cache(maxsize=64)
 def decay_weights(alpha: float, length: int) -> np.ndarray:
-    """Exponentially decayed position weights, normalized to sum to 1."""
+    """Exponentially decayed position weights, normalized to sum to 1.
+    Memoized per (alpha, length), so the array is read-only."""
     if alpha <= 0.0:
         raise RejectedInput("alpha must be positive")
     if length < 1:
         raise RejectedInput("need at least one position")
     raw = alpha ** np.arange(length, dtype=np.float64)
-    return raw / raw.sum()
+    weights = raw / raw.sum()
+    weights.flags.writeable = False
+    return weights
 
 
-def path_similarity(paths: list[TokenPath], codebook: EmbeddingCodebook,
+def path_similarity(paths: TreePaths, codebook: EmbeddingCodebook,
                     alpha: float, stride: int = 1) -> PathSimilarity:
     """Decay-weighted mean pairwise cosine of token embeddings per depth.
 
@@ -71,33 +82,33 @@ def path_similarity(paths: list[TokenPath], codebook: EmbeddingCodebook,
     """
     if stride < 1:
         raise RejectedInput("stride must be >= 1")
-    retained = paths[::stride]
-    n = len(retained)
+    lengths = paths.lengths[::stride]
+    n = len(lengths)
     if n < 2:
         return PathSimilarity(1.0, True)
-    depth = min(len(p) for p in retained)
+    depth = int(lengths.min())
     weights = decay_weights(alpha, depth)
-    tokens = np.array([p.tokens[:depth] for p in retained])      # (n, depth)
-    total = codebook.unit(tokens).sum(axis=0)                    # (depth, dim)
+    total = codebook.unit(paths.tokens[::stride, :depth]).sum(axis=0)  # (depth, dim)
     means = (np.einsum("ld,ld->l", total, total) - n) / (n * (n - 1))
-    return PathSimilarity(float(np.clip(weights @ means, -1.0, 1.0)), False)
+    return PathSimilarity(min(1.0, max(-1.0, float(weights @ means))), False)
 
 
-def decide(policy: SkipPolicy, paths: list[TokenPath],
+def decide(policy: SkipPolicy, paths: TreePaths | None,
            codebook: EmbeddingCodebook) -> bool:
     """True means skip verification this step.  Mutates policy state; a skip
-    always forces the next call to verify, for every policy kind."""
+    always forces the next call to verify, for every policy kind.  The
+    paths are read only when ``policy.reads_paths``; otherwise they may be
+    None."""
     cfg = policy.config
     policy.last_similarity = None
-    if cfg.policy == "never" or not policy.verified_since_skip:
-        # First step and every step after a skip must verify.
-        skip = False
-    elif cfg.policy == "uniform":
-        skip = policy.verified_since_skip == cfg.interval - 1
-    else:  # dynamic
+    if policy.reads_paths:
         sim = path_similarity(paths, codebook, cfg.alpha, cfg.stride)
         policy.last_similarity = sim.value
         skip = sim.value >= cfg.threshold
+    else:
+        # Uniform skips every interval-th step; the first step and every
+        # step after a skip must verify.
+        skip = cfg.policy == "uniform" and 0 < policy.verified_since_skip == cfg.interval - 1
 
     policy.verified_since_skip = 0 if skip else policy.verified_since_skip + 1
     return skip

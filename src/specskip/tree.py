@@ -3,13 +3,17 @@ linearization for single-pass verification.
 
 A tree's shape, its parent pointers, is fixed before its draws: it depends
 only on (min(k_b, V), D, budget, drafter window) and on which rows stop
-short at their support.  So each shape is worked out once and memoized, and
-building, linearizing and verifying a tree does only its own draws."""
+short at their support.  So each shape is worked out once and memoized with
+every index read from it: children, linearized parents, root-path windows
+and the leaf-path index.  A tree is arrays over its shape from build to
+verify (its tokens, probs and child distributions), and its paths are rows
+gathered through the leaf-path index, so building, enumerating,
+linearizing and verifying a tree does only its own draws and gathers."""
 
 from __future__ import annotations
 
 import itertools
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,6 +29,9 @@ if TYPE_CHECKING:
 
 @dataclass
 class DraftNode:
+    """One node, to put a tree together by hand (``DraftTree.from_nodes``)
+    or to read one (``DraftTree.nodes``)."""
+
     token: int
     parent: int            # index into DraftTree.nodes, -1 for the root
     prob: float             # drafter probability of this token at its parent
@@ -50,7 +57,7 @@ class TreeShape:
     tuple (see ``tree_shape``) is shared by every tree of that shape, so it
     hands out tuples and read-only arrays only."""
 
-    __slots__ = ("parents", "children", "expanding", "_linear", "_windows")
+    __slots__ = ("parents", "children", "expanding", "_linear", "_windows", "_paths")
 
     def __init__(self, parents: tuple[int, ...],
                  children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
@@ -59,6 +66,7 @@ class TreeShape:
         self.expanding = expanding      # the nodes with children, in index order
         self._linear: dict[int, tuple[int, ...]] = {}   # pending length -> parents
         self._windows: dict[tuple[int, int], tuple[np.ndarray, tuple]] = {}
+        self._paths: tuple[np.ndarray, np.ndarray] | None = None
 
     def linear_parents(self, n_pending: int) -> tuple[int, ...]:
         """Parent pointers of ``n_pending`` pending tokens (a chain) followed
@@ -84,6 +92,28 @@ class TreeShape:
                 (j, win) for j, win in enumerate(windows) if len(win) < w))
         return found
 
+    def leaf_paths(self) -> tuple[np.ndarray, np.ndarray]:
+        """One row per leaf, in index order: the nodes on its root path from
+        the root child down, padded past the path with the sentinel node
+        n = len(parents), as a read-only (leaves, depth) index; and each
+        path's length."""
+        if self._paths is None:
+            rows = []
+            for i, kids in enumerate(self.children[1:]):
+                if not kids:
+                    path = [i]
+                    while self.parents[path[-1]] != -1:
+                        path.append(self.parents[path[-1]])
+                    rows.append(path[::-1])
+            index = np.full((len(rows), max(map(len, rows), default=0)),
+                            len(self.parents), dtype=np.intp)
+            for row, path in zip(index, rows):
+                row[:len(path)] = path
+            lengths = np.array(list(map(len, rows)), dtype=np.intp)
+            index.flags.writeable = lengths.flags.writeable = False
+            self._paths = (index, lengths)
+        return self._paths
+
 
 # Shapes by parents tuple, and build templates by (m, D, budget, window).
 # Both stay small: a key holds no token or probability, so a config has one
@@ -108,34 +138,74 @@ def tree_shape(parents: tuple[int, ...]) -> TreeShape:
     return shape
 
 
-@dataclass
+@dataclass(eq=False)
 class DraftTree:
-    nodes: list[DraftNode]
+    """A tree as arrays over its shape.  ``tokens`` and ``probs`` hold one
+    entry per node and then the sentinel's, token -1 and prob 1.0, which
+    pad the rows gathered through ``shape.leaf_paths``; ``dists[i]`` is the
+    distribution node i's children are drawn from, None on a node without
+    children."""
+
+    tokens: np.ndarray
+    probs: np.ndarray
+    dists: list[np.ndarray | None]
     root_dist: np.ndarray
-    # Set by build_tree; a tree put together by hand looks its shape up from
-    # its nodes' parents.
-    shape: TreeShape = field(default=None, repr=False, compare=False)
+    shape: TreeShape = field(repr=False)
 
-    def __post_init__(self):
-        if self.shape is None:
-            self.shape = tree_shape(tuple(node.parent for node in self.nodes))
-
-
-@dataclass
-class TokenPath:
-    tokens: list[int]
-    probs: list[float]
-
-    def __post_init__(self):
-        if len(self.tokens) != len(self.probs) or not self.tokens:
-            raise RejectedInput("path needs aligned, nonempty tokens and probs")
+    @classmethod
+    def from_nodes(cls, nodes: list[DraftNode], root_dist: np.ndarray) -> "DraftTree":
+        """A tree put together by hand, its shape looked up from its nodes'
+        parents."""
+        shape = tree_shape(tuple(node.parent for node in nodes))
+        return cls(np.array([*(node.token for node in nodes), -1], dtype=np.intp),
+                   np.array([*(node.prob for node in nodes), 1.0]),
+                   [node.dist for node in nodes], root_dist, shape)
 
     @property
-    def confidence(self) -> float:
-        return math.prod(self.probs)
+    def nodes(self) -> "_Nodes":
+        return _Nodes(self)
+
+
+class _Nodes(Sequence):
+    """A tree's nodes as a sequence of ``DraftNode``s, each made when read."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: DraftTree):
+        self._tree = tree
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._tree.dists)
+
+    def __getitem__(self, i: int) -> DraftNode:
+        tree = self._tree
+        i = range(len(tree.dists))[i]   # IndexError past either end
+        return DraftNode(int(tree.tokens[i]), tree.shape.parents[i],
+                         float(tree.probs[i]), tree.dists[i])
+
+
+@dataclass(eq=False)
+class TreePaths:
+    """A tree's root-to-leaf paths as rows: ``tokens`` (paths, depth),
+    padded with -1 past each path's ``lengths``, and each path's
+    ``confidence``, the product of its draft probs.  ``len()`` is the
+    number of paths and ``paths[i]`` path i's tokens, as a list."""
+
+    tokens: np.ndarray
+    confidence: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> list[int]:
+        return self.tokens[i, :self.lengths[i]].tolist()
+
+    def order(self) -> np.ndarray:
+        """Row indices by descending confidence, ties broken
+        lexicographically on tokens (the -1 padding puts a path before its
+        extensions), and equal rows in row order."""
+        return np.lexsort((*self.tokens.T[::-1], -self.confidence))
 
 
 @dataclass
@@ -249,7 +319,10 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     Counts, parents and every index the build reads come from a template
     memoized per (m, D, budget, window) and per race outcome (see
     ``_Level``), so a level costs one race, one gather of its picks and the
-    drafter calls; the nodes are made once, at the end.
+    drafter calls.  The tree keeps the build's token and prob arrays, with
+    the sentinel's entries after the last node.  Floating-point errors are
+    ignored once for the whole build, for the races' divisions by zero mass
+    (see ``_sample_level``).
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -262,31 +335,33 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     level = _TEMPLATES.get(key)
     if level is None:
         level = _TEMPLATES[key] = _Level(key, 1, (), (-1,), (key[0],), (1.0,))
-    # The context's last `window` tokens, then the node tokens.
-    seq = np.empty(window + budget, dtype=np.intp)
+    # The context's last `window` tokens, then the node tokens and the
+    # sentinel's.
+    seq = np.empty(window + budget + 1, dtype=np.intp)
     seq[:window] = tokens[len(tokens) - window:]
-    probs = np.empty(budget)
+    probs = np.empty(budget + 1)
     dists, grown = root_dist[None], []
-    while True:
-        picks, stops = _sample_level(dists, k_b, rng)
-        step = level.step(stops)
-        toks = picks[step.rows, step.ranks]
-        seq[window + step.lo:window + step.hi] = toks
-        probs[step.lo:step.hi] = dists[step.rows, toks]
-        if step.next is None:
-            break
-        toks = toks[step.grow]
-        feats = draft.extend_feature(feats[step.grow_rows], seq[step.leave], toks)
-        dists = draft.next_dist(feats, toks)
-        grown.append(dists)
-        level = step.next
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            picks, stops = _sample_level(dists, k_b, rng)
+            step = level.step(stops)
+            toks = picks[step.rows, step.ranks]
+            seq[window + step.lo:window + step.hi] = toks
+            probs[step.lo:step.hi] = dists[step.rows, toks]
+            if step.next is None:
+                break
+            toks = toks[step.grow]
+            feats = draft.extend_feature(feats[step.grow_rows], seq[step.leave], toks)
+            dists = draft.next_dist(feats, toks)
+            grown.append(dists)
+            level = step.next
     shape, n = step.shape, step.hi
+    seq[window + n] = -1
+    probs[n] = 1.0
     dist = [None] * n
     for i, row in zip(shape.expanding, itertools.chain.from_iterable(grown)):
         dist[i] = row
-    nodes = list(map(DraftNode, seq[window:window + n].tolist(), shape.parents,
-                     probs[:n].tolist(), dist))
-    return DraftTree(nodes, root_dist, shape)
+    return DraftTree(seq[window:window + n + 1], probs[:n + 1], dist, root_dist, shape)
 
 
 def _child_counts(reach: list[float], m: int, room: int) -> list[int]:
@@ -318,37 +393,39 @@ def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
     2019), so its children are its m = min(k_b, V) smallest keys, in key
     order: row i of the (n, m) picks.  A zero-mass token's key is inf, so a
     row with fewer than m positive entries stops at its support: only the
-    first stops[i] picks of row i are children.
+    first stops[i] picks of row i are children.  The caller ignores
+    floating-point errors (``np.errstate``), so E / 0 is inf without a
+    warning.
     """
     n, V = dists.shape
     m = min(k_b, V)
     keys = rng.standard_exponential((n, V))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        keys /= dists
+    keys /= dists
     rows = np.arange(n)[:, None]
     part = np.argpartition(keys, m - 1, axis=1)[:, :m]
     top = keys[rows, part]
     return part[rows, top.argsort(axis=1)], np.isfinite(top).sum(axis=1)
 
 
-def enumerate_paths(tree: DraftTree) -> list[TokenPath]:
+def enumerate_paths(tree: DraftTree) -> TreePaths:
     """One root-to-leaf path per leaf, by descending confidence, ties
-    broken lexicographically on token ids."""
-    if not tree.nodes:
+    broken lexicographically on token ids (``TreePaths.order``).
+
+    Tokens and probs are gathered through the shape's leaf-path index, so
+    a row is padded with the sentinel's token -1 and prob 1.0.  Confidences
+    are multiplied column by column from the root child down, the order
+    ``math.prod`` takes over a path's probs; the padding multiplies by 1.0,
+    which is exact."""
+    if not tree.dists:
         raise RejectedInput("empty tree")
-    paths = []
-    for i, kids in enumerate(tree.shape.children[1:]):
-        if kids:
-            continue
-        toks, probs = [], []
-        j = i
-        while j != -1:
-            toks.append(tree.nodes[j].token)
-            probs.append(tree.nodes[j].prob)
-            j = tree.nodes[j].parent
-        paths.append(TokenPath(toks[::-1], probs[::-1]))
-    paths.sort(key=lambda p: (-p.confidence, p.tokens))
-    return paths
+    index, lengths = tree.shape.leaf_paths()
+    tokens = tree.tokens[index]
+    probs = tree.probs[index.T]
+    confidence = probs[0]
+    for column in probs[1:]:
+        confidence = confidence * column
+    order = TreePaths(tokens, confidence, lengths).order()
+    return TreePaths(tokens[order], confidence[order], lengths[order])
 
 
 def linearize(tree: DraftTree, pending) -> LinearizedTree:
@@ -356,7 +433,6 @@ def linearize(tree: DraftTree, pending) -> LinearizedTree:
     root child's parent is the last pending token, if any."""
     tokens = [int(t) for t in pending]
     n_pending = len(tokens)
-    tokens += [node.token for node in tree.nodes]
+    tokens += tree.tokens[:-1].tolist()
     return LinearizedTree(tokens=tokens, parents=tree.shape.linear_parents(n_pending),
                           pending_len=n_pending, tree=tree)
-

@@ -92,6 +92,7 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
 
     accepted: list[int] = []
     n_pending = linear.pending_len
+    node_tokens = linear.tokens[n_pending:]
     children = tree.shape.children
     cur_slot = -1
     w = target.window
@@ -109,11 +110,13 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
             terminal_origin = ORIGIN_BONUS
             break
 
-        q_view = q_cur.copy()
-        p_view = p_cur.copy()
+        # Only p_view is written in place (a rejected token's mass is
+        # zeroed), so the tree's row is copied at the first rejection, and a
+        # level that accepts its first child copies nothing.
+        q_view, p_view = q_cur, p_cur
         chosen = None
         for rank, idx in enumerate(kids):
-            tok = tree.nodes[idx].token
+            tok = node_tokens[idx]
             if (relaxed_accept(q_view, p_view, tok, codebook, config.delta, config.pool_k, rng)
                     if relaxed else strict_accept(q_view, p_view, tok, rng)):
                 chosen = idx
@@ -123,6 +126,8 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
             res_total = res.sum()
             if res_total > 0.0:
                 q_view = res / res_total
+            if p_view is p_cur:
+                p_view = p_cur.copy()
             p_view[tok] = 0.0
             p_total = p_view.sum()
             if p_total > 0.0:
@@ -137,11 +142,10 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
             terminal_origin = ORIGIN_RESAMPLED
             break
 
-        node = tree.nodes[chosen]
-        accepted.append(node.token)
+        accepted.append(node_tokens[chosen])
         cur_slot = chosen
         q_cur = dists[:, n_pending + chosen]
-        p_cur = node.dist   # None on a leaf, which goes straight to the bonus
+        p_cur = tree.dists[chosen]   # None on a leaf, which goes straight to the bonus
 
     # Feature of the terminal token, from the same parallel pass; only the
     # last `window` tokens of its prefix reach it.

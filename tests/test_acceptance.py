@@ -19,8 +19,8 @@ from specskip.harness import ExperimentSpec, run_experiment
 from specskip.models import make_model_pair
 from specskip.schedule import SkipPolicy, decay_weights, decide, path_similarity
 from specskip.select import truncate_path
-from specskip.tree import TokenPath
 from specskip.verify import relaxed_accept, strict_accept
+from token_rows import as_paths
 
 
 def _report(name, ok, detail):
@@ -68,19 +68,22 @@ def test_criterion_2_relaxation_degeneracy():
 
 def test_criterion_3_mean_length_truncation():
     def path(length):
-        return TokenPath(list(range(length)), [0.5] * length)
+        return list(range(length))
+
+    def paths_of(*lengths):
+        return as_paths([path(length) for length in lengths])
 
     # Pinned selector examples.
-    ex1 = truncate_path(path(3), [path(3)] * 4)
-    ex2 = truncate_path(path(5), [path(3), path(4), path(5)])
-    ex3 = truncate_path(path(1), [path(1), path(2)])
+    ex1 = truncate_path(path(3), paths_of(3, 3, 3, 3))
+    ex2 = truncate_path(path(5), paths_of(3, 4, 5))
+    ex3 = truncate_path(path(1), paths_of(1, 2))
     exact = (len(ex1) == 3 and len(ex2) == 4 and len(ex3) == 1)
 
     rng = rng_stream(13, "lens")
     fuzz_ok = True
     for _ in range(10_000):
         lengths = [int(rng.integers(1, 12)) for _ in range(int(rng.integers(1, 9)))]
-        paths = [path(length) for length in lengths]
+        paths = paths_of(*lengths)
         selected = paths[int(rng.integers(len(paths)))]
         got = len(truncate_path(selected, paths))
         want = max(1, min(len(selected), math.floor(statistics.mean(lengths))))
@@ -110,16 +113,16 @@ def test_criterion_4_decay_weights_and_similarity_oracle():
         n_paths = int(sim_rng.integers(2, 7))
         depth = int(sim_rng.integers(1, 5))
         alpha = float(sim_rng.uniform(0.2, 1.0))
-        paths = [TokenPath([int(t) for t in sim_rng.integers(0, 12, depth)],
-                           [0.5] * depth) for _ in range(n_paths)]
-        got = path_similarity(paths, cb, alpha).value
+        paths = [[int(t) for t in sim_rng.integers(0, 12, depth)]
+                 for _ in range(n_paths)]
+        got = path_similarity(as_paths(paths), cb, alpha).value
         # Independent all-pairs brute force.
         weights = [alpha ** level for level in range(depth)]
         weights = [x / sum(weights) for x in weights]
         oracle = 0.0
         for level in range(depth):
-            sims = [cosine(cb.vectors[paths[i].tokens[level]],
-                           cb.vectors[paths[j].tokens[level]])
+            sims = [cosine(cb.vectors[paths[i][level]],
+                           cb.vectors[paths[j][level]])
                     for i in range(n_paths) for j in range(i + 1, n_paths)]
             oracle += weights[level] * statistics.mean(sims)
         worst = max(worst, abs(got - min(max(oracle, -1.0), 1.0)))
@@ -151,7 +154,7 @@ def test_criterion_5_scheduling_arithmetic():
     counts_ok = True
     for interval in (2, 3, 4):
         policy = SkipPolicy(EngineConfig(policy="uniform", interval=interval))
-        paths = [TokenPath([0], [0.5]), TokenPath([1], [0.5])]
+        paths = as_paths([[0], [1]])
         cb = EmbeddingCodebook(np.array([[1.0, 0.0], [0.9, 0.1]]))
         skips = sum(decide(policy, paths, cb) for _ in range(120))
         if skips != 120 // interval:

@@ -146,6 +146,25 @@ class TestNearestNeighbors:
             for k in (1, 2, 8, 16, 1023, 1024):
                 assert nearest_neighbors(cb, t, k) == [t, *ranked[: k - 1]]
 
+    def test_partition_keeps_the_tie_rule(self):
+        """Rows that are power-of-two multiples of one another have the same
+        unit vector bit for bit, and the axes are equally similar to the
+        diagonals, so similarities tie in groups, also across the k-th
+        place: every (t, k) matches the first k of the full lexsort by
+        (-similarity, id)."""
+        base = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                         [0.0, 0.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]])
+        vecs = np.concatenate([scale * base for scale in (1.0, 2.0, 0.5, 4.0)])
+        vecs = vecs[rng_stream(5, "tie-order").permutation(len(vecs))]
+        V = len(vecs)
+        cb = EmbeddingCodebook(vecs)
+        for t in range(V):
+            sims = cb._unit @ cb.unit(t)
+            order = np.lexsort((np.arange(V), -sims)).tolist()
+            for k in range(1, V + 1):
+                want = [i for i in order[:k] if i != t][: k - 1]
+                assert nearest_neighbors(cb, t, k) == [t, *want]
+
 
 class TestTokenSequence:
     def test_append(self):

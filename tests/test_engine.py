@@ -145,6 +145,35 @@ class TestVVS:
         vvs_generate(EngineConfig(**kwargs, **FAST))
         assert bool(calls) == writes
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(policy="never"), dict(policy="uniform", interval=2),
+        dict(policy="uniform", interval=3), dict(policy="dynamic", threshold=0.5), dict(policy="dynamic", threshold=0.5, stride=1),
+    ])
+    def test_paths_enumerated_only_when_read(self, monkeypatch, kwargs):
+        """None under never; one per skip under uniform, where only the
+        selection reads them; one per decided step (every step after a
+        verify) under dynamic."""
+        calls = []
+        enumerate_paths = engine.enumerate_paths
+        monkeypatch.setattr(engine, "enumerate_paths",
+                            lambda tree: calls.append(tree) or enumerate_paths(tree))
+        trace = vvs_generate(EngineConfig(**kwargs, max_new_tokens=96))
+        decided = sum(it.similarity is not None for it in trace.iterations)
+        expected = {"never": 0, "uniform": trace.skip_count, "dynamic": decided}
+        assert len(calls) == expected[kwargs["policy"]]
+        assert trace.skip_count > 0 or kwargs["policy"] == "never"
+        if kwargs["policy"] == "dynamic":
+            steps = trace.iterations
+            assert decided == sum(a.kind == "verify" for a in steps[:-1]) > 0
+
+    def test_logged_similarity_enumerates_every_tree(self, monkeypatch):
+        calls = []
+        enumerate_paths = engine.enumerate_paths
+        monkeypatch.setattr(engine, "enumerate_paths",
+                            lambda tree: calls.append(tree) or enumerate_paths(tree))
+        trace = vvs_generate(EngineConfig(policy="uniform", log_similarity=True, **FAST))
+        assert len(calls) == len(trace.iterations)
+
     def test_policy_validation(self):
         with pytest.raises(RejectedInput):
             EngineConfig(policy="uniform", interval=1).validate()

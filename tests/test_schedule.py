@@ -10,14 +10,15 @@ from specskip.harness import sample_similarity_gaps
 from specskip.models import make_model_pair
 from specskip.schedule import (STRIDE2_SIMILARITY_TOLERANCE, SkipPolicy,
                                decay_weights, decide, path_similarity)
-from specskip.tree import TokenPath, build_tree, enumerate_paths
+from specskip.tree import build_tree, enumerate_paths
+from token_rows import as_paths
 
 POSITIVE_CB = EmbeddingCodebook(
     np.array([[1.0, 0.0], [0.9, 0.1], [0.8, 0.2], [0.7, 0.3]]))
 
 
 def _paths(*token_lists):
-    return [TokenPath(list(toks), [0.5] * len(toks)) for toks in token_lists]
+    return as_paths(token_lists)
 
 
 def _policy(**settings):
@@ -85,13 +86,13 @@ class TestPathSimilarity:
 
     def test_closed_form_matches_pair_loop(self):
         def pair_loop(paths, codebook, alpha, stride):
-            retained = paths[::stride]
+            retained = list(paths)[::stride]
             depth = min(len(p) for p in retained)
             weights = decay_weights(alpha, depth)
             value = 0.0
             for level in range(depth):
-                sims = [cosine(codebook.vectors[a.tokens[level]],
-                               codebook.vectors[b.tokens[level]])
+                sims = [cosine(codebook.vectors[a[level]],
+                               codebook.vectors[b[level]])
                         for i, a in enumerate(retained) for b in retained[i + 1:]]
                 value += weights[level] * (sum(sims) / len(sims))
             return float(np.clip(value, -1.0, 1.0))
@@ -109,7 +110,7 @@ class TestPathSimilarity:
         checked = 0
         for paths in cases:
             for stride in (1, 2):
-                if len(paths[::stride]) < 2:
+                if len(list(paths)[::stride]) < 2:
                     continue
                 sim = path_similarity(paths, target.codebook, cfg.alpha, stride)
                 assert abs(sim.value - pair_loop(paths, target.codebook, cfg.alpha,

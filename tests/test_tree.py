@@ -2,18 +2,19 @@
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from specskip import tree as tree_mod
-from specskip.core import rng_stream
+from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
-from specskip.tree import (DraftNode, DraftTree, TokenPath, _child_counts,
-                           _sample_level, build_tree, enumerate_paths,
-                           linearize)
+from specskip.schedule import path_similarity
+from specskip.tree import (DraftNode, DraftTree, _child_counts, _sample_level,
+                           build_tree, enumerate_paths, linearize)
 
 CFG = EngineConfig()
 
@@ -64,9 +65,16 @@ def _node_tuples(tree):
             for n, depth in zip(tree.nodes, _depths(tree))]
 
 
+def _race(dists, k_b, rng):
+    """``_sample_level`` under the floating-point error state build_tree
+    enters around its races."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _sample_level(dists, k_b, rng)
+
+
 def _children(dists, k_b, rng):
     """Each row's children: its picks up to its stop."""
-    picks, stops = _sample_level(dists, k_b, rng)
+    picks, stops = _race(dists, k_b, rng)
     return [toks[:c] for toks, c in zip(picks.tolist(), stops.tolist())]
 
 
@@ -95,7 +103,7 @@ def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
     parents, counts, reach, dists = [-1], [m], [1.0], root_dist[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
     for depth in range(1, D + 1):
-        picks, stops = _sample_level(dists, k_b, rng)
+        picks, stops = _race(dists, k_b, rng)
         probs = dists[np.arange(len(dists))[:, None], picks].tolist()
         start = len(nodes)
         born, new_reach = [], []
@@ -121,7 +129,7 @@ def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
         parents = [start + i for i in grow]
         counts = [counts[i] for i in grow]
         reach = [new_reach[i] for i in grow]
-    return DraftTree(nodes=nodes, root_dist=root_dist)
+    return DraftTree.from_nodes(nodes, root_dist)
 
 
 def _node_bytes(tree):
@@ -316,7 +324,7 @@ class TestBuildTree:
                 grow = [i for i, c in zip(level, counts) if c]
                 dists = np.array([tree.root_dist if i == -1 else tree.nodes[i].dist
                                   for i in grow])
-                picks, stops = _sample_level(dists, k_b, ref)
+                picks, stops = _race(dists, k_b, ref)
                 expected = {i: toks[:min(c, stop)] for i, c, toks, stop in
                             zip(grow, [c for c in counts if c], picks.tolist(), stops)}
                 for i in level:
@@ -430,7 +438,7 @@ class TestBuildTree:
         probs on the leaf's root path from the root down, and the numpy
         product of its probs, exactly."""
         for _, tree, _ in _golden_trees(cfg):
-            conf_of_path = {}
+            conf_of_path, probs_of_path = {}, {}
             for i, node in enumerate(tree.nodes):
                 toks, probs, j = [], [], i
                 while j != -1:
@@ -441,9 +449,11 @@ class TestBuildTree:
                 for p in probs[::-1]:
                     conf *= p
                 conf_of_path[tuple(toks[::-1])] = conf
-            for path in enumerate_paths(tree):
-                assert path.confidence == conf_of_path[tuple(path.tokens)]
-                assert path.confidence == float(np.prod(path.probs))
+                probs_of_path[tuple(toks[::-1])] = probs[::-1]
+            paths = enumerate_paths(tree)
+            for i, confidence in enumerate(paths.confidence.tolist()):
+                assert confidence == conf_of_path[tuple(paths[i])]
+                assert confidence == float(np.prod(probs_of_path[tuple(paths[i])]))
 
     def test_short_context_rejected(self):
         target, draft = make_model_pair(CFG)
@@ -555,10 +565,14 @@ class TestMemoBounds:
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
                              ids=["v64", "v1024"])
     def test_golden_trees_fill_one_shape(self, cfg):
+        indexes = set()
         for _, tree, _ in _golden_trees(cfg):
-            pass
+            enumerate_paths(tree)
+            indexes.add(id(tree.shape.leaf_paths()[0]))
         assert list(tree_mod._TEMPLATES) == [(4, 5, 24, 4)]
         assert len(tree_mod._SHAPES) == 1
+        # One leaf-path index, made once for the shape.
+        assert len(indexes) == 1
         # One race outcome per level of the 4 / 16 / 4 tree.
         assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
 
@@ -574,12 +588,15 @@ class TestMemoBounds:
         (shape,) = _template_shapes(tree_mod._TEMPLATES[4, 5, 24, 4])
         # Every other shape is the tree's linearized behind pending tokens
         # (pending length 0 is the tree's own), one per pending length seen,
-        # each with the one window index its verifies read.
+        # each with the one window index its verifies read.  Only the
+        # tree's own shape has a leaf-path index.
         seen = {len(s.parents) - len(shape.parents): s for s in tree_mod._SHAPES.values()}
         assert len(seen) == len(tree_mod._SHAPES) and set(seen) <= pending
+        assert shape._paths is not None
         for n, linear in seen.items():
             assert linear.parents == shape.linear_parents(n)
             assert list(linear._windows) == [(4, 4)]
+            assert (linear._paths is None) == (n > 0)
 
 
 def _hand_tree():
@@ -592,7 +609,7 @@ def _hand_tree():
         DraftNode(token=1, parent=1, prob=0.9),
     ]
     root = np.full(10, 0.1)
-    return DraftTree(nodes=nodes, root_dist=root)
+    return DraftTree.from_nodes(nodes, root)
 
 
 def test_hand_built_tree_takes_its_shape_from_its_parents():
@@ -610,7 +627,18 @@ def test_hand_built_tree_takes_its_shape_from_its_parents():
     assert tree.shape.windows(2, 2)[0].tolist() == [[1, 2], [1, 3], [2, 4], [2, 5], [3, 6]]
     for _ in range(2):
         with pytest.raises(RejectedInput):
-            DraftTree([DraftNode(token=1, parent=0, prob=0.5)], np.ones(2) / 2)
+            DraftTree.from_nodes([DraftNode(token=1, parent=0, prob=0.5)], np.ones(2) / 2)
+
+
+def test_nodes_are_read_from_the_arrays():
+    tree = _hand_tree()
+    nodes = tree.nodes
+    assert len(nodes) == 5 and tree.tokens.tolist() == [5, 9, 2, 7, 1, -1]
+    assert tree.probs[-1] == 1.0
+    assert nodes[-1] == DraftNode(token=1, parent=1, prob=0.9)
+    assert [(n.token, n.parent) for n in nodes] == [(5, -1), (9, -1), (2, 0), (7, 0), (1, 1)]
+    with pytest.raises(IndexError):
+        nodes[5]
 
 
 class TestEnumeratePaths:
@@ -618,7 +646,7 @@ class TestEnumeratePaths:
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "p"))
         paths = enumerate_paths(tree)
-        assert len(paths) == 1 and paths[0].tokens == [1, 2, 3]
+        assert len(paths) == 1 and paths[0] == [1, 2, 3]
 
     def test_perfect_binary_depth2_has_4_paths(self):
         table = {0: [0.0, 0.5, 0.5, 0.0, 0.0],
@@ -630,12 +658,105 @@ class TestEnumeratePaths:
 
     def test_hand_traversal(self):
         paths = enumerate_paths(_hand_tree())
-        assert [p.tokens for p in paths] == [[9, 1], [5, 2], [5, 7]]
-        assert [round(p.confidence, 12) for p in paths] == [0.36, 0.3, 0.12]
+        assert list(paths) == [[9, 1], [5, 2], [5, 7]]
+        assert [round(c, 12) for c in paths.confidence.tolist()] == [0.36, 0.3, 0.12]
 
     def test_confidence_is_prob_product(self):
-        path = TokenPath([1, 2, 3], [0.5, 0.5, 0.4])
-        assert abs(path.confidence - 0.1) < 1e-15
+        nodes = [DraftNode(token=1, parent=-1, prob=0.5), DraftNode(token=2, parent=0, prob=0.5),
+                 DraftNode(token=3, parent=1, prob=0.4)]
+        paths = enumerate_paths(DraftTree.from_nodes(nodes, np.full(4, 0.25)))
+        assert abs(paths.confidence[0] - 0.1) < 1e-15
+
+    def test_empty_tree_rejected(self):
+        with pytest.raises(RejectedInput):
+            enumerate_paths(DraftTree.from_nodes([], np.full(4, 0.25)))
+
+
+def _reference_paths(tree):
+    """Per-leaf oracle for enumerate_paths: the walk up the parent pointers
+    from each leaf and the sort by (-confidence, tokens) it replaced, as
+    (tokens, probs, confidence) with the confidence from ``math.prod``."""
+    nodes = list(tree.nodes)
+    parents = {node.parent for node in nodes}
+    paths = []
+    for i in range(len(nodes)):
+        if i in parents:
+            continue
+        toks, probs = [], []
+        j = i
+        while j != -1:
+            toks.append(nodes[j].token)
+            probs.append(nodes[j].prob)
+            j = nodes[j].parent
+        paths.append((toks[::-1], probs[::-1], math.prod(probs[::-1])))
+    paths.sort(key=lambda p: (-p[2], p[0]))
+    return paths
+
+
+def _reference_similarity(paths, codebook, alpha, stride):
+    """path_similarity over _reference_paths, as it read token lists."""
+    retained = paths[::stride]
+    n = len(retained)
+    if n < 2:
+        return 1.0, True
+    depth = min(len(toks) for toks, _, _ in retained)
+    raw = alpha ** np.arange(depth, dtype=np.float64)
+    tokens = np.array([toks[:depth] for toks, _, _ in retained])
+    total = codebook.unit(tokens).sum(axis=0)
+    means = (np.einsum("ld,ld->l", total, total) - n) / (n * (n - 1))
+    return float(np.clip(raw / raw.sum() @ means, -1.0, 1.0)), False
+
+
+def _assert_paths_match(tree, codebook, alpha=0.8):
+    """enumerate_paths against _reference_paths: order, tokens, lengths and
+    confidences bit for bit, -1 padding, and the stride-1 and stride-2
+    similarities bit for bit."""
+    got, ref = enumerate_paths(tree), _reference_paths(tree)
+    assert list(got) == [toks for toks, _, _ in ref]
+    assert got.lengths.tolist() == [len(toks) for toks, _, _ in ref]
+    assert [c.hex() for c in got.confidence.tolist()] == [c.hex() for _, _, c in ref]
+    for row, length in zip(got.tokens.tolist(), got.lengths.tolist()):
+        assert set(row[length:]) <= {-1}
+    for stride in (1, 2):
+        sim = path_similarity(got, codebook, alpha, stride)
+        value, degenerate = _reference_similarity(ref, codebook, alpha, stride)
+        assert (sim.value.hex(), sim.degenerate) == (value.hex(), degenerate)
+    return got
+
+
+class TestEnumerateMatchesReference:
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
+                             ids=["v64", "v1024"])
+    def test_golden_trees(self, cfg):
+        for draft, tree, _ in _golden_trees(cfg):
+            _assert_paths_match(tree, draft.codebook, cfg.alpha)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_stopping_short(self, seed):
+        """Tiny-V trees whose rows stop at their support: ragged paths,
+        padded rows, and one-path trees."""
+        codebook = EmbeddingCodebook(rng_stream(seed, "cb").standard_normal((7, 3)))
+        drafter = TableDrafter(_sparse_table(seed, 7, [1, 2, 3, 7]))
+        ragged = 0
+        for run in range(40):
+            for k_b, D, budget in [(3, 4, 9), (3, 3, 5), (2, 5, 12)]:
+                tree = build_tree(drafter, _feat(), [run % 7], k_b, D, budget,
+                                  rng_stream(run, "stop-draw"))
+                paths = _assert_paths_match(tree, codebook)
+                ragged += len(set(paths.lengths.tolist())) > 1
+        assert ragged > 10
+
+    def test_tied_confidences(self):
+        # Four paths of confidence 0.25 exactly, two of them one token
+        # shorter: the order is by tokens alone.
+        nodes = [DraftNode(token=6, parent=-1, prob=0.5), DraftNode(token=3, parent=-1, prob=0.25),
+                 DraftNode(token=8, parent=-1, prob=0.25), DraftNode(token=2, parent=0, prob=0.5),
+                 DraftNode(token=1, parent=0, prob=0.5), DraftNode(token=4, parent=2, prob=1.0)]
+        tree = DraftTree.from_nodes(nodes, np.full(10, 0.1))
+        codebook = EmbeddingCodebook(rng_stream(0, "tied-cb").standard_normal((10, 3)))
+        paths = _assert_paths_match(tree, codebook)
+        assert list(paths) == [[3], [6, 1], [6, 2], [8, 4]]
+        assert paths.confidence.tolist() == [0.25] * 4
 
 
 def _ancestor_sets(linear):

@@ -112,7 +112,7 @@ class TestVerifyTree:
         dead = int(np.argmin(q_root))
         assert q_root[dead] == 0.0
         node = DraftNode(token=dead, parent=-1, prob=1.0)
-        tree = DraftTree([node], root_dist=np.eye(8)[dead])
+        tree = DraftTree.from_nodes([node], root_dist=np.eye(8)[dead])
         outcome = verify_tree(linearize(tree, []), target, context, STRICT,
                               rng_stream(0, "a"))
         assert outcome.accept_length == 0
@@ -131,7 +131,7 @@ class TestVerifyTree:
         score_prefix = target.score_prefix
         monkeypatch.setattr(target, "score_prefix",
                             lambda toks: scored.append(list(toks)) or score_prefix(toks))
-        empty = DraftTree([], root_dist=np.full(target.vocab_size, 1 / target.vocab_size))
+        empty = DraftTree.from_nodes([], np.full(target.vocab_size, 1 / target.vocab_size))
         outcome = verify_tree(linearize(empty, []), target, context, STRICT,
                               rng_stream(0, "a"))
         assert outcome.terminal_origin == "bonus" and scored == [context[-window:]]
@@ -179,7 +179,7 @@ class TestBranchProbabilityOracle:
             DraftNode(token=0, parent=0, prob=0.3),
             DraftNode(token=3, parent=0, prob=0.3),
         ]
-        tree = DraftTree(nodes, root_dist=d_root)
+        tree = DraftTree.from_nodes(nodes, root_dist=d_root)
         oracle = tree_distribution(target, context, tree)
         assert abs(sum(oracle.values()) - 1.0) < 1e-9
 
