@@ -53,7 +53,6 @@ class EngineConfig:
     logit_scale: float = 4.0
     concentration: float = 3.6
     epsilon: float = 0.3
-    smooth_temperature: float = 1.0
     noise_scale: float = 4.0
     # draft tree
     branching: int = 4
@@ -93,8 +92,8 @@ class EngineConfig:
                 raise RejectedInput(f"{name} must be finite")
         if self.vocab_size < 4 or self.feat_dim < 2 or self.window < 1:
             raise RejectedInput("vocab_size >= 4, feat_dim >= 2, window >= 1 required")
-        if self.temperature <= 0 or self.smooth_temperature <= 0:
-            raise RejectedInput("temperatures must be positive")
+        if self.temperature <= 0:
+            raise RejectedInput("temperature must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise RejectedInput("epsilon must lie in [0, 1]")
         if self.branching < 2 or self.depth < 1 or self.budget < self.branching:

@@ -88,30 +88,25 @@ class TargetModel:
 
     def logprobs(self, prompt, tokens) -> list[float]:
         """``log(max(q, 1e-300))`` of each ``tokens[k]`` under ``score_prefix(
-        prompt + tokens[:k])``, all positions in one batched readout.
+        prompt + tokens[:k])``, all positions in one batched readout.  A
+        prompt shorter than the window is rejected, so every position's
+        window is full.
 
         Bit-identical to the per-position calls: the same window means, a
         stacked matrix-vector readout (``np.matmul`` over (n, d, 1); a plain
         matrix-matrix product rounds differently), the same scaling order
         and a row-wise softmax.  Does not touch the forward-pass counter.
         """
-        if len(prompt) == 0:
-            raise RejectedInput("empty context")
+        w = self.window
+        if len(prompt) < w:
+            raise RejectedInput(f"prompt shorter than the window {w}")
         n = len(tokens)
         if n == 0:
             return []
-        w = self.window
-        n_prompt = len(prompt)
-        seq = np.array([*prompt, *tokens[:-1]], dtype=np.intp)
-        # Position k's context is seq[:n_prompt + k]; from position `full`
-        # on its last `window` tokens are a full sliding window.
-        full = max(0, w - n_prompt)
-        feats = np.empty((n, self.codebook.dim))
-        if full < n:
-            windows = np.lib.stride_tricks.sliding_window_view(seq, w)[n_prompt + full - w:]
-            feats[full:] = self._mixed[:, windows].mean(axis=2).T
-        for k in range(min(full, n)):
-            feats[k] = self.feature_at(seq, n_prompt + k - 1)
+        # Position k's window is seq[k:k + w].
+        seq = np.array([*prompt[-w:], *tokens[:-1]], dtype=np.intp)
+        windows = np.lib.stride_tricks.sliding_window_view(seq, w)
+        feats = np.ascontiguousarray(self._mixed[:, windows].mean(axis=2).T)
         z = np.matmul(self.codebook.vectors, feats[:, :, None])[:, :, 0]
         z *= self.logit_scale
         z /= self.temperature
@@ -134,39 +129,33 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
 
 def target_forward_masked(model: TargetModel, context, flat_tokens,
                           parents) -> np.ndarray:
-    """Single-pass tree scoring over a linearized candidate block.
+    """Single-pass tree scoring of a verify block.
 
     ``flat_tokens[j]`` is scored under the prefix context + its root path;
-    ``parents[j]`` is the flat index of its parent (always < j), or -1 for
-    the context itself.  Returns a (V, n) array whose column j is the
-    distribution after position j; a caller reads the few columns it walks
-    (the distribution after the raw context is ``score_prefix`` of its
-    tail).  One forward pass total, like any parallel verification.
+    ``parents[j]`` is the index of its parent (always < j), or -1 for the
+    context itself.  Returns a (V, 1 + n) array: column 0 is the
+    distribution after the context, and column 1 + j the distribution after
+    node j's root path; a caller reads the few columns it walks.  One
+    forward pass total, like any parallel verification.
 
-    Only the last ``window`` tokens of a prefix reach its feature, so each
-    position's window is its parent's slid by one token, starting from the
-    context's tail.  The windows are gathered once, through the index the
-    parents' ``TreeShape`` memoizes (``TreeShape.windows``; a parent not in
-    [-1, j) at position j is rejected before the pass is counted), and
-    averaged as ``feature_at`` averages one, so the distributions are those
-    of scoring every prefix on its own.
+    Only the last ``window`` tokens of a prefix reach its feature, so a
+    context shorter than the window is rejected, and each node's window is
+    its parent's slid by one token, starting from the context's tail.  The
+    windows are gathered once, through the index the parents' ``TreeShape``
+    memoizes (``TreeShape.windows``; a parent not in [-1, j) at position j
+    is rejected before the pass is counted), and averaged as
+    ``feature_at`` averages one, so the distributions are those of scoring
+    every prefix on its own.
     """
-    if len(context) == 0:
-        raise RejectedInput("empty context")
+    w = model.window
+    if len(context) < w:
+        raise RejectedInput(f"context shorter than the window {w}")
     if len(flat_tokens) != len(parents):
         raise RejectedInput("flat tokens and parents must align")
-    w = model.window
-    root = list(context[-w:])
-    index, short = tree_shape(tuple(parents)).windows(w, len(root))
+    index = tree_shape(tuple(parents)).windows(w)
     model.forward_passes += 1
-    if not len(flat_tokens):
-        return np.empty((model.vocab_size, 0))
-    seq = np.array(root + list(flat_tokens), dtype=np.intp)
-    feats = model._mixed[:, seq[index]].mean(axis=2)      # (d, n)
-    # A context shorter than the window: score the short windows as
-    # feature_at does.
-    for j, win in short:
-        feats[:, j] = model.feature_at(seq[list(win)], len(win) - 1)
+    seq = np.array([*context[-w:], *flat_tokens], dtype=np.intp)
+    feats = model._mixed[:, seq[index]].mean(axis=2)      # (d, 1 + n)
     # In place, with the operations and their order of
     # softmax(scale * (vectors @ feats) / T) column by column.
     dists = model.codebook.vectors @ feats
@@ -189,19 +178,15 @@ class DraftModel:
 
     def __init__(self, codebook: EmbeddingCodebook, mixing: np.ndarray,
                  window: int, target_temperature: float, logit_scale: float,
-                 epsilon: float, smooth_temperature: float, noise_scale: float,
-                 seed: int):
+                 epsilon: float, noise_scale: float, seed: int):
         if not 0.0 <= epsilon <= 1.0:
             raise RejectedInput("epsilon must lie in [0, 1]")
-        if smooth_temperature <= 0.0:
-            raise RejectedInput("smoothing temperature must be positive")
         self.codebook = codebook
         self.mixing = np.asarray(mixing, dtype=np.float64)
         self.window = window
         self.target_temperature = float(target_temperature)
         self.logit_scale = float(logit_scale)
         self.epsilon = float(epsilon)
-        self.smooth_temperature = float(smooth_temperature)
         self.noise_scale = float(noise_scale)
         rng = rng_stream(seed, "draft-noise")
         self._noise_head = rng.standard_normal((codebook.size, codebook.dim))
@@ -223,14 +208,13 @@ class DraftModel:
         self.forward_calls += len(features)
         vectors = self.codebook.vectors
         # In place, with the operations and their order of the formula
-        # (1 - eps) * (scale * base / T) + eps * (noise_scale * noise / T_s).
+        # (1 - eps) * (scale * base / T) + eps * (noise_scale * noise).
         z = np.matmul(vectors, features[:, :, None])[:, :, 0]
         z *= self.logit_scale
         z /= self.target_temperature
         z *= 1.0 - self.epsilon
         noise = np.matmul(self._noise_head, vectors.take(last_tokens, axis=0)[:, :, None])[:, :, 0]
         noise *= self.noise_scale
-        noise /= self.smooth_temperature
         noise *= self.epsilon
         z += noise
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
@@ -263,6 +247,6 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     target = TargetModel(codebook, q, config.window, config.temperature,
                          config.logit_scale)
     draft = DraftModel(codebook, q, config.window, config.temperature,
-                       config.logit_scale, config.epsilon,
-                       config.smooth_temperature, config.noise_scale, config.seed)
+                       config.logit_scale, config.epsilon, config.noise_scale,
+                       config.seed)
     return target, draft

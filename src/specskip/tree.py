@@ -4,11 +4,12 @@ linearization for single-pass verification.
 A tree's shape, its parent pointers, is fixed before its draws: it depends
 only on (min(k_b, V), D, budget, drafter window) and on which rows stop
 short at their support.  So each shape is worked out once and memoized with
-every index read from it: children, linearized parents, root-path windows
-and the leaf-path index.  A tree is arrays over its shape from build to
-verify (its tokens, probs and child distributions), and its paths are rows
-gathered through the leaf-path index, so building, enumerating,
-linearizing and verifying a tree does only its own draws and gathers."""
+every index read from it: children, root-path windows and the leaf-path
+index.  A tree is arrays over its shape from build to verify (its tokens,
+probs and child distributions), and its paths are rows gathered through the
+leaf-path index, so building, enumerating, linearizing and verifying a tree
+does only its own draws and gathers.  Pending tokens are not part of any
+shape: the verify pass scores them as context."""
 
 from __future__ import annotations
 
@@ -39,16 +40,15 @@ class DraftNode:
     dist: np.ndarray = field(repr=False, default=None)
 
 
-def _root_windows(parents: tuple[int, ...], w: int, r: int) -> list[tuple[int, ...]]:
-    """Each node's window: the last w tokens of the context followed by its
-    root path, as indices into the context's last r <= w tokens followed by
-    the nodes (node j at r + j).  Node j's window is its parent's slid by
-    one, starting from the context tail; it holds fewer than w indices only
-    while the context tail and the path are shorter than w together."""
+def _root_windows(parents: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
+    """Each node's window: the last w tokens of its prefix, the context
+    followed by its root path, as indices into the context's last w tokens
+    followed by the nodes (node j at w + j).  Node j's window is its
+    parent's slid by one, starting from the context tail."""
     windows: list[tuple[int, ...]] = []
     for j, p in enumerate(parents):
-        prev = tuple(range(r)) if p == -1 else windows[p]
-        windows.append((prev[1:] if len(prev) == w else prev) + (r + j,))
+        prev = tuple(range(w)) if p == -1 else windows[p]
+        windows.append(prev[1:] + (w + j,))
     return windows
 
 
@@ -57,40 +57,27 @@ class TreeShape:
     tuple (see ``tree_shape``) is shared by every tree of that shape, so it
     hands out tuples and read-only arrays only."""
 
-    __slots__ = ("parents", "children", "expanding", "_linear", "_windows", "_paths")
+    __slots__ = ("parents", "children", "expanding", "_windows", "_paths")
 
     def __init__(self, parents: tuple[int, ...],
                  children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
         self.parents = parents          # -1 for the root
         self.children = children        # position 0 holds the root's children
         self.expanding = expanding      # the nodes with children, in index order
-        self._linear: dict[int, tuple[int, ...]] = {}   # pending length -> parents
-        self._windows: dict[tuple[int, int], tuple[np.ndarray, tuple]] = {}
+        self._windows: dict[int, np.ndarray] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
 
-    def linear_parents(self, n_pending: int) -> tuple[int, ...]:
-        """Parent pointers of ``n_pending`` pending tokens (a chain) followed
-        by the nodes; a root child's parent is the last pending token."""
-        parents = self._linear.get(n_pending)
-        if parents is None:
-            parents = self._linear[n_pending] = (
-                *range(-1, n_pending - 1),
-                *(n_pending - 1 if p == -1 else n_pending + p for p in self.parents))
-        return parents
-
-    def windows(self, w: int, r: int) -> tuple[np.ndarray, tuple]:
-        """Each node's window (see ``_root_windows``) as a read-only (n, w)
-        gather index, plus the (node, window) pairs of the windows shorter
-        than w, whose rows of the index are padding."""
-        found = self._windows.get((w, r))
-        if found is None:
-            windows = _root_windows(self.parents, w, r)
-            index = np.array([win if len(win) == w else (0,) * w for win in windows],
-                             dtype=np.intp).reshape(len(windows), w)
+    def windows(self, w: int) -> np.ndarray:
+        """The windows of the verify pass as a read-only (1 + n, w) gather
+        index into the context's last w tokens followed by the nodes: row 0
+        is the context's tail, and row 1 + j node j's window (see
+        ``_root_windows``)."""
+        index = self._windows.get(w)
+        if index is None:
+            index = self._windows[w] = np.array(
+                [tuple(range(w)), *_root_windows(self.parents, w)], dtype=np.intp)
             index.flags.writeable = False
-            found = self._windows[w, r] = (index, tuple(
-                (j, win) for j, win in enumerate(windows) if len(win) < w))
-        return found
+        return index
 
     def leaf_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """One row per leaf, in index order: the nodes on its root path from
@@ -210,13 +197,14 @@ class TreePaths:
 
 @dataclass
 class LinearizedTree:
-    """Pending (previously skip-accepted) tokens followed by tree nodes in
-    insertion order.  A position sees the committed context and the
-    positions on its parent chain, which is the tree-attention mask."""
+    """A verify block: the pending (previously skip-accepted) tokens, which
+    the pass scores as context after the committed one, and the tree's node
+    tokens in insertion order.  Node j sees the context, the pending tokens
+    and the nodes on its parent chain (``tree.shape.parents``), which is the
+    tree-attention mask."""
 
+    pending: list[int]
     tokens: list[int]
-    parents: tuple[int, ...]   # flat index of each position's parent (always earlier), -1 for the context
-    pending_len: int
     tree: DraftTree
 
 
@@ -279,7 +267,7 @@ class _Step:
         reach = [level.reach[r] * 0.5 ** k for r, k in zip(rows, ranks)]
         counts = _child_counts(reach, m, budget - self.hi)
         grow = [i for i, c in enumerate(counts) if c]
-        windows = _root_windows(level.parents, window, window)
+        windows = _root_windows(level.parents, window)
         leave = [0 if p == -1 else windows[p][0]
                  for p in (parents[self.lo + i] for i in grow)]
         self.grow = np.array(grow, dtype=np.intp)
@@ -429,10 +417,8 @@ def enumerate_paths(tree: DraftTree) -> TreePaths:
 
 
 def linearize(tree: DraftTree, pending) -> LinearizedTree:
-    """Flatten pending tokens (as a linear chain) followed by tree nodes; a
-    root child's parent is the last pending token, if any."""
-    tokens = [int(t) for t in pending]
-    n_pending = len(tokens)
-    tokens += tree.tokens[:-1].tolist()
-    return LinearizedTree(tokens=tokens, parents=tree.shape.linear_parents(n_pending),
-                          pending_len=n_pending, tree=tree)
+    """The verify block of a tree behind pending tokens: the pending tokens
+    as a list, and the node tokens in insertion order, whose parents are
+    the tree's own."""
+    return LinearizedTree(pending=[int(t) for t in pending],
+                          tokens=tree.tokens[:-1].tolist(), tree=tree)

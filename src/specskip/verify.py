@@ -76,27 +76,29 @@ def relaxed_accept(q: np.ndarray, p: np.ndarray, t: int,
 def verify_tree(linear: LinearizedTree, target: TargetModel, context,
                 config: EngineConfig, rng: np.random.Generator,
                 residual_rng: np.random.Generator | None = None) -> VerifyOutcome:
-    """Verify a linearized candidate block in one target forward pass.
+    """Verify a tree behind its pending tokens in one target forward pass.
 
-    Pending tokens are ratified as-is (their role is to restore exact
-    conditioning), then a greedy root-to-leaf walk accepts tree tokens:
-    children in their race (sampling) order, standard multi-draft residual
-    bookkeeping on rejection, a residual terminal when every child fails,
-    and a bonus terminal when a leaf is reached.  Each child is accepted by
-    the config's ``accept_mode``, relaxed with its ``delta`` and ``pool_k``.
+    The pass scores ``context + pending``, of which only the last
+    ``window`` tokens are read: its column 0 is the root's distribution and
+    column 1 + j node j's.  Pending tokens are ratified as-is (their role
+    is to restore exact conditioning), then a greedy root-to-leaf walk
+    accepts tree tokens: children in their race (sampling) order, standard
+    multi-draft residual bookkeeping on rejection, a residual terminal when
+    every child fails, and a bonus terminal when a leaf is reached.  Each
+    child is accepted by the config's ``accept_mode``, relaxed with its
+    ``delta`` and ``pool_k``.
     """
     if residual_rng is None:
         residual_rng = rng
     tree = linear.tree
-    dists = target_forward_masked(target, context, linear.tokens, linear.parents)
+    node_tokens = linear.tokens
+    tail = [*context[-target.window:], *linear.pending]
+    dists = target_forward_masked(target, tail, node_tokens, tree.shape.parents)
 
     accepted: list[int] = []
-    n_pending = linear.pending_len
-    node_tokens = linear.tokens[n_pending:]
     children = tree.shape.children
     cur_slot = -1
-    w = target.window
-    q_cur = dists[:, n_pending - 1] if n_pending else target.score_prefix(context[-w:]).dist
+    q_cur = dists[:, 0]
     p_cur = tree.root_dist
     codebook = target.codebook
     relaxed = config.accept_mode == "relaxed"
@@ -144,12 +146,12 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
 
         accepted.append(node_tokens[chosen])
         cur_slot = chosen
-        q_cur = dists[:, n_pending + chosen]
+        q_cur = dists[:, 1 + chosen]
         p_cur = tree.dists[chosen]   # None on a leaf, which goes straight to the bonus
 
     # Feature of the terminal token, from the same parallel pass; only the
     # last `window` tokens of its prefix reach it.
-    prefix = [*context[-w:], *linear.tokens[:n_pending], *accepted, terminal]
+    prefix = [*tail, *accepted, terminal]
     return VerifyOutcome(accepted=accepted, terminal=terminal,
                          terminal_origin=terminal_origin,
                          feature=target.feature_at(prefix, len(prefix) - 1))

@@ -88,20 +88,13 @@ def _root_paths(flat, parents):
 
 def _prefix_copy_forward(model, context, paths):
     """The masked forward as written before parent pointers: a copy of the
-    whole prefix per position, whose last `window` tokens are gathered.
+    whole prefix per column, the context alone in column 0 and the context
+    plus each root path after it, whose last `window` tokens are gathered.
     The parent-pointer form's dists must equal these bits."""
     w = model.window
-    windows = np.zeros((len(paths), w), dtype=np.intp)
-    short = {}
-    for j, path in enumerate(paths):
-        prefix = list(context) + path
-        if len(prefix) >= w:
-            windows[j] = prefix[-w:]
-        else:
-            short[j] = model.feature_at(prefix, len(prefix) - 1)
+    windows = np.array([(list(context) + path)[-w:] for path in [[], *paths]],
+                       dtype=np.intp)
     feats = model._mixed[:, windows].mean(axis=2)
-    for j, feat in short.items():
-        feats[:, j] = feat
     logits = model.logit_scale * (model.codebook.vectors @ feats) / model.temperature
     logits -= logits.max(axis=0)
     dists = np.exp(logits)
@@ -111,12 +104,12 @@ def _prefix_copy_forward(model, context, paths):
 
 def _check_masked(target, context, flat, parents):
     dists = target_forward_masked(target, context, flat, parents)
-    assert dists.shape == (target.vocab_size, len(flat))
+    assert dists.shape == (target.vocab_size, 1 + len(flat))
     paths = _root_paths(flat, parents)
     assert np.array_equal(dists, _prefix_copy_forward(target, context, paths))
-    for j, path in enumerate(paths):
+    for j, path in enumerate([[], *paths]):
         oracle = target.score_prefix(list(context) + path)
-        # The dist comes from one (V, d) x (d, n) readout, which rounds
+        # The dist comes from one (V, d) x (d, 1 + n) readout, which rounds
         # unlike score_prefix's (V, d) x (d,).
         assert np.allclose(dists[:, j], oracle.dist, rtol=0, atol=1e-12)
 
@@ -126,9 +119,9 @@ class TestMaskedForward:
         """Tree-masked scoring must equal scoring each root-path prefix
         directly (the independent oracle for parent visibility)."""
         target, _ = pair
-        # Hand-built block: a pending chain of 2 then a 3-node tree
-        # (root children 10, 11; 12 is a child of 10).
-        _check_masked(target, [5, 2, 8, 1], [7, 3, 10, 11, 12], [-1, 0, 1, 1, 2])
+        # Hand-built block: two pending tokens (7, 3) are context, then a
+        # 3-node tree (root children 10, 11; 12 is a child of 10).
+        _check_masked(target, [5, 2, 8, 1, 7, 3], [10, 11, 12], [-1, -1, 0])
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
@@ -142,23 +135,32 @@ class TestMaskedForward:
                               cfg.branching, cfg.depth, cfg.budget, rng=rng)
             pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
             linear = linearize(tree, pending)
-            # Full contexts, and a one-token one shorter than windows 2 to 4.
-            for context in (prompt, prompt[-1:]):
-                _check_masked(target, context, linear.tokens, linear.parents)
+            # Pending tokens are context; contexts of more than and exactly
+            # one window.
+            for context in (prompt + pending, (prompt + pending)[-window:]):
+                _check_masked(target, context, linear.tokens, tree.shape.parents)
 
     def test_single_pass_counter(self, pair):
         target, _ = pair
         before = target.forward_passes
-        target_forward_masked(target, [1, 2], [3, 4], [-1, 0])
+        target_forward_masked(target, [1, 2, 3, 4], [3, 4], [-1, 0])
         assert target.forward_passes == before + 1
-        dists = target_forward_masked(target, [1, 2], [], [])
+        dists = target_forward_masked(target, [1, 2, 3, 4], [], [])
         assert target.forward_passes == before + 2
-        assert dists.shape == (CFG.vocab_size, 0)
+        assert dists.shape == (CFG.vocab_size, 1)
+        assert np.allclose(dists[:, 0], target.score_prefix([1, 2, 3, 4]).dist,
+                           rtol=0, atol=1e-12)
 
     def test_short_prefix_positions(self, pair):
+        # A context shorter than the window is rejected before the pass is
+        # counted; one exactly a window long is scored.
         target, _ = pair
-        _check_masked(target, [6], [2], [-1])
-        _check_masked(target, [6, 1], [2, 5, 9, 4], [-1, 0, -1, 1])
+        before = target.forward_passes
+        for context in ([], [6], [6, 1, 2]):
+            with pytest.raises(RejectedInput):
+                target_forward_masked(target, context, [2], [-1])
+        assert target.forward_passes == before
+        _check_masked(target, [6, 1, 2, 7], [2, 5, 9, 4], [-1, 0, -1, 1])
 
     @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 5], [-2, 0]])
     def test_parent_not_before_child_rejected(self, pair, parents):
@@ -166,7 +168,7 @@ class TestMaskedForward:
         target, _ = pair
         for _ in range(2):
             with pytest.raises(RejectedInput):
-                target_forward_masked(target, [1, 2], [3] * len(parents), parents)
+                target_forward_masked(target, [1, 2, 3, 4], [3] * len(parents), parents)
 
 
 class TestLogprobs:
@@ -188,7 +190,7 @@ class TestLogprobs:
         target = make_model_pair(EngineConfig(vocab_size=vocab, feat_dim=dim,
                                               window=window))[0]
         rng = rng_stream(vocab + window, "logprobs")
-        for n_prompt in (window, 1, 7):
+        for n_prompt in (window, 7):
             prompt = [int(t) for t in rng.integers(0, vocab, n_prompt)]
             tokens = [int(t) for t in rng.integers(0, vocab, 40)]
             got = target.logprobs(prompt, tokens)
@@ -212,9 +214,12 @@ class TestLogprobs:
         got = hot.logprobs(prompt, tokens)
         assert min(got) == math.log(1e-300)
         assert got == self._loop(hot, prompt, tokens)
-        assert target.logprobs([1], []) == []
-        with pytest.raises(RejectedInput):
-            target.logprobs([], [1])
+        assert target.logprobs([1, 2, 3, 4], []) == []
+        # A prompt shorter than the window is rejected, tokens or none.
+        for short in ([], [1], [1, 2, 3]):
+            for toks in ([1], []):
+                with pytest.raises(RejectedInput):
+                    target.logprobs(short, toks)
 
 
 class TestDraftModel:
@@ -294,7 +299,6 @@ def _one_row_dist(draft, feature, last_token):
     vectors = draft.codebook.vectors
     base = draft.logit_scale * (vectors @ feature) / draft.target_temperature
     noise = draft.noise_scale * (draft._noise_head @ vectors[last_token])
-    noise = noise / draft.smooth_temperature
     z = (1.0 - draft.epsilon) * base + draft.epsilon * noise
     z = np.exp(z - z.max())
     return z / z.sum()

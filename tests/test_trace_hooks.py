@@ -44,7 +44,8 @@ def test_traced_runs_record_every_layer():
 
 def test_positions_count_scored_tokens(monkeypatch):
     # The tracer reads the masked forward's third positional argument as
-    # the flat tokens of one verify pass; a signature change would corrupt
+    # the tree tokens one verify pass scores (pending tokens are context,
+    # not positions); a signature change would corrupt
     # models.target_forward_masked.positions without failing anything else.
     lengths = []
     linearize = specskip.engine.linearize

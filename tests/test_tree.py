@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -577,26 +578,20 @@ class TestMemoBounds:
         assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
 
     def test_dynamic_run_with_skips(self):
-        pending, skips = {0}, 0
-        for run in range(6):
-            trace = vvs_generate(EngineConfig(policy="dynamic", run=run))
-            skips += trace.skip_count
-            pending |= {it.emitted for it in trace.iterations if it.kind == "skip"}
-        assert skips > 0
+        # Pending tokens are context, so verifies behind them look up the
+        # tree's own shape: no other shape is memoized, after dynamic and
+        # uniform runs with skips.
+        for cfg in (EngineConfig(policy="dynamic"), EngineConfig(policy="uniform", interval=2)):
+            skips = sum(vvs_generate(replace(cfg, run=run)).skip_count for run in range(6))
+            assert skips > 0
         assert list(tree_mod._TEMPLATES) == [(4, 5, 24, 4)]
         assert _template_steps(tree_mod._TEMPLATES[4, 5, 24, 4]) == 3
         (shape,) = _template_shapes(tree_mod._TEMPLATES[4, 5, 24, 4])
-        # Every other shape is the tree's linearized behind pending tokens
-        # (pending length 0 is the tree's own), one per pending length seen,
-        # each with the one window index its verifies read.  Only the
-        # tree's own shape has a leaf-path index.
-        seen = {len(s.parents) - len(shape.parents): s for s in tree_mod._SHAPES.values()}
-        assert len(seen) == len(tree_mod._SHAPES) and set(seen) <= pending
+        # Only the draft tree's shape, with the one window index its
+        # verifies read; its leaf-path index is made when paths are read.
+        assert list(tree_mod._SHAPES.values()) == [shape]
+        assert list(shape._windows) == [4]
         assert shape._paths is not None
-        for n, linear in seen.items():
-            assert linear.parents == shape.linear_parents(n)
-            assert list(linear._windows) == [(4, 4)]
-            assert (linear._paths is None) == (n > 0)
 
 
 def _hand_tree():
@@ -617,14 +612,15 @@ def test_hand_built_tree_takes_its_shape_from_its_parents():
     assert tree.shape is tree_mod.tree_shape((-1, -1, 0, 0, 1))
     assert tree.shape.children == ((0, 1), (2, 3), (4,), (), (), ())
     assert tree.shape.expanding == (0, 1)
-    # Windows of 3 over a one-token context tail: a node's is its parent's
-    # slid by one, and the root children's are short (rows padded).
-    index, short = tree.shape.windows(3, 1)
-    assert index.tolist() == [[0] * 3, [0] * 3, [0, 1, 3], [0, 1, 4], [0, 2, 5]]
-    assert short == ((0, (0, 1)), (1, (0, 2)))
+    # Windows of 3 over the context's last 3 tokens (0 to 2), then the
+    # nodes (3 to 7): row 0 is the context's tail, and a node's row is its
+    # parent's slid by one.
+    index = tree.shape.windows(3)
+    assert index.tolist() == [[0, 1, 2], [1, 2, 3], [1, 2, 4], [2, 3, 5], [2, 3, 6],
+                              [2, 4, 7]]
     assert not index.flags.writeable
-    assert tree.shape.windows(3, 1)[0] is index
-    assert tree.shape.windows(2, 2)[0].tolist() == [[1, 2], [1, 3], [2, 4], [2, 5], [3, 6]]
+    assert tree.shape.windows(3) is index
+    assert tree.shape.windows(2).tolist() == [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 6]]
     for _ in range(2):
         with pytest.raises(RejectedInput):
             DraftTree.from_nodes([DraftNode(token=1, parent=0, prob=0.5)], np.ones(2) / 2)
@@ -759,17 +755,18 @@ class TestEnumerateMatchesReference:
         assert paths.confidence.tolist() == [0.25] * 4
 
 
-def _ancestor_sets(linear):
-    """Each position's ancestors, walked through ``parents``."""
+def _ancestor_sets(parents):
+    """Each node's ancestors, walked through ``parents``."""
     sets = []
-    for j, parent in enumerate(linear.parents):
+    for j, parent in enumerate(parents):
         assert -1 <= parent < j
         sets.append(frozenset() if parent == -1 else sets[parent] | {parent})
     return sets
 
 
 def _old_ancestor_sets(tree, n_pending):
-    """The ancestor sets linearize built before parent pointers."""
+    """The ancestor sets linearize built before parent pointers, over the
+    pending tokens (a chain) followed by the nodes."""
     sets = [frozenset(range(i)) for i in range(n_pending)]
     for node in tree.nodes:
         anc = set(range(n_pending))
@@ -786,34 +783,40 @@ class TestLinearize:
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
         linear = linearize(tree, [])
-        assert linear.pending_len == 0
-        assert linear.parents == (-1, 0, 1)
-        assert _ancestor_sets(linear) == [frozenset(), frozenset({0}), frozenset({0, 1})]
+        assert linear.pending == [] and linear.tree is tree
+        assert linear.tokens == [1, 2, 3]
+        assert tree.shape.parents == (-1, 0, 1)
+        assert _ancestor_sets(tree.shape.parents) == [frozenset(), frozenset({0}),
+                                                      frozenset({0, 1})]
 
     def test_pending_prepended(self):
+        # Pending tokens go before the nodes as context, not as positions of
+        # the block: the nodes keep the tree's own parents.
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
-        linear = linearize(tree, [8, 9])
-        assert len(linear.tokens) == 5
-        assert linear.tokens[:2] == [8, 9]
-        assert linear.parents == (-1, 0, 1, 2, 3)
-        assert _ancestor_sets(linear)[-1] == frozenset({0, 1, 2, 3})
+        linear = linearize(tree, np.array([8, 9]))
+        assert linear.pending == [8, 9] and type(linear.pending[0]) is int
+        assert linear.tokens == [1, 2, 3]
+        assert linearize(tree, []).tokens == linear.tokens
 
     def test_ancestors_transitively_closed(self):
         """Parents come before their children, and the path walked through
-        them is the ancestor set linearize used to build."""
+        them is the ancestor set linearize used to build, less the pending
+        tokens every node used to see."""
         target, draft = make_model_pair(CFG)
         for run in range(10):
             prompt = [int(t) for t in rng_stream(run, "p").integers(0, 64, 4)]
             feat = target.feature_at(prompt, 3)
             tree = build_tree(draft, feat, prompt, 4, 4, 16,
                               rng=rng_stream(run, "d"))
+            sets = _ancestor_sets(tree.shape.parents)
             for pending in ([], [1], [1, 2]):
-                linear = linearize(tree, pending)
-                sets = _ancestor_sets(linear)
-                assert sets == _old_ancestor_sets(tree, len(pending))
-                for j, anc in enumerate(sets):
-                    for a in anc:
-                        assert a < j
-                        assert sets[a] <= anc
-
+                n = len(pending)
+                old = _old_ancestor_sets(tree, n)
+                assert old[:n] == [frozenset(range(i)) for i in range(n)]
+                assert sets == [frozenset(a - n for a in anc if a >= n) for anc in old[n:]]
+                assert all(anc >= set(range(n)) for anc in old[n:])
+            for j, anc in enumerate(sets):
+                for a in anc:
+                    assert a < j
+                    assert sets[a] <= anc

@@ -6,7 +6,7 @@ import pytest
 from specskip import verify
 from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig
-from specskip.errors import DegenerateProposal
+from specskip.errors import DegenerateProposal, RejectedInput
 from specskip.models import make_model_pair
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
 from specskip.verify import pooled_mass, relaxed_accept, strict_accept, verify_tree
@@ -119,25 +119,34 @@ class TestVerifyTree:
         assert outcome.terminal_origin == "resampled"
 
     @pytest.mark.parametrize("window", [1, 4])
-    @pytest.mark.parametrize("context", [[5, 2, 8, 1, 7], [6]])
+    @pytest.mark.parametrize("context", [[5, 2, 8, 1, 7], [6, 0, 3, 2]])
     def test_root_distribution_scored_only_when_read(self, monkeypatch, window, context):
-        """Without pending tokens the walk starts from score_prefix of the
-        context, bit for bit (an empty tree's bonus terminal is drawn from
-        it); with pending tokens the context is not scored on its own."""
+        """The walk's root is column 0 of the masked pass, with pending
+        tokens or without (an empty tree's bonus terminal is drawn from
+        it), within 1e-12 of score_prefix of the context and the pending
+        tokens; score_prefix itself is never called, and a context shorter
+        than the window is rejected."""
         target, _ = make_model_pair(EngineConfig(window=window))
-        drawn_from, scored = [], []
+        drawn_from, scored, passes = [], [], []
         monkeypatch.setattr(verify, "sample_index",
                             lambda dist, rng: drawn_from.append(dist.copy()) or 0)
         score_prefix = target.score_prefix
-        monkeypatch.setattr(target, "score_prefix",
-                            lambda toks: scored.append(list(toks)) or score_prefix(toks))
+        monkeypatch.setattr(target, "score_prefix", lambda toks: scored.append(list(toks)))
+        masked = verify.target_forward_masked
+        monkeypatch.setattr(verify, "target_forward_masked",
+                            lambda *args: passes.append(masked(*args)) or passes[-1])
         empty = DraftTree.from_nodes([], np.full(target.vocab_size, 1 / target.vocab_size))
-        outcome = verify_tree(linearize(empty, []), target, context, STRICT,
-                              rng_stream(0, "a"))
-        assert outcome.terminal_origin == "bonus" and scored == [context[-window:]]
-        assert np.array_equal(drawn_from[0], score_prefix(context).dist)
-        verify_tree(linearize(empty, [3, 9]), target, context, STRICT, rng_stream(0, "a"))
-        assert len(scored) == 1
+        for pending in ([], [3, 9]):
+            outcome = verify_tree(linearize(empty, pending), target, context, STRICT,
+                                  rng_stream(0, "a"))
+            assert outcome.terminal_origin == "bonus"
+            assert np.array_equal(drawn_from[-1], passes[-1][:, 0])
+            assert np.allclose(drawn_from[-1], score_prefix(context + pending).dist,
+                               rtol=0, atol=1e-12)
+        assert scored == [] and len(passes) == 2
+        with pytest.raises(RejectedInput):
+            verify_tree(linearize(empty, []), target, context[:window - 1], STRICT,
+                        rng_stream(0, "a"))
 
     def test_pending_ratified_with_features(self):
         cfg = EngineConfig()
@@ -163,6 +172,40 @@ class TestVerifyTree:
         before = target.forward_passes
         verify_tree(linearize(tree, []), target, prompt, STRICT, rng_stream(1, "a"))
         assert target.forward_passes == before + 1
+
+
+class TestPendingIsContext:
+    @pytest.mark.parametrize("cfg", [
+        EngineConfig(), STRICT, EngineConfig(vocab_size=1024, feat_dim=16),
+        EngineConfig(vocab_size=1024, feat_dim=16, accept_mode="strict"),
+    ], ids=["v64", "v64-strict", "v1024", "v1024-strict"])
+    @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
+    def test_pending_tokens_verify_as_context(self, monkeypatch, cfg, n_pending):
+        """A tree behind pending tokens verifies bit for bit as the same
+        tree with none pending after a context that ends in them: the same
+        outcome, and the terminal drawn from the same distribution (strict
+        acceptance rejects every root child often enough to draw some
+        terminals from the root's distribution)."""
+        drawn_from = []
+        sample_index = verify.sample_index
+        monkeypatch.setattr(verify, "sample_index",
+                            lambda dist, rng: drawn_from.append(dist.tobytes())
+                            or sample_index(dist, rng))
+        target, draft = make_model_pair(cfg)
+        for run in range(100):
+            rng = rng_stream(run, "pending-context")
+            prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, cfg.window)]
+            tree = build_tree(draft, target.feature_at(prompt, cfg.window - 1), prompt,
+                              cfg.branching, cfg.depth, cfg.budget, rng=rng)
+            pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
+            outcomes = [verify_tree(linear, target, context, cfg, rng_stream(run, "a"),
+                                    rng_stream(run, "r"))
+                        for linear, context in ((linearize(tree, pending), prompt),
+                                                (linearize(tree, []), prompt + pending))]
+            a, b = ((o.accepted, o.terminal, o.terminal_origin,
+                     [f.hex() for f in o.feature.tolist()], dist)
+                    for o, dist in zip(outcomes, drawn_from[-2:]))
+            assert a == b
 
 
 class TestBranchProbabilityOracle:
