@@ -1,5 +1,7 @@
 """Primitives: distributions, cosine, codebooks, neighbor ranking, rng."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,31 @@ class TestRngStream:
         a = rng_stream(1, "x").random(8)
         b = rng_stream(2, "x").random(8)
         assert not np.array_equal(a, b)
+
+    @given(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
+                                      2**64, 2**64 + 1, 2**96 + 7]),
+                     st.integers(min_value=-2**70, max_value=2**70)),
+           st.one_of(st.sampled_from(["", "a", "é→ω", "run3/accept", "run0/prompt",
+                                      "run1000001/residual"]),
+                     st.text(max_size=12),
+                     st.builds(lambda run, name: f"run{run}/{name}",
+                               st.integers(min_value=0, max_value=10**7),
+                               st.text(max_size=8))))
+    @settings(max_examples=300, deadline=None)
+    def test_state_is_numpy_list_seeding(self, seed, label):
+        # The stream is default_rng([seed mod 2**64, salt]), the salt being
+        # the label's sha256 prefix; any other seeding path must agree.
+        salt = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+        expect = np.random.default_rng([seed & (2**64 - 1), salt])
+        assert rng_stream(seed, label).bit_generator.state == expect.bit_generator.state
+
+    @pytest.mark.parametrize("seed, label, draws", [
+        (0, "a", [0.932893454018908, 0.6637128587414173,
+                  0.7792173160892625, 0.054567668605885467]),
+        (7, "run3/accept", [0.07951341839729154, 0.13320831682678946,
+                            0.8345785440711538, 0.8355360423868641])])
+    def test_first_draws_pinned(self, seed, label, draws):
+        assert rng_stream(seed, label).random(4).tolist() == draws
 
 
 class TestEmbeddingCodebook:
