@@ -23,15 +23,30 @@ ORIGIN_RESAMPLED = "resampled"
 ORIGIN_BONUS = "bonus"
 
 
+def _words(n: int) -> bytes:
+    """The little-endian 32-bit words of n >= 0, as many as n needs and one
+    for zero: numpy's rule for turning an int seed into seed words."""
+    return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+
+
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Independent generator for a (seed, label) pair.
 
     The same pair yields the same draw sequence on every platform; distinct
     labels never share draws, so enabling or disabling one stochastic
     feature cannot perturb another feature's stream.
+
+    The stream is ``np.random.default_rng([seed mod 2**64, salt])``, salt
+    being the first 8 bytes of the label's sha256, little-endian.
+    ``default_rng`` coerces that list to 32-bit seed words in Python loops;
+    here the words are cut from bytes and handed to ``SeedSequence`` as one
+    uint32 array, which gives the same entropy pool and so the same PCG64
+    state for less setup.  A short request sets up several streams, so
+    that setup is a visible share of its time.
     """
     salt = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, salt])
+    words = np.frombuffer(_words(seed & 0xFFFFFFFFFFFFFFFF) + _words(salt), dtype="<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def cosine(a, b) -> float:
@@ -48,10 +63,11 @@ def cosine(a, b) -> float:
 
 
 def sample_index(dist: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one index from a probability vector using a single uniform."""
-    cum = np.cumsum(dist)
+    """Draw one index from a probability vector (an ndarray) using a single
+    uniform."""
+    cum = dist.cumsum()
     u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+    return int(cum.searchsorted(u, "right"))
 
 
 @dataclass(frozen=True)
@@ -110,7 +126,8 @@ def nearest_neighbors(codebook: EmbeddingCodebook, t: int, k: int) -> list[int]:
         # The first k of the ranking by (-similarity, id) are the tokens
         # below the k-th smallest -similarity and the smallest ids at it, so
         # only the tokens at or below it are ranked.
-        ids = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+        kth = neg[neg.argpartition(k - 1)[k - 1]]
+        ids = (neg <= kth).nonzero()[0]
         order = ids[np.lexsort((ids, neg[ids]))]
         # t is one of the first k or not; either way the k - 1 others come
         # from the first k, so the rest of the ranking is never read.

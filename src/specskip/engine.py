@@ -191,7 +191,7 @@ class _Streams:
 def _make_prompt(config: EngineConfig, rng: np.random.Generator) -> list[int]:
     # Fixed-length seeded prompt; length = context window so the drafter's
     # sliding window is always full.
-    return [int(t) for t in rng.integers(0, config.vocab_size, config.window)]
+    return rng.integers(0, config.vocab_size, config.window).tolist()
 
 
 def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
@@ -345,7 +345,9 @@ def compute_metrics(trace: GenerationTrace, target: TargetModel | None = None) -
     skip_fraction = trace.skip_count / len(trace.iterations)
 
     logprobs = target.logprobs(trace.prompt, trace.final_tokens())
-    quality = float(np.mean(logprobs)) if logprobs else float("nan")
+    quality = float("nan")
+    if logprobs:
+        quality = float(np.add.reduce(np.array(logprobs)) / len(logprobs))
     return Metrics(tpf=tpf, mal=mal, skip_fraction=skip_fraction,
                    quality_proxy=quality, n_tok=trace.n_tok, n_fwd=trace.n_fwd)
 

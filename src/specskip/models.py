@@ -32,9 +32,9 @@ class ModelOutput:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax, computed in place over ``logits``."""
-    logits -= logits.max()
+    logits -= np.maximum.reduce(logits)
     np.exp(logits, out=logits)
-    logits /= logits.sum()
+    logits /= np.add.reduce(logits)
     return logits
 
 
@@ -69,7 +69,7 @@ class TargetModel:
         if lo == i:
             return self._mixed[:, tokens[i]].copy()
         cols = self._mixed[:, list(tokens[lo:i + 1])]
-        return cols.mean(axis=1)
+        return np.add.reduce(cols, axis=1) / (i + 1 - lo)
 
     def dist_from_feature(self, feature: np.ndarray) -> np.ndarray:
         # In place, as scale * (vectors @ feature) / T.
@@ -106,7 +106,7 @@ class TargetModel:
         # Position k's window is seq[k:k + w].
         seq = np.array([*prompt[-w:], *tokens[:-1]], dtype=np.intp)
         windows = np.lib.stride_tricks.sliding_window_view(seq, w)
-        feats = np.ascontiguousarray(self._mixed[:, windows].mean(axis=2).T)
+        feats = np.ascontiguousarray((np.add.reduce(self._mixed[:, windows], axis=2) / w).T)
         z = np.matmul(self.codebook.vectors, feats[:, :, None])[:, :, 0]
         z *= self.logit_scale
         z /= self.temperature
@@ -155,15 +155,15 @@ def target_forward_masked(model: TargetModel, context, flat_tokens,
     index = tree_shape(tuple(parents)).windows(w)
     model.forward_passes += 1
     seq = np.array([*context[-w:], *flat_tokens], dtype=np.intp)
-    feats = model._mixed[:, seq[index]].mean(axis=2)      # (d, 1 + n)
+    feats = np.add.reduce(model._mixed[:, seq[index]], axis=2) / w   # (d, 1 + n)
     # In place, with the operations and their order of
     # softmax(scale * (vectors @ feats) / T) column by column.
     dists = model.codebook.vectors @ feats
     dists *= model.logit_scale
     dists /= model.temperature
-    dists -= dists.max(axis=0)
+    dists -= np.maximum.reduce(dists, axis=0)
     np.exp(dists, out=dists)
-    dists /= dists.sum(axis=0)
+    dists /= np.add.reduce(dists, axis=0)
     return dists
 
 
@@ -203,7 +203,7 @@ class DraftModel:
         (n, d, 1)), so each row is bit-identical to a one-row call; a plain
         matrix-matrix product rounds differently and must not be used.
         """
-        if np.ndim(features) != 2 or len(features) != len(last_tokens):
+        if getattr(features, "ndim", 0) != 2 or len(features) != len(last_tokens):
             raise RejectedInput("next_dist needs an (n, d) feature batch and n last tokens")
         self.forward_calls += len(features)
         vectors = self.codebook.vectors
@@ -232,9 +232,21 @@ class DraftModel:
 
 
 def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
-    """Deterministically construct a target/draft pair from an EngineConfig."""
+    """Deterministically construct a target/draft pair from an EngineConfig.
+
+    Settings whose logits or codebook norms would overflow float64 are
+    rejected here, once per pair, so no call meets an inf or a NaN.  The
+    codebook rows are unit and the mixing orthonormal, so a feature has norm
+    at most 1 and a target logit is at most |logit_scale| / temperature in
+    size; a drafter logit adds at most |noise_scale| times the largest
+    noise-head row norm.  Twice each bound must be finite."""
     if config.feat_dim < 2 or config.vocab_size < 4:
         raise RejectedInput("need feat_dim >= 2 and vocab_size >= 4")
+    # A raw codebook row's norm is about |concentration|; np.linalg.norm
+    # sums its squares.
+    if not math.isfinite(2 * config.concentration * config.concentration):
+        raise RejectedInput(f"concentration={config.concentration:g} overflows float64 "
+                            "codebook norms")
     cb_rng = rng_stream(config.seed, "codebook")
     anchor = cb_rng.standard_normal(config.feat_dim)
     anchor /= np.linalg.norm(anchor)
@@ -249,4 +261,12 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     draft = DraftModel(codebook, q, config.window, config.temperature,
                        config.logit_scale, config.epsilon, config.noise_scale,
                        config.seed)
+    logit_reach = abs(config.logit_scale) / config.temperature
+    if not math.isfinite(2 * logit_reach):
+        raise RejectedInput(f"logit_scale={config.logit_scale:g} over "
+                            f"temperature={config.temperature:g} overflows float64 logits")
+    noise_reach = abs(config.noise_scale) * float(np.linalg.norm(draft._noise_head, axis=1).max())
+    if not math.isfinite(2 * (logit_reach + noise_reach)):
+        raise RejectedInput(f"noise_scale={config.noise_scale:g} overflows float64 "
+                            "drafter logits")
     return target, draft

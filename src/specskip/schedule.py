@@ -86,9 +86,9 @@ def path_similarity(paths: TreePaths, codebook: EmbeddingCodebook,
     n = len(lengths)
     if n < 2:
         return PathSimilarity(1.0, True)
-    depth = int(lengths.min())
+    depth = int(np.minimum.reduce(lengths))
     weights = decay_weights(alpha, depth)
-    total = codebook.unit(paths.tokens[::stride, :depth]).sum(axis=0)  # (depth, dim)
+    total = np.add.reduce(codebook.unit(paths.tokens[::stride, :depth]), axis=0)  # (depth, dim)
     means = (np.einsum("ld,ld->l", total, total) - n) / (n * (n - 1))
     return PathSimilarity(min(1.0, max(-1.0, float(weights @ means))), False)
 

@@ -27,7 +27,7 @@ def truncate_path(selected: list[int], all_paths: TreePaths) -> list[int]:
     length), never below one token."""
     if not len(all_paths):
         raise RejectedInput("no candidate paths to average over")
-    mean_len = int(all_paths.lengths.sum()) / len(all_paths)
+    mean_len = int(np.add.reduce(all_paths.lengths)) / len(all_paths)
     keep = min(len(selected), math.floor(mean_len))
     keep = max(keep, 1)
     if keep == len(selected):

@@ -230,7 +230,7 @@ class _Level:
     def step(self, stops: np.ndarray) -> "_Step":
         """What follows a race whose rows stop at ``stops`` picks."""
         key = None
-        if stops.min() < self.most:
+        if np.minimum.reduce(stops) < self.most:
             clipped = tuple(map(min, self.counts, stops.tolist()))
             if clipped != self.counts:
                 key = clipped
@@ -390,9 +390,9 @@ def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
     keys = rng.standard_exponential((n, V))
     keys /= dists
     rows = np.arange(n)[:, None]
-    part = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    part = keys.argpartition(m - 1, axis=1)[:, :m]
     top = keys[rows, part]
-    return part[rows, top.argsort(axis=1)], np.isfinite(top).sum(axis=1)
+    return part[rows, top.argsort(axis=1)], np.add.reduce(np.isfinite(top), axis=1)
 
 
 def enumerate_paths(tree: DraftTree) -> TreePaths:

@@ -125,13 +125,13 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
                 break
             # Standard multi-draft residual update before the next child.
             res = np.maximum(q_view - p_view, 0.0)
-            res_total = res.sum()
+            res_total = np.add.reduce(res)
             if res_total > 0.0:
                 q_view = res / res_total
             if p_view is p_cur:
                 p_view = p_cur.copy()
             p_view[tok] = 0.0
-            p_total = p_view.sum()
+            p_total = np.add.reduce(p_view)
             if p_total > 0.0:
                 p_view = p_view / p_total
             elif rank + 1 < len(kids):

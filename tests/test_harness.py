@@ -447,6 +447,23 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: RejectedInput")
         assert name in err[0]
 
+    @pytest.mark.parametrize("vanilla", [[], ["--vanilla"]])
+    @pytest.mark.parametrize("lines, name", [
+        ("noise_scale = 1e308", "noise_scale"),
+        ("logit_scale = 1e10\ntemperature = 1e-300", "logit_scale"),
+        ("concentration = 1e200", "concentration")])
+    def test_overflowing_scale_is_one_error_line(self, capsys, tmp_path, lines, name, vanilla):
+        """Finite settings whose logits or codebook norms overflow float64
+        are rejected when the models are built, under either pipeline,
+        before a NaN reaches a draw."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"max_new_tokens = 12\n{lines}\n")
+        assert main(["generate", "--config", str(cfg), *vanilla]) == 2
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert name in err[0] and "overflows float64" in err[0]
+
     @pytest.mark.parametrize("args, name", [
         (["generate", "--config", "MISSING"], "MISSING"),
         (["generate", "--config", "LATIN1"], "LATIN1"),

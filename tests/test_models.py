@@ -335,6 +335,20 @@ class TestMakeModelPair:
         target, draft = make_model_pair(CFG)
         assert target.codebook is draft.codebook
 
+    @pytest.mark.parametrize("inside, outside, name", [
+        ({"logit_scale": 8e307}, {"logit_scale": 1e308, "temperature": 0.5}, "logit_scale"),
+        ({"logit_scale": -8e307}, {"logit_scale": -1e308, "temperature": 0.5}, "logit_scale"),
+        ({"temperature": 1e-300}, {"logit_scale": 1e10, "temperature": 1e-300}, "logit_scale"),
+        ({"noise_scale": 3e306}, {"noise_scale": 1e308}, "noise_scale")])
+    def test_scales_near_the_float64_bound(self, inside, outside, name):
+        """Settings inside the overflow bound decode without a NaN or a
+        numpy warning (an error under this suite); settings past it are
+        rejected when the models are built, by name."""
+        config = EngineConfig(max_new_tokens=16, policy="dynamic", **inside)
+        assert len(vvs_generate(config).final_tokens()) == 16
+        with pytest.raises(RejectedInput, match=f"{name}=.* overflows float64"):
+            make_model_pair(EngineConfig(**outside))
+
 
 class TestFeatureLocality:
     def test_adjacent_similarity_decays_with_distance(self, pair):
