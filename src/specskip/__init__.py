@@ -17,7 +17,6 @@ from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
 from .select import select_path, truncate_path
 from .tree import (DraftNode, DraftTree, LinearizedTree, TreePaths, build_tree,
                    enumerate_paths, linearize)
-from .verify import (VerifyOutcome, pooled_mass, relaxed_accept, strict_accept,
-                     verify_tree)
+from .verify import VerifyOutcome, accept, pooled_mass, verify_tree
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
@@ -24,10 +25,11 @@ def _load_config(args) -> EngineConfig:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    trace = vanilla_ar(config) if args.vanilla else vvs_generate(config)
-    metrics = compute_metrics(trace)
-    if args.output:
-        with open_output(args.output) as fh:
+    # Opened first, so an unwritable path fails before the generation runs.
+    with open_output(args.output) if args.output else contextlib.nullcontext() as fh:
+        trace = vanilla_ar(config) if args.vanilla else vvs_generate(config)
+        metrics = compute_metrics(trace)
+        if fh is not None:
             fh.write(trace_to_csv(trace))
     print(f"tokens={metrics.n_tok} forwards={metrics.n_fwd} "
           f"tpf={metrics.tpf:.4f} mal={metrics.mal:.4f} "

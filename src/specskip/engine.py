@@ -228,7 +228,6 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
 
     seq: list[int] = list(prompt)          # prompt + all emitted tokens
     emitted = TokenSequence()
-    pending_len = 0
     cache = FeatureCache()
 
     # Only a skip or a stale schedule entry reads the cache; when neither
@@ -265,18 +264,18 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             similarity = None if logged.degenerate else logged.value
 
         if not skip:
-            base = len(seq) - pending_len
-            outcome = verify_tree(linearize(tree, seq[base:]), target, seq[:base], config,
+            # Skip-accepted tokens are the tail of `seq`: context the pass
+            # ratifies as it scores the tree.
+            outcome = verify_tree(linearize(tree), target, seq, config,
                                   streams["accept"], streams["residual"])
             n_fwd += 1
             new_tokens = outcome.accepted + [outcome.terminal]
-            seq += new_tokens  # the ratified pending tokens are already its tail
+            seq += new_tokens
             for tok in outcome.accepted:
                 emitted.append(tok, ORIGIN_VERIFIED)
             emitted.append(outcome.terminal, outcome.terminal_origin)
             if cache_read:
                 update(cache, len(seq), outcome.feature, step)
-            pending_len = 0
 
             # The feature for the next draft, per the cycled schedule.
             source = config.feature_schedule[(n_fwd - 1) % len(config.feature_schedule)]
@@ -304,8 +303,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             if config.truncate:
                 chosen = truncate_path(chosen, paths)
             skip_count += 1
-            seq = seq + chosen
-            pending_len = len(chosen)
+            seq += chosen
             for tok in chosen:
                 emitted.append(tok, ORIGIN_SKIP)
             # The latest cached (stale) feature stands in for the unverified

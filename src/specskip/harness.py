@@ -176,7 +176,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
             writer = _csv_writer(fh)
             fh.flush()
         if jobs > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # The pool forks all its workers at once: no more than tasks.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
             results = pool.map(_run_cell, tasks)
         else:
             results = map(_run_cell, tasks)

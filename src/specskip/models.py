@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import EmbeddingCodebook, rng_stream
 from .errors import RejectedInput
-from .tree import tree_shape
+from .tree import TreeShape
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,12 @@ class ModelOutput:
     feature: np.ndarray
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax, computed in place over ``logits``."""
-    logits -= np.maximum.reduce(logits)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits)
-    return logits
+def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along ``axis``, computed in place over ``z``."""
+    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    return z
 
 
 class TargetModel:
@@ -71,20 +71,17 @@ class TargetModel:
         cols = self._mixed[:, list(tokens[lo:i + 1])]
         return np.add.reduce(cols, axis=1) / (i + 1 - lo)
 
-    def dist_from_feature(self, feature: np.ndarray) -> np.ndarray:
-        # In place, as scale * (vectors @ feature) / T.
-        logits = self.codebook.vectors @ feature
-        logits *= self.logit_scale
-        logits /= self.temperature
-        return _softmax(logits)
-
     def score_prefix(self, tokens) -> ModelOutput:
         """Distribution over the next token after a prefix, plus the last
         token's feature.  Does not touch the forward-pass counter."""
         if len(tokens) == 0:
             raise RejectedInput("empty context")
         feat = self.feature_at(tokens, len(tokens) - 1)
-        return ModelOutput(dist=self.dist_from_feature(feat), feature=feat)
+        # In place, as softmax(scale * (vectors @ feat) / T).
+        z = self.codebook.vectors @ feat
+        z *= self.logit_scale
+        z /= self.temperature
+        return ModelOutput(dist=_softmax(z), feature=feat)
 
     def logprobs(self, prompt, tokens) -> list[float]:
         """``log(max(q, 1e-300))`` of each ``tokens[k]`` under ``score_prefix(
@@ -110,10 +107,7 @@ class TargetModel:
         z = np.matmul(self.codebook.vectors, feats[:, :, None])[:, :, 0]
         z *= self.logit_scale
         z /= self.temperature
-        z -= np.maximum.reduce(z, axis=1, keepdims=True)
-        np.exp(z, out=z)
-        picked = z[np.arange(n), np.asarray(tokens, dtype=np.intp)]
-        picked /= np.add.reduce(z, axis=1)
+        picked = _softmax(z)[np.arange(n), np.asarray(tokens, dtype=np.intp)]
         return [math.log(max(p, 1e-300)) for p in picked.tolist()]
 
 
@@ -128,31 +122,30 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
 
 
 def target_forward_masked(model: TargetModel, context, flat_tokens,
-                          parents) -> np.ndarray:
+                          shape: TreeShape) -> np.ndarray:
     """Single-pass tree scoring of a verify block.
 
-    ``flat_tokens[j]`` is scored under the prefix context + its root path;
-    ``parents[j]`` is the index of its parent (always < j), or -1 for the
-    context itself.  Returns a (V, 1 + n) array: column 0 is the
-    distribution after the context, and column 1 + j the distribution after
-    node j's root path; a caller reads the few columns it walks.  One
-    forward pass total, like any parallel verification.
+    ``flat_tokens[j]`` is scored under the prefix context + its root path
+    through ``shape.parents`` (a hand-built block passes
+    ``tree_shape(parents)``, which validates them).  Returns a (V, 1 + n)
+    array: column 0 is the distribution after the context, and column 1 + j
+    the distribution after node j's root path; a caller reads the few
+    columns it walks.  One forward pass total, like any parallel
+    verification.
 
     Only the last ``window`` tokens of a prefix reach its feature, so a
     context shorter than the window is rejected, and each node's window is
     its parent's slid by one token, starting from the context's tail.  The
-    windows are gathered once, through the index the parents' ``TreeShape``
-    memoizes (``TreeShape.windows``; a parent not in [-1, j) at position j
-    is rejected before the pass is counted), and averaged as
-    ``feature_at`` averages one, so the distributions are those of scoring
-    every prefix on its own.
+    windows are gathered once, through the index the shape memoizes
+    (``TreeShape.windows``), and averaged as ``feature_at`` averages one,
+    so the distributions are those of scoring every prefix on its own.
     """
     w = model.window
     if len(context) < w:
         raise RejectedInput(f"context shorter than the window {w}")
-    if len(flat_tokens) != len(parents):
+    if len(flat_tokens) != len(shape.parents):
         raise RejectedInput("flat tokens and parents must align")
-    index = tree_shape(tuple(parents)).windows(w)
+    index = shape.windows(w)
     model.forward_passes += 1
     seq = np.array([*context[-w:], *flat_tokens], dtype=np.intp)
     feats = np.add.reduce(model._mixed[:, seq[index]], axis=2) / w   # (d, 1 + n)
@@ -161,10 +154,7 @@ def target_forward_masked(model: TargetModel, context, flat_tokens,
     dists = model.codebook.vectors @ feats
     dists *= model.logit_scale
     dists /= model.temperature
-    dists -= np.maximum.reduce(dists, axis=0)
-    np.exp(dists, out=dists)
-    dists /= np.add.reduce(dists, axis=0)
-    return dists
+    return _softmax(dists, axis=0)
 
 
 class DraftModel:
@@ -217,10 +207,7 @@ class DraftModel:
         noise *= self.noise_scale
         noise *= self.epsilon
         z += noise
-        z -= np.maximum.reduce(z, axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= np.add.reduce(z, axis=1, keepdims=True)
-        return z
+        return _softmax(z)
 
     def extend_feature(self, features: np.ndarray, leaving_tokens,
                        new_tokens) -> np.ndarray:

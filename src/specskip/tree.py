@@ -8,8 +8,8 @@ every index read from it: children, root-path windows and the leaf-path
 index.  A tree is arrays over its shape from build to verify (its tokens,
 probs and child distributions), and its paths are rows gathered through the
 leaf-path index, so building, enumerating, linearizing and verifying a tree
-does only its own draws and gathers.  Pending tokens are not part of any
-shape: the verify pass scores them as context."""
+does only its own draws and gathers.  Skip-accepted tokens are not part of
+any shape: the verify pass reads them as context."""
 
 from __future__ import annotations
 
@@ -197,13 +197,10 @@ class TreePaths:
 
 @dataclass
 class LinearizedTree:
-    """A verify block: the pending (previously skip-accepted) tokens, which
-    the pass scores as context after the committed one, and the tree's node
-    tokens in insertion order.  Node j sees the context, the pending tokens
-    and the nodes on its parent chain (``tree.shape.parents``), which is the
-    tree-attention mask."""
+    """A verify block: the tree's node tokens in insertion order.  Node j
+    sees the context and the nodes on its parent chain
+    (``tree.shape.parents``), which is the tree-attention mask."""
 
-    pending: list[int]
     tokens: list[int]
     tree: DraftTree
 
@@ -307,7 +304,9 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     Counts, parents and every index the build reads come from a template
     memoized per (m, D, budget, window) and per race outcome (see
     ``_Level``), so a level costs one race, one gather of its picks and the
-    drafter calls.  The tree keeps the build's token and prob arrays, with
+    drafter calls.  A budget above the full tree's node count is clamped to
+    it (``_clamped_budget``) before it keys the template or sizes the
+    build's arrays.  The tree keeps the build's token and prob arrays, with
     the sentinel's entries after the last node.  Floating-point errors are
     ignored once for the whole build, for the races' divisions by zero mass
     (see ``_sample_level``).
@@ -319,7 +318,9 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
         raise RejectedInput(f"context shorter than drafter window {window}")
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
-    key = (min(k_b, len(root_dist)), D, budget, window)
+    m = min(k_b, len(root_dist))
+    budget = _clamped_budget(m, D, budget)
+    key = (m, D, budget, window)
     level = _TEMPLATES.get(key)
     if level is None:
         level = _TEMPLATES[key] = _Level(key, 1, (), (-1,), (key[0],), (1.0,))
@@ -350,6 +351,19 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     for i, row in zip(shape.expanding, itertools.chain.from_iterable(grown)):
         dist[i] = row
     return DraftTree(seq[window:window + n + 1], probs[:n + 1], dist, root_dist, shape)
+
+
+def _clamped_budget(m: int, D: int, budget: int) -> int:
+    """The budget, clamped to the m + m**2 + ... + m**D nodes of the full
+    tree, which no larger budget changes; the sum stops once it reaches
+    the budget, so a huge D costs no more terms than the budget holds."""
+    total, level = 0, 1
+    for _ in range(D):
+        level *= m
+        total += level
+        if total >= budget:
+            return budget
+    return total
 
 
 def _child_counts(reach: list[float], m: int, room: int) -> list[int]:
@@ -416,9 +430,7 @@ def enumerate_paths(tree: DraftTree) -> TreePaths:
     return TreePaths(tokens[order], confidence[order], lengths[order])
 
 
-def linearize(tree: DraftTree, pending) -> LinearizedTree:
-    """The verify block of a tree behind pending tokens: the pending tokens
-    as a list, and the node tokens in insertion order, whose parents are
-    the tree's own."""
-    return LinearizedTree(pending=[int(t) for t in pending],
-                          tokens=tree.tokens[:-1].tolist(), tree=tree)
+def linearize(tree: DraftTree) -> LinearizedTree:
+    """The verify block of a tree: its node tokens in insertion order,
+    whose parents are the tree's own."""
+    return LinearizedTree(tokens=tree.tokens[:-1].tolist(), tree=tree)

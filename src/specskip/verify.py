@@ -1,9 +1,10 @@
 """Acceptance of drafted paths against the target model.
 
 Implements the lossless accept/reject/residual rule, its relaxed variant
-that pools target mass over embedding-space neighbors, and single-pass tree
-verification that ratifies previously skipped tokens and hands back the one
-feature the next draft conditions on.
+that pools target mass over embedding-space neighbors (both one draw of
+``accept``), and single-pass tree verification that reads previously
+skipped tokens as context and hands back the one feature the next draft
+conditions on.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ if TYPE_CHECKING:
 
 @dataclass
 class VerifyOutcome:
-    """What one verification pass appends after the ratified pending
-    tokens: the newly accepted tree tokens and a terminal token, with the
-    terminal's feature, the one the next draft conditions on."""
+    """What one verification pass appends to the sequence: the accepted
+    tree tokens and a terminal token, with the terminal's feature, the one
+    the next draft conditions on."""
 
     accepted: list[int]
     terminal: int
@@ -39,12 +40,12 @@ class VerifyOutcome:
         return len(self.accepted)
 
 
-def strict_accept(q: np.ndarray, p: np.ndarray, t: int,
-                  rng: np.random.Generator) -> bool:
-    """Accept t with probability min(1, q(t)/p(t)) on one uniform draw."""
+def accept(mass: float, p: np.ndarray, t: int, rng: np.random.Generator) -> bool:
+    """Accept t with probability min(1, mass/p(t)) on one uniform draw;
+    ``mass`` is q(t) when strict and ``pooled_mass`` when relaxed."""
     if p[t] <= 0.0:
         raise DegenerateProposal(f"drafter assigned zero mass to token {t}")
-    return rng.random() < min(1.0, q[t] / p[t])
+    return rng.random() < min(1.0, mass / p[t])
 
 
 def pooled_mass(q: np.ndarray, t: int, codebook: EmbeddingCodebook,
@@ -64,36 +65,25 @@ def pooled_mass(q: np.ndarray, t: int, codebook: EmbeddingCodebook,
     return total
 
 
-def relaxed_accept(q: np.ndarray, p: np.ndarray, t: int,
-                   codebook: EmbeddingCodebook, delta: float, pool_k: int,
-                   rng: np.random.Generator) -> bool:
-    if p[t] <= 0.0:
-        raise DegenerateProposal(f"drafter assigned zero mass to token {t}")
-    pooled = pooled_mass(q, t, codebook, delta, pool_k)
-    return rng.random() < min(1.0, pooled / p[t])
-
-
 def verify_tree(linear: LinearizedTree, target: TargetModel, context,
                 config: EngineConfig, rng: np.random.Generator,
-                residual_rng: np.random.Generator | None = None) -> VerifyOutcome:
-    """Verify a tree behind its pending tokens in one target forward pass.
+                residual_rng: np.random.Generator) -> VerifyOutcome:
+    """Verify a tree after ``context`` in one target forward pass.
 
-    The pass scores ``context + pending``, of which only the last
-    ``window`` tokens are read: its column 0 is the root's distribution and
-    column 1 + j node j's.  Pending tokens are ratified as-is (their role
-    is to restore exact conditioning), then a greedy root-to-leaf walk
+    Only the context's last ``window`` tokens are read, so skip-accepted
+    tokens at its end are plain context: the pass's column 0 is the root's
+    distribution and column 1 + j node j's.  A greedy root-to-leaf walk
     accepts tree tokens: children in their race (sampling) order, standard
     multi-draft residual bookkeeping on rejection, a residual terminal when
     every child fails, and a bonus terminal when a leaf is reached.  Each
     child is accepted by the config's ``accept_mode``, relaxed with its
-    ``delta`` and ``pool_k``.
+    ``delta`` and ``pool_k``; ``rng`` draws the acceptances and
+    ``residual_rng`` the terminal.
     """
-    if residual_rng is None:
-        residual_rng = rng
     tree = linear.tree
     node_tokens = linear.tokens
-    tail = [*context[-target.window:], *linear.pending]
-    dists = target_forward_masked(target, tail, node_tokens, tree.shape.parents)
+    tail = context[-target.window:]
+    dists = target_forward_masked(target, tail, node_tokens, tree.shape)
 
     accepted: list[int] = []
     children = tree.shape.children
@@ -119,8 +109,9 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
         chosen = None
         for rank, idx in enumerate(kids):
             tok = node_tokens[idx]
-            if (relaxed_accept(q_view, p_view, tok, codebook, config.delta, config.pool_k, rng)
-                    if relaxed else strict_accept(q_view, p_view, tok, rng)):
+            mass = (pooled_mass(q_view, tok, codebook, config.delta, config.pool_k)
+                    if relaxed else q_view[tok])
+            if accept(mass, p_view, tok, rng):
                 chosen = idx
                 break
             # Standard multi-draft residual update before the next child.

@@ -19,7 +19,7 @@ from specskip.harness import ExperimentSpec, run_experiment
 from specskip.models import make_model_pair
 from specskip.schedule import SkipPolicy, decay_weights, decide, path_similarity
 from specskip.select import truncate_path
-from specskip.verify import relaxed_accept, strict_accept
+from specskip.verify import accept, pooled_mass
 from token_rows import as_paths
 
 
@@ -59,8 +59,8 @@ def test_criterion_2_relaxation_degeneracy():
         q = rng.dirichlet(np.ones(8))
         p = rng.dirichlet(np.ones(8))
         t = int(rng.integers(8))
-        a = strict_accept(q, p, t, rng_stream(trial, "shared"))
-        b = relaxed_accept(q, p, t, codebook, 0.0, 8, rng_stream(trial, "shared"))
+        a = accept(q[t], p, t, rng_stream(trial, "shared"))
+        b = accept(pooled_mass(q, t, codebook, 0.0, 8), p, t, rng_stream(trial, "shared"))
         mismatches += a != b
     _report("criterion 2 (delta=0 relaxed == strict)", mismatches == 0,
             f"{mismatches} mismatches over 10,000 shared-rng calls")

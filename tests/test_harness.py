@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from specskip import harness
+from specskip import cli, harness
 from specskip.cli import main
 from specskip.engine import FRESH, EngineConfig
 from specskip.errors import RejectedInput, SpecskipError
@@ -183,6 +183,34 @@ class TestRunExperiment:
             run_experiment(spec)
         assert calls == []
 
+    @pytest.mark.parametrize("jobs, workers", [(8, 2), (2, 2), (3, 2)])
+    def test_jobs_capped_at_task_count(self, monkeypatch, jobs, workers):
+        """The pool forks all its workers at the first submit, so it gets
+        no more workers than there are tasks.  The executor stand-in maps
+        serially and starts no process."""
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        spec = ExperimentSpec(name="cap", base=EngineConfig(max_new_tokens=4),
+                              axes={"interval": [2, 3]}, repetitions=1)
+        rows = run_experiment(spec, jobs=jobs)
+        assert made == [workers]
+        assert [row.as_csv() for row in rows] == \
+            [row.as_csv() for row in run_experiment(spec, jobs=1)]
+
     def test_rows_stream_in_cell_order(self, tmp_path, monkeypatch):
         """When a cell runs, the output already holds the header and one
         line per earlier cell; the file ends as write_rows writes the
@@ -293,6 +321,30 @@ class TestCli:
         assert code == 0
         assert "tpf=" in capsys.readouterr().out
         assert trace_out.read_text().startswith("index,kind")
+
+    @pytest.mark.parametrize("vanilla", [[], ["--vanilla"]], ids=["vvs", "vanilla"])
+    def test_generate_unwritable_output_fails_before_generating(self, capsys, tmp_path,
+                                                                monkeypatch, vanilla):
+        calls = []
+        monkeypatch.setattr(cli, "vvs_generate", calls.append)
+        monkeypatch.setattr(cli, "vanilla_ar", calls.append)
+        out = tmp_path / "no" / "such" / "dir.csv"
+        assert main(["generate", "--output", str(out), *vanilla]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+
+    def test_generate_budget_above_the_full_tree(self, capsys, tmp_path):
+        # Budgets at and far above the default full tree (1364 nodes) run
+        # the same generation.
+        outputs = []
+        for budget in (1364, 10 ** 12):
+            cfg = tmp_path / f"{budget}.cfg"
+            cfg.write_text(f"max_new_tokens = 12\nbudget = {budget}\n")
+            trace_out = tmp_path / f"{budget}.csv"
+            assert main(["generate", "--config", str(cfg), "--output", str(trace_out)]) == 0
+            outputs.append((capsys.readouterr().out, trace_out.read_text()))
+        assert outputs[0] == outputs[1]
 
     def test_generate_vanilla(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -10,7 +10,7 @@ from specskip.engine import EngineConfig, compute_metrics, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import (make_model_pair, target_forward,
                              target_forward_masked)
-from specskip.tree import build_tree, linearize
+from specskip.tree import build_tree, linearize, tree_shape
 
 CFG = EngineConfig()
 
@@ -103,7 +103,7 @@ def _prefix_copy_forward(model, context, paths):
 
 
 def _check_masked(target, context, flat, parents):
-    dists = target_forward_masked(target, context, flat, parents)
+    dists = target_forward_masked(target, context, flat, tree_shape(tuple(parents)))
     assert dists.shape == (target.vocab_size, 1 + len(flat))
     paths = _root_paths(flat, parents)
     assert np.array_equal(dists, _prefix_copy_forward(target, context, paths))
@@ -119,13 +119,13 @@ class TestMaskedForward:
         """Tree-masked scoring must equal scoring each root-path prefix
         directly (the independent oracle for parent visibility)."""
         target, _ = pair
-        # Hand-built block: two pending tokens (7, 3) are context, then a
-        # 3-node tree (root children 10, 11; 12 is a child of 10).
+        # Hand-built block: two skip-accepted tokens (7, 3) end the context,
+        # then a 3-node tree (root children 10, 11; 12 is a child of 10).
         _check_masked(target, [5, 2, 8, 1, 7, 3], [10, 11, 12], [-1, -1, 0])
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
-    def test_sampled_trees_match_prefix_scoring(self, window, n_pending):
+    @pytest.mark.parametrize("n_extra", [0, 1, 2, 3])
+    def test_sampled_trees_match_prefix_scoring(self, window, n_extra):
         cfg = EngineConfig(window=window)
         target, draft = make_model_pair(cfg)
         for run in range(8):
@@ -133,19 +133,19 @@ class TestMaskedForward:
             prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, 6)]
             tree = build_tree(draft, target.feature_at(prompt, 5), prompt,
                               cfg.branching, cfg.depth, cfg.budget, rng=rng)
-            pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
-            linear = linearize(tree, pending)
-            # Pending tokens are context; contexts of more than and exactly
-            # one window.
-            for context in (prompt + pending, (prompt + pending)[-window:]):
+            extra = [int(t) for t in rng.integers(0, cfg.vocab_size, n_extra)]
+            linear = linearize(tree)
+            # Tokens after the tree's own context (skip-accepted ones) are
+            # context too; contexts of more than and exactly one window.
+            for context in (prompt + extra, (prompt + extra)[-window:]):
                 _check_masked(target, context, linear.tokens, tree.shape.parents)
 
     def test_single_pass_counter(self, pair):
         target, _ = pair
         before = target.forward_passes
-        target_forward_masked(target, [1, 2, 3, 4], [3, 4], [-1, 0])
+        target_forward_masked(target, [1, 2, 3, 4], [3, 4], tree_shape((-1, 0)))
         assert target.forward_passes == before + 1
-        dists = target_forward_masked(target, [1, 2, 3, 4], [], [])
+        dists = target_forward_masked(target, [1, 2, 3, 4], [], tree_shape(()))
         assert target.forward_passes == before + 2
         assert dists.shape == (CFG.vocab_size, 1)
         assert np.allclose(dists[:, 0], target.score_prefix([1, 2, 3, 4]).dist,
@@ -158,17 +158,30 @@ class TestMaskedForward:
         before = target.forward_passes
         for context in ([], [6], [6, 1, 2]):
             with pytest.raises(RejectedInput):
-                target_forward_masked(target, context, [2], [-1])
+                target_forward_masked(target, context, [2], tree_shape((-1,)))
         assert target.forward_passes == before
         _check_masked(target, [6, 1, 2, 7], [2, 5, 9, 4], [-1, 0, -1, 1])
 
     @pytest.mark.parametrize("parents", [[0], [-1, 1], [-1, 5], [-2, 0]])
     def test_parent_not_before_child_rejected(self, pair, parents):
-        # Rejected every time: a bad parents tuple is never memoized.
+        # A hand-built block's shape comes from tree_shape, which rejects
+        # it every time (a bad parents tuple is never memoized), before any
+        # pass is counted.
         target, _ = pair
+        before = target.forward_passes
         for _ in range(2):
             with pytest.raises(RejectedInput):
-                target_forward_masked(target, [1, 2, 3, 4], [3] * len(parents), parents)
+                target_forward_masked(target, [1, 2, 3, 4], [3] * len(parents),
+                                      tree_shape(tuple(parents)))
+        assert target.forward_passes == before
+
+    def test_tokens_must_match_the_shape(self, pair):
+        target, _ = pair
+        before = target.forward_passes
+        for flat in ([3], [3, 4, 5]):
+            with pytest.raises(RejectedInput, match="align"):
+                target_forward_masked(target, [1, 2, 3, 4], flat, tree_shape((-1, 0)))
+        assert target.forward_passes == before
 
 
 class TestLogprobs:
@@ -227,8 +240,8 @@ class TestDraftModel:
         cfg = EngineConfig(epsilon=0.0)
         target, draft = make_model_pair(cfg)
         tokens = [4, 9, 2, 6, 1]
-        feat = target.feature_at(tokens, len(tokens) - 1)
-        q = target.dist_from_feature(feat)
+        out = target.score_prefix(tokens)
+        q, feat = out.dist, out.feature
         p = draft.next_dist(feat[None], [tokens[-1]])[0]
         assert np.allclose(p, q, atol=1e-12)
 
@@ -238,8 +251,8 @@ class TestDraftModel:
         tvs = []
         for _ in range(1000):
             tokens = [int(t) for t in rng.integers(0, CFG.vocab_size, CFG.window)]
-            feat = target.feature_at(tokens, len(tokens) - 1)
-            q = target.dist_from_feature(feat)
+            out = target.score_prefix(tokens)
+            q, feat = out.dist, out.feature
             p = draft.next_dist(feat[None], [tokens[-1]])[0]
             tvs.append(0.5 * np.abs(p - q).sum())
         assert np.mean(tvs) > 0.2

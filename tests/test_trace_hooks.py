@@ -44,14 +44,14 @@ def test_traced_runs_record_every_layer():
 
 def test_positions_count_scored_tokens(monkeypatch):
     # The tracer reads the masked forward's third positional argument as
-    # the tree tokens one verify pass scores (pending tokens are context,
-    # not positions); a signature change would corrupt
+    # the tree tokens one verify pass scores (skip-accepted tokens are
+    # context, not positions); a signature change would corrupt
     # models.target_forward_masked.positions without failing anything else.
     lengths = []
     linearize = specskip.engine.linearize
 
-    def recording(tree, pending):
-        linear = linearize(tree, pending)
+    def recording(tree):
+        linear = linearize(tree)
         lengths.append(len(linear.tokens))
         return linear
 

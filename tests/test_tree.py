@@ -14,8 +14,8 @@ from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.schedule import path_similarity
-from specskip.tree import (DraftNode, DraftTree, _child_counts, _sample_level,
-                           build_tree, enumerate_paths, linearize)
+from specskip.tree import (DraftNode, DraftTree, _child_counts, _clamped_budget,
+                           _sample_level, build_tree, enumerate_paths, linearize)
 
 CFG = EngineConfig()
 
@@ -365,6 +365,32 @@ class TestBuildTree:
             build_tree(draft, feat, [1, 2, 3, 4], k_b=1, D=2, budget=4, rng=rng)
         with pytest.raises(RejectedInput):
             build_tree(draft, feat, [1, 2, 3, 4], k_b=3, D=2, budget=2, rng=rng)
+
+    @pytest.mark.parametrize("cfg", [CFG, EngineConfig(branching=3, depth=3, window=2)],
+                             ids=["default", "k_b3-D3"])
+    def test_budget_above_the_full_tree(self, cfg):
+        """A budget above the full tree's m + ... + m**D nodes builds that
+        full tree bit for bit, with the same draws, and sizes its arrays by
+        the nodes, not by the budget."""
+        full = sum(cfg.branching ** d for d in range(1, cfg.depth + 1))
+        target, draft = make_model_pair(cfg)
+        for run in range(3):
+            prompt = [int(t) for t in rng_stream(run, "p").integers(0, cfg.vocab_size, 6)]
+            feat = target.feature_at(prompt, 5)
+            built = []
+            for budget in (full, full + 1, 10 ** 12):
+                rng = rng_stream(run, "huge-budget")
+                tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth, budget, rng=rng)
+                built.append((_node_bytes(tree), tree.tokens.size, rng.bit_generator.state))
+            assert built[0] == built[1] == built[2]
+            assert built[0][1] == full + 1
+
+    def test_clamped_budget(self):
+        assert _clamped_budget(4, 5, 10 ** 12) == _clamped_budget(4, 5, 1365) == 1364
+        assert _clamped_budget(4, 5, 1364) == 1364
+        assert _clamped_budget(4, 5, 24) == 24
+        # The sum stops at the budget, so a huge depth is not summed out.
+        assert _clamped_budget(2, 10 ** 12, 30) == 30
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,
@@ -782,22 +808,12 @@ class TestLinearize:
     def test_chain_prefix_ancestors(self):
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
-        linear = linearize(tree, [])
-        assert linear.pending == [] and linear.tree is tree
-        assert linear.tokens == [1, 2, 3]
+        linear = linearize(tree)
+        assert linear.tree is tree
+        assert linear.tokens == [1, 2, 3] and type(linear.tokens[0]) is int
         assert tree.shape.parents == (-1, 0, 1)
         assert _ancestor_sets(tree.shape.parents) == [frozenset(), frozenset({0}),
                                                       frozenset({0, 1})]
-
-    def test_pending_prepended(self):
-        # Pending tokens go before the nodes as context, not as positions of
-        # the block: the nodes keep the tree's own parents.
-        table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
-        tree = build_tree(TableDrafter(table), _feat(), [0], 2, 3, 8, rng_stream(0, "l"))
-        linear = linearize(tree, np.array([8, 9]))
-        assert linear.pending == [8, 9] and type(linear.pending[0]) is int
-        assert linear.tokens == [1, 2, 3]
-        assert linearize(tree, []).tokens == linear.tokens
 
     def test_ancestors_transitively_closed(self):
         """Parents come before their children, and the path walked through

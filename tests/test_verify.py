@@ -9,7 +9,7 @@ from specskip.engine import EngineConfig
 from specskip.errors import DegenerateProposal, RejectedInput
 from specskip.models import make_model_pair
 from specskip.tree import DraftNode, DraftTree, build_tree, linearize
-from specskip.verify import pooled_mass, relaxed_accept, strict_accept, verify_tree
+from specskip.verify import accept, pooled_mass, verify_tree
 
 from sd_oracle import tree_distribution, two_token_tv
 
@@ -19,59 +19,63 @@ STRICT = EngineConfig(accept_mode="strict")
 
 
 class TestStrictAccept:
+    """``accept`` on the target mass q(t) itself."""
+
     def test_equal_mass_always_accepts(self):
         rng = rng_stream(0, "a")
         q = np.array([0.3, 0.7])
-        assert all(strict_accept(q, q, 1, rng) for _ in range(200))
+        assert all(accept(q[1], q, 1, rng) for _ in range(200))
 
     def test_zero_target_mass_always_rejects(self):
         rng = rng_stream(0, "b")
         q = np.array([0.0, 1.0])
         p = np.array([0.5, 0.5])
-        assert not any(strict_accept(q, p, 0, rng) for _ in range(200))
+        assert not any(accept(q[0], p, 0, rng) for _ in range(200))
 
     def test_monte_carlo_rate(self):
         rng = rng_stream(1, "mc")
         q = np.array([0.3, 0.7])
         p = np.array([0.6, 0.4])
-        rate = np.mean([strict_accept(q, p, 0, rng) for _ in range(10000)])
+        rate = np.mean([accept(q[0], p, 0, rng) for _ in range(10000)])
         assert abs(rate - 0.5) <= 0.02
 
     def test_zero_proposal_mass_degenerate(self):
         with pytest.raises(DegenerateProposal):
-            strict_accept(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0,
-                          rng_stream(0, "c"))
+            accept(0.5, np.array([0.0, 1.0]), 0, rng_stream(0, "c"))
 
 
 class TestRelaxedAccept:
+    """``accept`` on ``pooled_mass``."""
+
     def test_delta_zero_is_strict_bitwise(self):
         rng = rng_stream(3, "q")
         for trial in range(500):
             q = rng.dirichlet(np.ones(4))
             p = rng.dirichlet(np.ones(4))
             t = int(rng.integers(4))
-            a = strict_accept(q, p, t, rng_stream(trial, "shared"))
-            b = relaxed_accept(q, p, t, FOUR_TOKEN_CB, 0.0, 4,
-                               rng_stream(trial, "shared"))
+            pooled = pooled_mass(q, t, FOUR_TOKEN_CB, 0.0, 4)
+            assert pooled == q[t]
+            a = accept(q[t], p, t, rng_stream(trial, "shared"))
+            b = accept(pooled, p, t, rng_stream(trial, "shared"))
             assert a == b
 
     def test_full_pooling_always_accepts(self):
         rng = rng_stream(4, "full")
         q = np.array([0.1, 0.2, 0.3, 0.4])
         p = np.array([0.7, 0.1, 0.1, 0.1])
-        assert pooled_mass(q, 0, FOUR_TOKEN_CB, 1.0, 4) == pytest.approx(1.0)
-        assert all(relaxed_accept(q, p, 0, FOUR_TOKEN_CB, 1.0, 4, rng)
-                   for _ in range(200))
+        pooled = pooled_mass(q, 0, FOUR_TOKEN_CB, 1.0, 4)
+        assert pooled == pytest.approx(1.0)
+        assert all(accept(pooled, p, 0, rng) for _ in range(200))
 
     def test_hand_prefix_sum_and_rate(self):
         # Neighbors of token 0 are [0, 1]; q pools 0.2 + 0.15 = 0.35 and
         # stops because adding the next neighbor would exceed delta.
         q = np.array([0.2, 0.15, 0.5, 0.15])
         p = np.array([0.5, 0.3, 0.1, 0.1])
-        assert pooled_mass(q, 0, FOUR_TOKEN_CB, 0.4, 4) == pytest.approx(0.35)
+        pooled = pooled_mass(q, 0, FOUR_TOKEN_CB, 0.4, 4)
+        assert pooled == pytest.approx(0.35)
         rng = rng_stream(5, "rate")
-        rate = np.mean([relaxed_accept(q, p, 0, FOUR_TOKEN_CB, 0.4, 4, rng)
-                        for _ in range(10000)])
+        rate = np.mean([accept(pooled, p, 0, rng) for _ in range(10000)])
         assert abs(rate - 0.7) <= 0.02
 
     def test_proposed_token_always_pooled(self):
@@ -87,7 +91,7 @@ def _full_tree_outcome(cfg, run):
     feat = target.feature_at(prompt, cfg.window - 1)
     tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                       cfg.budget, rng=rng_stream(run, "d"))
-    outcome = verify_tree(linearize(tree, []), target, prompt, cfg, rng_stream(run, "a"),
+    outcome = verify_tree(linearize(tree), target, prompt, cfg, rng_stream(run, "a"),
                           rng_stream(run, "r"))
     return tree, outcome
 
@@ -113,19 +117,19 @@ class TestVerifyTree:
         assert q_root[dead] == 0.0
         node = DraftNode(token=dead, parent=-1, prob=1.0)
         tree = DraftTree.from_nodes([node], root_dist=np.eye(8)[dead])
-        outcome = verify_tree(linearize(tree, []), target, context, STRICT,
-                              rng_stream(0, "a"))
+        outcome = verify_tree(linearize(tree), target, context, STRICT,
+                              rng_stream(0, "a"), rng_stream(0, "r"))
         assert outcome.accept_length == 0
         assert outcome.terminal_origin == "resampled"
 
     @pytest.mark.parametrize("window", [1, 4])
     @pytest.mark.parametrize("context", [[5, 2, 8, 1, 7], [6, 0, 3, 2]])
     def test_root_distribution_scored_only_when_read(self, monkeypatch, window, context):
-        """The walk's root is column 0 of the masked pass, with pending
-        tokens or without (an empty tree's bonus terminal is drawn from
-        it), within 1e-12 of score_prefix of the context and the pending
-        tokens; score_prefix itself is never called, and a context shorter
-        than the window is rejected."""
+        """The walk's root is column 0 of the masked pass, with
+        skip-accepted tokens ending the context or without (an empty tree's
+        bonus terminal is drawn from it), within 1e-12 of score_prefix of
+        that context; score_prefix itself is never called, and a context
+        shorter than the window is rejected."""
         target, _ = make_model_pair(EngineConfig(window=window))
         drawn_from, scored, passes = [], [], []
         monkeypatch.setattr(verify, "sample_index",
@@ -137,16 +141,16 @@ class TestVerifyTree:
                             lambda *args: passes.append(masked(*args)) or passes[-1])
         empty = DraftTree.from_nodes([], np.full(target.vocab_size, 1 / target.vocab_size))
         for pending in ([], [3, 9]):
-            outcome = verify_tree(linearize(empty, pending), target, context, STRICT,
-                                  rng_stream(0, "a"))
+            outcome = verify_tree(linearize(empty), target, context + pending, STRICT,
+                                  rng_stream(0, "a"), rng_stream(0, "r"))
             assert outcome.terminal_origin == "bonus"
             assert np.array_equal(drawn_from[-1], passes[-1][:, 0])
             assert np.allclose(drawn_from[-1], score_prefix(context + pending).dist,
                                rtol=0, atol=1e-12)
         assert scored == [] and len(passes) == 2
         with pytest.raises(RejectedInput):
-            verify_tree(linearize(empty, []), target, context[:window - 1], STRICT,
-                        rng_stream(0, "a"))
+            verify_tree(linearize(empty), target, context[:window - 1], STRICT,
+                        rng_stream(0, "a"), rng_stream(0, "r"))
 
     def test_pending_ratified_with_features(self):
         cfg = EngineConfig()
@@ -155,8 +159,8 @@ class TestVerifyTree:
         feat = target.feature_at(prompt, 3)
         tree = build_tree(draft, feat, prompt, 2, 2, 6, rng=rng_stream(0, "d"))
         pending = [5, 9]
-        outcome = verify_tree(linearize(tree, pending), target, prompt, cfg,
-                              rng_stream(0, "a"))
+        outcome = verify_tree(linearize(tree), target, prompt + pending, cfg,
+                              rng_stream(0, "a"), rng_stream(0, "r"))
         # Only the new tree tokens come back, and the feature is the target's
         # own at the terminal, with the ratified pending tokens before it.
         assert outcome.accept_length == len(outcome.accepted)
@@ -170,7 +174,8 @@ class TestVerifyTree:
         feat = target.feature_at(prompt, 3)
         tree = build_tree(draft, feat, prompt, 4, 3, 16, rng=rng_stream(1, "d"))
         before = target.forward_passes
-        verify_tree(linearize(tree, []), target, prompt, STRICT, rng_stream(1, "a"))
+        verify_tree(linearize(tree), target, prompt, STRICT, rng_stream(1, "a"),
+                    rng_stream(1, "r"))
         assert target.forward_passes == before + 1
 
 
@@ -181,11 +186,13 @@ class TestPendingIsContext:
     ], ids=["v64", "v64-strict", "v1024", "v1024-strict"])
     @pytest.mark.parametrize("n_pending", [0, 1, 2, 3])
     def test_pending_tokens_verify_as_context(self, monkeypatch, cfg, n_pending):
-        """A tree behind pending tokens verifies bit for bit as the same
-        tree with none pending after a context that ends in them: the same
-        outcome, and the terminal drawn from the same distribution (strict
-        acceptance rejects every root child often enough to draw some
-        terminals from the root's distribution)."""
+        """Skip-accepted (pending) tokens are plain context: a tree verified
+        after the whole sequence, which ends in them, and after only its
+        last ``window`` tokens gives the same outcome bit for bit: accepted
+        tokens, terminal, origin and feature, the terminal drawn from the
+        same distribution, and both rng streams left in the same state
+        (strict acceptance rejects every root child often enough to draw
+        some terminals from the root's distribution)."""
         drawn_from = []
         sample_index = verify.sample_index
         monkeypatch.setattr(verify, "sample_index",
@@ -194,18 +201,17 @@ class TestPendingIsContext:
         target, draft = make_model_pair(cfg)
         for run in range(100):
             rng = rng_stream(run, "pending-context")
-            prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, cfg.window)]
-            tree = build_tree(draft, target.feature_at(prompt, cfg.window - 1), prompt,
+            seq = [int(t) for t in rng.integers(0, cfg.vocab_size, 2 * cfg.window + n_pending)]
+            tree = build_tree(draft, target.feature_at(seq, len(seq) - 1), seq,
                               cfg.branching, cfg.depth, cfg.budget, rng=rng)
-            pending = [int(t) for t in rng.integers(0, cfg.vocab_size, n_pending)]
-            outcomes = [verify_tree(linear, target, context, cfg, rng_stream(run, "a"),
-                                    rng_stream(run, "r"))
-                        for linear, context in ((linearize(tree, pending), prompt),
-                                                (linearize(tree, []), prompt + pending))]
-            a, b = ((o.accepted, o.terminal, o.terminal_origin,
-                     [f.hex() for f in o.feature.tolist()], dist)
-                    for o, dist in zip(outcomes, drawn_from[-2:]))
-            assert a == b
+            results = []
+            for context in (seq, seq[-cfg.window:]):
+                streams = rng_stream(run, "a"), rng_stream(run, "r")
+                o = verify_tree(linearize(tree), target, context, cfg, *streams)
+                results.append((o.accepted, o.terminal, o.terminal_origin,
+                                o.feature.tobytes(), drawn_from[-1],
+                                [s.bit_generator.state for s in streams]))
+            assert results[0] == results[1]
 
 
 class TestBranchProbabilityOracle:
@@ -228,7 +234,7 @@ class TestBranchProbabilityOracle:
 
         counts = {}
         n = 50_000
-        linear = linearize(tree, [])
+        linear = linearize(tree)
         for run in range(n):
             outcome = verify_tree(linear, target, context, STRICT,
                                   rng_stream(run, "mc-a"), rng_stream(run, "mc-r"))
