@@ -107,7 +107,12 @@ class TargetModel:
         z = np.matmul(self.codebook.vectors, feats[:, :, None])[:, :, 0]
         z *= self.logit_scale
         z /= self.temperature
-        picked = _softmax(z)[np.arange(n), np.asarray(tokens, dtype=np.intp)]
+        # Only the picked entries are normalized; dividing all n * V of them,
+        # as ``_softmax`` does, makes this call about a fifth slower at V = 1024.
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        np.exp(z, out=z)
+        picked = z[np.arange(n), np.asarray(tokens, dtype=np.intp)]
+        picked /= np.add.reduce(z, axis=1)
         return [math.log(max(p, 1e-300)) for p in picked.tolist()]
 
 
