@@ -215,7 +215,7 @@ class _Level:
     __slots__ = ("key", "depth", "parents", "frontier", "counts", "most", "reach", "steps")
 
     def __init__(self, key, depth, parents, frontier, counts, reach):
-        self.key = key               # (m, D, budget, window)
+        self.key = key               # (m, D, clamped budget, window)
         self.depth = depth           # of the nodes this level draws
         self.parents = parents
         self.frontier = frontier
@@ -304,9 +304,9 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     Counts, parents and every index the build reads come from a template
     memoized per (m, D, budget, window) and per race outcome (see
     ``_Level``), so a level costs one race, one gather of its picks and the
-    drafter calls.  A budget above the full tree's node count is clamped to
-    it (``_clamped_budget``) before it keys the template or sizes the
-    build's arrays.  The tree keeps the build's token and prob arrays, with
+    drafter calls.  The template holds the budget clamped to the full
+    tree's node count (``_clamped_budget``), which sizes the build's
+    arrays.  The tree keeps the build's token and prob arrays, with
     the sentinel's entries after the last node.  Floating-point errors are
     ignored once for the whole build, for the races' divisions by zero mass
     (see ``_sample_level``).
@@ -319,11 +319,12 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
     m = min(k_b, len(root_dist))
-    budget = _clamped_budget(m, D, budget)
     key = (m, D, budget, window)
     level = _TEMPLATES.get(key)
     if level is None:
-        level = _TEMPLATES[key] = _Level(key, 1, (), (-1,), (key[0],), (1.0,))
+        level = _TEMPLATES[key] = _Level((m, D, _clamped_budget(m, D, budget), window),
+                                         1, (), (-1,), (m,), (1.0,))
+    budget = level.key[2]
     # The context's last `window` tokens, then the node tokens and the
     # sentinel's.
     seq = np.empty(window + budget + 1, dtype=np.intp)
