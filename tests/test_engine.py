@@ -246,6 +246,20 @@ class TestSerialization:
         text = trace_to_csv(vvs_generate(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_v1024_stale_golden(self):
+        # The benchmark's vvs-v1024-stale config: pins the tokens, origins
+        # and trace bytes of four runs at V = 1024, where the verify pass
+        # normalizes only a few of its columns.
+        cfg = EngineConfig(vocab_size=1024, feat_dim=16, policy="uniform", interval=2,
+                           feature_schedule=(-1, 0, 1), pool_k=16)
+        digest = hashlib.sha256()
+        for run in range(4):
+            trace = vvs_generate(replace(cfg, run=run))
+            digest.update(repr((trace.tokens.tokens, trace.tokens.origins)).encode())
+            digest.update(trace_to_csv(trace).encode())
+        assert digest.hexdigest() == (
+            "0fa9c97ce211dd931f14d071a22043a3068de84da3d4ad9dcb04be0a722d1fb3")
+
 
 class TestValidateTypes:
     @pytest.mark.parametrize("field, value", [
