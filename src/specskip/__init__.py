@@ -11,7 +11,7 @@ from .engine import (FRESH, EngineConfig, GenerationTrace, IterationRecord,
 from .errors import (CacheUnderflow, DegenerateProposal, DegenerateTrace,
                      DegenerateVector, RejectedInput, SpecskipError)
 from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,
-                     target_forward, target_forward_masked)
+                     normalize_columns, target_forward, target_forward_masked)
 from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
                        path_similarity)
 from .select import select_path, truncate_path

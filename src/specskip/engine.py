@@ -27,7 +27,7 @@ from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
 from .select import select_path, truncate_path
-from .tree import build_tree, enumerate_paths, linearize
+from .tree import build_tree, clamped_budget, enumerate_paths, linearize
 from .verify import verify_tree
 
 FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
@@ -98,6 +98,7 @@ class EngineConfig:
             raise RejectedInput("epsilon must lie in [0, 1]")
         if self.branching < 2 or self.depth < 1 or self.budget < self.branching:
             raise RejectedInput("invalid tree shape")
+        clamped_budget(min(self.branching, self.vocab_size), self.depth, self.budget)
         if self.accept_mode not in ("strict", "relaxed"):
             raise RejectedInput(f"unknown accept mode {self.accept_mode!r}")
         if not 0.0 <= self.delta <= 1.0:

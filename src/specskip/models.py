@@ -30,11 +30,11 @@ class ModelOutput:
     feature: np.ndarray
 
 
-def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along ``axis``, computed in place over ``z``."""
-    z -= np.maximum.reduce(z, axis=axis, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, computed in place over ``z``."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=axis, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -128,22 +128,24 @@ def target_forward(model: TargetModel, context) -> ModelOutput:
 
 def target_forward_masked(model: TargetModel, context, flat_tokens,
                           shape: TreeShape) -> np.ndarray:
-    """Single-pass tree scoring of a verify block.
+    """Single-pass tree scoring of a verify block, up to the readout.
 
     ``flat_tokens[j]`` is scored under the prefix context + its root path
     through ``shape.parents`` (a hand-built block passes
-    ``tree_shape(parents)``, which validates them).  Returns a (V, 1 + n)
-    array: column 0 is the distribution after the context, and column 1 + j
-    the distribution after node j's root path; a caller reads the few
-    columns it walks.  One forward pass total, like any parallel
-    verification.
+    ``tree_shape(parents)``, which validates them).  Returns the (V, 1 + n)
+    readout ``vectors @ feats``: column 0 scores the context, and column
+    1 + j node j's root path.  A caller turns the few columns it walks into
+    distributions with ``normalize_columns``.  One forward pass total, like
+    any parallel verification.
 
     Only the last ``window`` tokens of a prefix reach its feature, so a
     context shorter than the window is rejected, and each node's window is
     its parent's slid by one token, starting from the context's tail.  The
     windows are gathered once, through the index the shape memoizes
     (``TreeShape.windows``), and averaged as ``feature_at`` averages one,
-    so the distributions are those of scoring every prefix on its own.
+    so the distributions are those of scoring every prefix on its own.  The
+    readout is one gemm over every column: a gemm over some of them rounds
+    differently.
     """
     w = model.window
     if len(context) < w:
@@ -154,12 +156,28 @@ def target_forward_masked(model: TargetModel, context, flat_tokens,
     model.forward_passes += 1
     seq = np.array([*context[-w:], *flat_tokens], dtype=np.intp)
     feats = np.add.reduce(model._mixed[:, seq[index]], axis=2) / w   # (d, 1 + n)
-    # In place, with the operations and their order of
-    # softmax(scale * (vectors @ feats) / T) column by column.
-    dists = model.codebook.vectors @ feats
-    dists *= model.logit_scale
-    dists /= model.temperature
-    return _softmax(dists, axis=0)
+    return model.codebook.vectors @ feats
+
+
+def normalize_columns(model: TargetModel, readout: np.ndarray, cols) -> np.ndarray:
+    """The distributions of the readout columns ``cols``, as the rows of
+    one (k, V) block: softmax(scale * column / T) of each, with the
+    operations and their order that normalizing the whole readout takes.
+
+    Each sum runs down its column in order, taken as the last entry of a
+    ``cumsum``.  numpy's ``add.reduce`` over axis 0 sums a C-contiguous
+    (V, k) readout with k >= 2 in the same order, but a single column
+    pairwise, so a block of any width, one column included, has the bits
+    of normalizing a readout of two or more columns.  The block is laid
+    out by rows because numpy reduces a (V, k) array over axis 0 one row
+    at a time, which at V = 1024 costs more than the rest of the work."""
+    z = readout.T[cols]
+    z *= model.logit_scale
+    z /= model.temperature
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.cumsum(axis=1)[:, -1:]
+    return z
 
 
 class DraftModel:

@@ -57,7 +57,7 @@ class TreeShape:
     tuple (see ``tree_shape``) is shared by every tree of that shape, so it
     hands out tuples and read-only arrays only."""
 
-    __slots__ = ("parents", "children", "expanding", "_windows", "_paths")
+    __slots__ = ("parents", "children", "expanding", "_windows", "_paths", "_chains")
 
     def __init__(self, parents: tuple[int, ...],
                  children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
@@ -66,6 +66,7 @@ class TreeShape:
         self.expanding = expanding      # the nodes with children, in index order
         self._windows: dict[int, np.ndarray] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
+        self._chains: dict[int, np.ndarray] = {}
 
     def windows(self, w: int) -> np.ndarray:
         """The windows of the verify pass as a read-only (1 + n, w) gather
@@ -76,6 +77,20 @@ class TreeShape:
         if index is None:
             index = self._windows[w] = np.array(
                 [tuple(range(w)), *_root_windows(self.parents, w)], dtype=np.intp)
+            index.flags.writeable = False
+        return index
+
+    def chain(self, slot: int) -> np.ndarray:
+        """The first-child chain from a slot (0 the root, 1 + j node j), as
+        a read-only index of slots: the slot, then 1 + its first child, and
+        so on down to a leaf.  These are the verify pass's columns that a
+        walk from the slot reads while it accepts rank-0 children."""
+        index = self._chains.get(slot)
+        if index is None:
+            slots = [slot]
+            while kids := self.children[slots[-1]]:
+                slots.append(1 + kids[0])
+            index = self._chains[slot] = np.array(slots, dtype=np.intp)
             index.flags.writeable = False
         return index
 
@@ -107,6 +122,11 @@ class TreeShape:
 # template and, unless rows stop short at their support, one shape.
 _SHAPES: dict[tuple[int, ...], TreeShape] = {}
 _TEMPLATES: dict[tuple[int, int, int, int], "_Level"] = {}
+
+# The most nodes a tree may hold after the budget's clamp: about three times
+# the 1,364 of the full default tree (k_b = 4, D = 5).  A verify pass's
+# readout holds V * (1 + nodes) floats, about 34 MB at V = 1024.
+MAX_NODES = 4096
 
 
 def tree_shape(parents: tuple[int, ...]) -> TreeShape:
@@ -305,11 +325,11 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     memoized per (m, D, budget, window) and per race outcome (see
     ``_Level``), so a level costs one race, one gather of its picks and the
     drafter calls.  The template holds the budget clamped to the full
-    tree's node count (``_clamped_budget``), which sizes the build's
-    arrays.  The tree keeps the build's token and prob arrays, with
-    the sentinel's entries after the last node.  Floating-point errors are
-    ignored once for the whole build, for the races' divisions by zero mass
-    (see ``_sample_level``).
+    tree's node count (``clamped_budget``, which rejects a count above
+    ``MAX_NODES``), which sizes the build's arrays.  The tree keeps the
+    build's token and prob arrays, with the sentinel's entries after the
+    last node.  Floating-point errors are ignored once for the whole build,
+    for the races' divisions by zero mass (see ``_sample_level``).
     """
     if k_b < 2 or D < 1 or budget < k_b:
         raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
@@ -322,7 +342,7 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     key = (m, D, budget, window)
     level = _TEMPLATES.get(key)
     if level is None:
-        level = _TEMPLATES[key] = _Level((m, D, _clamped_budget(m, D, budget), window),
+        level = _TEMPLATES[key] = _Level((m, D, clamped_budget(m, D, budget), window),
                                          1, (), (-1,), (m,), (1.0,))
     budget = level.key[2]
     # The context's last `window` tokens, then the node tokens and the
@@ -354,16 +374,21 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     return DraftTree(seq[window:window + n + 1], probs[:n + 1], dist, root_dist, shape)
 
 
-def _clamped_budget(m: int, D: int, budget: int) -> int:
+def clamped_budget(m: int, D: int, budget: int) -> int:
     """The budget, clamped to the m + m**2 + ... + m**D nodes of the full
     tree, which no larger budget changes; the sum stops once it reaches
-    the budget, so a huge D costs no more terms than the budget holds."""
+    the budget, so a huge D costs no more terms than the budget holds.  A
+    clamped count above ``MAX_NODES`` is rejected: no such tree is built."""
     total, level = 0, 1
     for _ in range(D):
         level *= m
         total += level
         if total >= budget:
-            return budget
+            total = budget
+            break
+    if total > MAX_NODES:
+        raise RejectedInput(f"a tree of {total} nodes (k_b={m}, D={D}, budget={budget}) "
+                            f"exceeds the {MAX_NODES}-node limit")
     return total
 
 

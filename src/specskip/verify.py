@@ -17,7 +17,7 @@ import numpy as np
 from .core import (ORIGIN_BONUS, ORIGIN_RESAMPLED, EmbeddingCodebook,
                    nearest_neighbors, sample_index)
 from .errors import DegenerateProposal
-from .models import TargetModel, target_forward_masked
+from .models import TargetModel, normalize_columns, target_forward_masked
 from .tree import LinearizedTree
 
 if TYPE_CHECKING:
@@ -71,8 +71,13 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
     """Verify a tree after ``context`` in one target forward pass.
 
     Only the context's last ``window`` tokens are read, so skip-accepted
-    tokens at its end are plain context: the pass's column 0 is the root's
-    distribution and column 1 + j node j's.  A greedy root-to-leaf walk
+    tokens at its end are plain context: the pass's column 0 scores the
+    root and column 1 + j node j.  The walk normalizes only the columns it
+    reads, a first-child chain (``TreeShape.chain``) at a time: the root's
+    chain first, and a new chain from each child it accepts at a rank
+    above 0; an accepted first child is the next column of the current
+    chain.  The distributions are bit for bit those of normalizing every
+    column (see ``normalize_columns``).  A greedy root-to-leaf walk
     accepts tree tokens: children in their race (sampling) order, standard
     multi-draft residual bookkeeping on rejection, a residual terminal when
     every child fails, and a bonus terminal when a leaf is reached.  Each
@@ -83,12 +88,15 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
     tree = linear.tree
     node_tokens = linear.tokens
     tail = context[-target.window:]
-    dists = target_forward_masked(target, tail, node_tokens, tree.shape)
+    shape = tree.shape
+    readout = target_forward_masked(target, tail, node_tokens, shape)
 
     accepted: list[int] = []
-    children = tree.shape.children
+    children = shape.children
     cur_slot = -1
-    q_cur = dists[:, 0]
+    block = normalize_columns(target, readout, shape.chain(0))
+    row = 0
+    q_cur = block[0]
     p_cur = tree.root_dist
     codebook = target.codebook
     relaxed = config.accept_mode == "relaxed"
@@ -137,7 +145,12 @@ def verify_tree(linear: LinearizedTree, target: TargetModel, context,
 
         accepted.append(node_tokens[chosen])
         cur_slot = chosen
-        q_cur = dists[:, 1 + chosen]
+        if rank == 0:
+            row += 1
+        else:
+            block = normalize_columns(target, readout, shape.chain(1 + chosen))
+            row = 0
+        q_cur = block[row]
         p_cur = tree.dists[chosen]   # None on a leaf, which goes straight to the bonus
 
     # Feature of the terminal token, from the same parallel pass; only the

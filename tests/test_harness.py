@@ -346,6 +346,20 @@ class TestCli:
             outputs.append((capsys.readouterr().out, trace_out.read_text()))
         assert outputs[0] == outputs[1]
 
+    def test_generate_tree_above_the_node_limit(self, capsys, tmp_path, monkeypatch):
+        # 2 + 4 + ... + 2**40 nodes do not fit the budget, so it is not
+        # clamped, and no tree that large can be built: validate rejects
+        # the config before anything runs.
+        calls = []
+        monkeypatch.setattr(cli, "vvs_generate", calls.append)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("branching = 2\ndepth = 40\nbudget = 1000000000000\n")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+        assert "node limit" in err[0]
+
     def test_generate_vanilla(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("max_new_tokens = 8\n")

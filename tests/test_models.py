@@ -8,7 +8,7 @@ import pytest
 from specskip.core import cosine, rng_stream
 from specskip.engine import EngineConfig, compute_metrics, vvs_generate
 from specskip.errors import RejectedInput
-from specskip.models import (make_model_pair, target_forward,
+from specskip.models import (make_model_pair, normalize_columns, target_forward,
                              target_forward_masked)
 from specskip.tree import build_tree, linearize, tree_shape
 
@@ -103,15 +103,25 @@ def _prefix_copy_forward(model, context, paths):
 
 
 def _check_masked(target, context, flat, parents):
-    dists = target_forward_masked(target, context, flat, tree_shape(tuple(parents)))
-    assert dists.shape == (target.vocab_size, 1 + len(flat))
+    """Every column, normalized in one block and in the first-child chains
+    the verify walk normalizes, against the prefix-copy form (a (V, 1 + n)
+    block with n >= 1) bit for bit, and each within 1e-12 of
+    score_prefix."""
+    shape = tree_shape(tuple(parents))
+    readout = target_forward_masked(target, context, flat, shape)
+    assert readout.shape == (target.vocab_size, 1 + len(flat))
     paths = _root_paths(flat, parents)
-    assert np.array_equal(dists, _prefix_copy_forward(target, context, paths))
+    expect = _prefix_copy_forward(target, context, paths)
+    dists = normalize_columns(target, readout, np.arange(1 + len(flat)))
+    assert np.array_equal(dists, expect.T)
+    for slot in range(1 + len(flat)):
+        chain = shape.chain(slot)
+        assert np.array_equal(normalize_columns(target, readout, chain), expect.T[chain])
     for j, path in enumerate([[], *paths]):
         oracle = target.score_prefix(list(context) + path)
         # The dist comes from one (V, d) x (d, 1 + n) readout, which rounds
         # unlike score_prefix's (V, d) x (d,).
-        assert np.allclose(dists[:, j], oracle.dist, rtol=0, atol=1e-12)
+        assert np.allclose(dists[j], oracle.dist, rtol=0, atol=1e-12)
 
 
 class TestMaskedForward:
@@ -145,10 +155,11 @@ class TestMaskedForward:
         before = target.forward_passes
         target_forward_masked(target, [1, 2, 3, 4], [3, 4], tree_shape((-1, 0)))
         assert target.forward_passes == before + 1
-        dists = target_forward_masked(target, [1, 2, 3, 4], [], tree_shape(()))
+        readout = target_forward_masked(target, [1, 2, 3, 4], [], tree_shape(()))
         assert target.forward_passes == before + 2
-        assert dists.shape == (CFG.vocab_size, 1)
-        assert np.allclose(dists[:, 0], target.score_prefix([1, 2, 3, 4]).dist,
+        assert readout.shape == (CFG.vocab_size, 1)
+        dist = normalize_columns(target, readout, [0])[0]
+        assert np.allclose(dist, target.score_prefix([1, 2, 3, 4]).dist,
                            rtol=0, atol=1e-12)
 
     def test_short_prefix_positions(self, pair):
@@ -182,6 +193,80 @@ class TestMaskedForward:
             with pytest.raises(RejectedInput, match="align"):
                 target_forward_masked(target, [1, 2, 3, 4], flat, tree_shape((-1, 0)))
         assert target.forward_passes == before
+
+
+def _full_softmax(target, readout):
+    """Every column of a readout normalized in one block, as the masked
+    forward normalized its whole readout before it returned the readout
+    alone: numpy's ``add.reduce`` sums a C-contiguous (V, k) block with
+    k >= 2 down each column in row order."""
+    z = readout.copy()
+    z *= target.logit_scale
+    z /= target.temperature
+    z -= np.maximum.reduce(z, axis=0, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=0, keepdims=True)
+    return z
+
+
+# The configs of the benchmark's three workloads: vvs-dynamic,
+# vvs-v1024-stale and sd-tiny-pairs.
+WORKLOAD_CONFIGS = [
+    EngineConfig(policy="dynamic"),
+    EngineConfig(vocab_size=1024, feat_dim=16, policy="uniform", interval=2,
+                 feature_schedule=(-1, 0, 1), pool_k=16),
+    EngineConfig(vocab_size=16, feat_dim=4, max_new_tokens=3, window=1, concentration=0.0,
+                 logit_scale=20.0, temperature=0.5, branching=2, depth=2, budget=6,
+                 accept_mode="strict", seed=7),
+]
+
+
+class TestNormalizeColumns:
+    """Any set of a readout's columns, normalized as one block, has the
+    bits of normalizing the whole readout, compared by ``tobytes``.  The
+    subsets include every single column: ``add.reduce`` would sum one
+    column pairwise, so the sequential sum is what makes them equal.
+
+    A readout of one column is the exception: the old full-block softmax
+    summed it pairwise, and ``normalize_columns`` sums it sequentially.
+    Only the root column of an empty, hand-built tree is such a readout;
+    the engine never builds one, since every tree has k_b >= 2 nodes."""
+
+    @pytest.mark.parametrize("vocab, dim", [(16, 4), (64, 8), (1024, 16)])
+    def test_random_blocks(self, vocab, dim):
+        target, _ = make_model_pair(EngineConfig(vocab_size=vocab, feat_dim=dim))
+        rng = np.random.default_rng(vocab)
+        for width in range(2, 34):
+            feats = rng.standard_normal((dim, width))
+            feats /= np.linalg.norm(feats, axis=0)
+            readout = target.codebook.vectors @ feats
+            expect = _full_softmax(target, readout)
+            subsets = [[j] for j in range(width)]
+            subsets += [rng.choice(width, size=k, replace=False)
+                        for k in rng.integers(2, width + 1, size=4)]
+            for cols in [*subsets, range(width)]:
+                cols = np.asarray(cols, dtype=np.intp)
+                got = normalize_columns(target, readout, cols)
+                assert got.tobytes() == expect.T[cols].tobytes(), (width, cols)
+
+    @pytest.mark.parametrize("cfg", WORKLOAD_CONFIGS, ids=["v64", "v1024", "v16"])
+    def test_sampled_tree_chains(self, cfg):
+        """Every slot's first-child chain of sampled trees, after 0 to 2
+        skip-accepted tokens."""
+        target, draft = make_model_pair(cfg)
+        for run in range(60):
+            rng = rng_stream(run, "chains")
+            prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, cfg.window + 2)]
+            tree = build_tree(draft, target.feature_at(prompt, len(prompt) - 1), prompt,
+                              cfg.branching, cfg.depth, cfg.budget, rng=rng)
+            context = prompt + [int(t) for t in rng.integers(0, cfg.vocab_size, run % 3)]
+            readout = target_forward_masked(target, context, linearize(tree).tokens,
+                                            tree.shape)
+            expect = _full_softmax(target, readout)
+            for slot in range(readout.shape[1]):
+                chain = tree.shape.chain(slot)
+                got = normalize_columns(target, readout, chain)
+                assert got.tobytes() == expect.T[chain].tobytes(), (run, slot)
 
 
 class TestLogprobs:

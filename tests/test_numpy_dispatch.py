@@ -23,7 +23,7 @@ WRAPPER_FILES = tuple(os.path.join("numpy", "_core", name)
 HOT = {fn.__code__ for fn in (
     core.sample_index, core.nearest_neighbors,
     models._softmax, models.TargetModel.feature_at, models.TargetModel.logprobs,
-    models.target_forward_masked, models.DraftModel.next_dist,
+    models.target_forward_masked, models.normalize_columns, models.DraftModel.next_dist,
     tree._Level.step, tree._sample_level,
     schedule.path_similarity, verify.verify_tree, select.truncate_path,
     engine.compute_metrics)}

@@ -14,8 +14,8 @@ from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.schedule import path_similarity
-from specskip.tree import (DraftNode, DraftTree, _child_counts, _clamped_budget,
-                           _sample_level, build_tree, enumerate_paths, linearize)
+from specskip.tree import (MAX_NODES, DraftNode, DraftTree, _child_counts, _sample_level,
+                           build_tree, clamped_budget, enumerate_paths, linearize)
 
 CFG = EngineConfig()
 
@@ -386,11 +386,26 @@ class TestBuildTree:
             assert len(built[0][0]) == full
 
     def test_clamped_budget(self):
-        assert _clamped_budget(4, 5, 10 ** 12) == _clamped_budget(4, 5, 1365) == 1364
-        assert _clamped_budget(4, 5, 1364) == 1364
-        assert _clamped_budget(4, 5, 24) == 24
+        assert clamped_budget(4, 5, 10 ** 12) == clamped_budget(4, 5, 1365) == 1364
+        assert clamped_budget(4, 5, 1364) == 1364
+        assert clamped_budget(4, 5, 24) == 24
         # The sum stops at the budget, so a huge depth is not summed out.
-        assert _clamped_budget(2, 10 ** 12, 30) == 30
+        assert clamped_budget(2, 10 ** 12, 30) == 30
+        assert clamped_budget(2, 40, MAX_NODES) == MAX_NODES
+
+    def test_tree_above_the_node_limit_rejected(self):
+        """A budget whose clamped count exceeds MAX_NODES is rejected before
+        any draw, the same way every time (no template is memoized)."""
+        target, draft = make_model_pair(CFG)
+        prompt = [3, 1, 4, 1]
+        feat = target.feature_at(prompt, 3)
+        for budget in (MAX_NODES + 1, 10 ** 12):
+            for _ in range(2):
+                rng = rng_stream(0, "huge")
+                state = rng.bit_generator.state
+                with pytest.raises(RejectedInput, match="node limit"):
+                    build_tree(draft, feat, prompt, 2, 40, budget, rng=rng)
+                assert rng.bit_generator.state == state
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,

@@ -144,13 +144,59 @@ class TestVerifyTree:
             outcome = verify_tree(linearize(empty), target, context + pending, STRICT,
                                   rng_stream(0, "a"), rng_stream(0, "r"))
             assert outcome.terminal_origin == "bonus"
-            assert np.array_equal(drawn_from[-1], passes[-1][:, 0])
+            root = verify.normalize_columns(target, passes[-1], [0])[0]
+            assert np.array_equal(drawn_from[-1], root)
             assert np.allclose(drawn_from[-1], score_prefix(context + pending).dist,
                                rtol=0, atol=1e-12)
         assert scored == [] and len(passes) == 2
         with pytest.raises(RejectedInput):
             verify_tree(linearize(empty), target, context[:window - 1], STRICT,
                         rng_stream(0, "a"), rng_stream(0, "r"))
+
+    def test_first_children_normalize_one_chain(self, monkeypatch):
+        """A walk that accepts only rank-0 children normalizes one block,
+        the root's first-child chain: at most D + 1 columns."""
+        cfg = EngineConfig(epsilon=0.0, accept_mode="strict", branching=2,
+                           depth=3, budget=14)
+        normalize = verify.normalize_columns
+        blocks = []
+        monkeypatch.setattr(verify, "normalize_columns",
+                            lambda model, readout, cols: blocks.append(cols.tolist())
+                            or normalize(model, readout, cols))
+        for run in range(10):
+            blocks.clear()
+            tree, outcome = _full_tree_outcome(cfg, run)
+            chain = tree.shape.chain(0).tolist()
+            assert outcome.accepted == [int(tree.tokens[c - 1]) for c in chain[1:]]
+            assert blocks == [chain] and len(chain) <= cfg.depth + 1
+
+    def test_later_child_normalizes_its_own_chain(self, monkeypatch):
+        """A child accepted at rank 1 starts a new block, its own chain (a
+        leaf here, so one column), whose bits are those of normalizing the
+        whole readout."""
+        cfg = EngineConfig(vocab_size=8, feat_dim=3, logit_scale=2000.0)
+        target, _ = make_model_pair(cfg)
+        context = [1, 2, 3, 4]
+        q_root = target.score_prefix(context).dist
+        dead, best = int(np.argmin(q_root)), int(np.argmax(q_root))
+        assert q_root[dead] == 0.0
+        root_dist = np.zeros(8)
+        root_dist[[dead, best]] = 0.5
+        tree = DraftTree.from_nodes([DraftNode(dead, -1, 0.5), DraftNode(best, -1, 0.5)],
+                                    root_dist=root_dist)
+        blocks, drawn_from, readouts = [], [], []
+        normalize = verify.normalize_columns
+        monkeypatch.setattr(verify, "normalize_columns",
+                            lambda model, readout, cols: blocks.append(cols.tolist())
+                            or readouts.append(readout) or normalize(model, readout, cols))
+        monkeypatch.setattr(verify, "sample_index",
+                            lambda dist, rng: drawn_from.append(dist.copy()) or 0)
+        outcome = verify_tree(linearize(tree), target, context, STRICT,
+                              rng_stream(0, "a"), rng_stream(0, "r"))
+        assert outcome.accepted == [best] and outcome.terminal_origin == "bonus"
+        assert blocks == [[0, 1], [2]]
+        full = normalize(target, readouts[0], [0, 1, 2])
+        assert drawn_from[0].tobytes() == full[2].tobytes()
 
     def test_pending_ratified_with_features(self):
         cfg = EngineConfig()
