@@ -98,6 +98,7 @@ class EngineConfig:
             raise RejectedInput("epsilon must lie in [0, 1]")
         if self.branching < 2 or self.depth < 1 or self.budget < self.branching:
             raise RejectedInput("invalid tree shape")
+        # Rejects a tree too large to build, as build_tree would.
         clamped_budget(min(self.branching, self.vocab_size), self.depth, self.budget)
         if self.accept_mode not in ("strict", "relaxed"):
             raise RejectedInput(f"unknown accept mode {self.accept_mode!r}")

@@ -172,8 +172,8 @@ class TestVerifyTree:
 
     def test_later_child_normalizes_its_own_chain(self, monkeypatch):
         """A child accepted at rank 1 starts a new block, its own chain (a
-        leaf here, so one column), whose bits are those of normalizing the
-        whole readout."""
+        leaf here, so one column), whose bits are those of the same column
+        in a block of every column."""
         cfg = EngineConfig(vocab_size=8, feat_dim=3, logit_scale=2000.0)
         target, _ = make_model_pair(cfg)
         context = [1, 2, 3, 4]
