@@ -1,5 +1,6 @@
 """Synthetic target/draft model pair."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -432,6 +433,17 @@ class TestMakeModelPair:
     def test_shared_codebook(self):
         target, draft = make_model_pair(CFG)
         assert target.codebook is draft.codebook
+
+    def test_workload_parameters_pinned(self):
+        """The codebook, mixing and noise-head bytes of the benchmark's
+        models: request-level rng changes must not rebuild them."""
+        h = hashlib.sha256()
+        for cfg in WORKLOAD_CONFIGS:
+            target, draft = make_model_pair(cfg)
+            for array in (target.codebook.vectors, target.mixing, draft._noise_head):
+                h.update(array.tobytes())
+        assert h.hexdigest() == \
+            "ab8456b8967f80fd59e8b74cc5e6a39e87bd5e4ca46f544a4b3a10edb6702d3f"
 
     @pytest.mark.parametrize("inside, outside, name", [
         ({"logit_scale": 8e307}, {"logit_scale": 1e308, "temperature": 0.5}, "logit_scale"),
