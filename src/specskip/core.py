@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateVector, RejectedInput
 
@@ -23,10 +24,17 @@ ORIGIN_RESAMPLED = "resampled"
 ORIGIN_BONUS = "bonus"
 
 
-def _words(n: int) -> bytes:
-    """The little-endian 32-bit words of n >= 0, as many as n needs and one
-    for zero: numpy's rule for turning an int seed into seed words."""
-    return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+class _DigestSeed(ISeedSequence):
+    """Hands PCG64 four prepared uint64 words as its seed: words 0-1 are
+    the 128-bit initial state, words 2-3 the 128-bit increment."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -36,17 +44,33 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     labels never share draws, so enabling or disabling one stochastic
     feature cannot perturb another feature's stream.
 
-    The stream is ``np.random.default_rng([seed mod 2**64, salt])``, salt
-    being the first 8 bytes of the label's sha256, little-endian.
-    ``default_rng`` coerces that list to 32-bit seed words in Python loops;
-    here the words are cut from bytes and handed to ``SeedSequence`` as one
-    uint32 array, which gives the same entropy pool and so the same PCG64
-    state for less setup.  A short request sets up several streams, so
-    that setup is a visible share of its time.
+    The stream is PCG64 keyed directly by
+    ``sha256((seed mod 2**64) as 8 little-endian bytes + utf-8 label)``:
+    the digest's four little-endian uint64 words seed the 128-bit state
+    (words 0-1, high first) and the 128-bit increment (words 2-3), the way
+    hash-keyed generators are seeded (Salmon et al. 2011).  One hash per
+    stream replaces ``SeedSequence``'s pool mixing, which cost about four
+    times as much; a short request sets up several streams, so that setup
+    is a visible share of its time.  Model parameters use ``param_stream``.
+    """
+    digest = hashlib.sha256((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+                            + label.encode("utf-8")).digest()
+    words = np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+    return np.random.Generator(np.random.PCG64(_DigestSeed(words)))
+
+
+def param_stream(seed: int, label: str) -> np.random.Generator:
+    """Generator for the model parameters of a (seed, label) pair:
+    ``np.random.default_rng([seed mod 2**64, salt])``, salt being the first
+    8 bytes of the label's sha256, little-endian.
+
+    Parameters keep numpy's own ``SeedSequence`` seeding, so the synthetic
+    models, and with them every workload's acceptance rates and quality,
+    stay byte for byte what they were when request streams were seeded the
+    same way.  It runs once per model pair, not per request.
     """
     salt = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
-    words = np.frombuffer(_words(seed & 0xFFFFFFFFFFFFFFFF) + _words(salt), dtype="<u4")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, salt])
 
 
 def cosine(a, b) -> float:

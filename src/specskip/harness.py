@@ -205,11 +205,6 @@ def _csv_writer(fh):
     return writer
 
 
-def write_rows(path, rows: list[ResultRow]) -> None:
-    with open_output(path) as fh:
-        _csv_writer(fh).writerows(row.as_csv() for row in rows)
-
-
 def summary_table(rows: list[ResultRow]) -> str:
     """Plain-text per-cell means of the speed and quality columns."""
     cells: dict[tuple, list[ResultRow]] = {}

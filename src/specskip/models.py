@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingCodebook, rng_stream
+from .core import EmbeddingCodebook, param_stream
 from .errors import RejectedInput
 from .tree import TreeShape
 
@@ -201,7 +201,7 @@ class DraftModel:
         self.logit_scale = float(logit_scale)
         self.epsilon = float(epsilon)
         self.noise_scale = float(noise_scale)
-        rng = rng_stream(seed, "draft-noise")
+        rng = param_stream(seed, "draft-noise")
         self._noise_head = rng.standard_normal((codebook.size, codebook.dim))
         # Row t is mixing @ embedding(t), the target's column t.
         self._mixed_rows = np.ascontiguousarray((self.mixing @ codebook.vectors.T).T)
@@ -257,14 +257,14 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     if not math.isfinite(2 * config.concentration * config.concentration):
         raise RejectedInput(f"concentration={config.concentration:g} overflows float64 "
                             "codebook norms")
-    cb_rng = rng_stream(config.seed, "codebook")
+    cb_rng = param_stream(config.seed, "codebook")
     anchor = cb_rng.standard_normal(config.feat_dim)
     anchor /= np.linalg.norm(anchor)
     raw = config.concentration * anchor + cb_rng.standard_normal((config.vocab_size, config.feat_dim))
     raw /= np.linalg.norm(raw, axis=1)[:, None]
     codebook = EmbeddingCodebook(raw)
 
-    mix_rng = rng_stream(config.seed, "mixing")
+    mix_rng = param_stream(config.seed, "mixing")
     q, _ = np.linalg.qr(mix_rng.standard_normal((config.feat_dim, config.feat_dim)))
     target = TargetModel(codebook, q, config.window, config.temperature,
                          config.logit_scale)

@@ -336,15 +336,15 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     window = draft.window
     if len(tokens) < window:
         raise RejectedInput(f"context shorter than drafter window {window}")
-    feats = np.asarray(feature, dtype=np.float64)[None]
-    root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
-    m = min(k_b, len(root_dist))
+    m = min(k_b, draft.codebook.size)
     key = (m, D, budget, window)
     level = _TEMPLATES.get(key)
     if level is None:
         level = _TEMPLATES[key] = _Level((m, D, clamped_budget(m, D, budget), window),
                                          1, (), (-1,), (m,), (1.0,))
     budget = level.key[2]
+    feats = np.asarray(feature, dtype=np.float64)[None]
+    root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
     # The context's last `window` tokens, then the node tokens and the
     # sentinel's.
     seq = np.empty(window + budget + 1, dtype=np.intp)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specskip.core import (EmbeddingCodebook, TokenSequence, cosine,
-                           nearest_neighbors, rng_stream, sample_index)
+                           nearest_neighbors, param_stream, rng_stream,
+                           sample_index)
 from specskip.errors import DegenerateVector, RejectedInput
 
 
@@ -64,6 +65,19 @@ class TestSampleIndex:
         assert rng_a.random() == rng_b.random()
 
 
+SEEDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
+                                    2**64, 2**64 + 1, 2**96 + 7]),
+                  st.integers(min_value=-2**70, max_value=2**70))
+LABELS = st.one_of(st.sampled_from(["", "a", "é→ω", "run3/accept", "run0/prompt",
+                                    "run1000001/residual"]),
+                   st.text(max_size=12),
+                   st.builds(lambda run, name: f"run{run}/{name}",
+                             st.integers(min_value=0, max_value=10**7),
+                             st.text(max_size=8)))
+# PCG64's 128-bit LCG multiplier.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 class TestRngStream:
     def test_same_pair_same_draws(self):
         a = rng_stream(42, "x").random(8)
@@ -80,28 +94,35 @@ class TestRngStream:
         b = rng_stream(2, "x").random(8)
         assert not np.array_equal(a, b)
 
-    @given(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1,
-                                      2**64, 2**64 + 1, 2**96 + 7]),
-                     st.integers(min_value=-2**70, max_value=2**70)),
-           st.one_of(st.sampled_from(["", "a", "é→ω", "run3/accept", "run0/prompt",
-                                      "run1000001/residual"]),
-                     st.text(max_size=12),
-                     st.builds(lambda run, name: f"run{run}/{name}",
-                               st.integers(min_value=0, max_value=10**7),
-                               st.text(max_size=8))))
+    @given(SEEDS, LABELS)
     @settings(max_examples=300, deadline=None)
-    def test_state_is_numpy_list_seeding(self, seed, label):
-        # The stream is default_rng([seed mod 2**64, salt]), the salt being
-        # the label's sha256 prefix; any other seeding path must agree.
+    def test_state_is_sha256_keyed_pcg64(self, seed, label):
+        # An independent reference of PCG64's seeding from the digest's
+        # words: state seed s = w0:w1, increment seed i = w2:w3.
+        digest = hashlib.sha256((seed % 2**64).to_bytes(8, "little")
+                                + label.encode("utf-8")).digest()
+        w = [int.from_bytes(digest[8 * j: 8 * j + 8], "little") for j in range(4)]
+        s, i = w[0] << 64 | w[1], w[2] << 64 | w[3]
+        inc = ((i << 1) | 1) % 2**128
+        state = ((inc + s) * PCG_MULT + inc) % 2**128
+        got = rng_stream(seed, label).bit_generator.state
+        assert got["bit_generator"] == "PCG64"
+        assert got["state"] == {"state": state, "inc": inc}
+
+    @given(SEEDS, LABELS)
+    @settings(max_examples=300, deadline=None)
+    def test_param_stream_is_numpy_list_seeding(self, seed, label):
+        # Model parameters come from default_rng([seed mod 2**64, salt]),
+        # the salt being the label's sha256 prefix.
         salt = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
         expect = np.random.default_rng([seed & (2**64 - 1), salt])
-        assert rng_stream(seed, label).bit_generator.state == expect.bit_generator.state
+        assert param_stream(seed, label).bit_generator.state == expect.bit_generator.state
 
     @pytest.mark.parametrize("seed, label, draws", [
-        (0, "a", [0.932893454018908, 0.6637128587414173,
-                  0.7792173160892625, 0.054567668605885467]),
-        (7, "run3/accept", [0.07951341839729154, 0.13320831682678946,
-                            0.8345785440711538, 0.8355360423868641])])
+        (0, "a", [0.3303343146059867, 0.7661500729974416,
+                  0.4108278205647553, 0.1938115438004615]),
+        (7, "run3/accept", [0.929004756801543, 0.7238796720858321,
+                            0.15425081800348495, 0.555303167241649])])
     def test_first_draws_pinned(self, seed, label, draws):
         assert rng_stream(seed, label).random(4).tolist() == draws
 

@@ -231,7 +231,7 @@ class TestSerialization:
         ("uniform", dict(interval=2, feature_schedule=(-1, 0, 1)),
          "e0094065c337fa4e72a298b796e87aea16ff601e1fca6ef446a85860371876c9"),
         ("dynamic", {},
-         "ac83a64cda5d95c461f5a3e0f0bfaf0072fdfe309bd2dc995dcc606e45d433a0"),
+         "a5900397985150b3ecfe14df9cfa683af342bba3b8aa5579a38320abcc8d1587"),
         # Stale lookups that underflow and fall back to the fresh feature:
         # 3 of 16 verifies here, and one among pending tokens below.
         ("never", dict(feature_schedule=(3,)),
@@ -258,7 +258,7 @@ class TestSerialization:
             digest.update(repr((trace.tokens.tokens, trace.tokens.origins)).encode())
             digest.update(trace_to_csv(trace).encode())
         assert digest.hexdigest() == (
-            "0fa9c97ce211dd931f14d071a22043a3068de84da3d4ad9dcb04be0a722d1fb3")
+            "4efddf498be146804e49e745663c836a25e48673f30699211ea61a5211aeacf5")
 
 
 class TestValidateTypes:

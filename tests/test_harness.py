@@ -18,11 +18,17 @@ from specskip.harness import (ExperimentSpec, _tasks,
                               measure_feature_similarity,
                               measure_path_similarity_distribution,
                               parse_config_file, parse_kv_file,
-                              parse_spec_file, run_experiment, summary_table,
-                              write_rows)
+                              parse_spec_file, run_experiment, summary_table)
 
 SMALL = dict(max_new_tokens=16)
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def write_rows(path, rows):
+    """The whole sweep CSV of `rows` in one write: the reference that the
+    streamed output of ``run_experiment`` is checked against."""
+    with harness.open_output(path) as fh:
+        harness._csv_writer(fh).writerows(row.as_csv() for row in rows)
 
 
 class TestParsing:
@@ -171,7 +177,7 @@ class TestRunExperiment:
                               output=str(out))
         run_experiment(spec)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "babc78e103a0d6f203f923f536ee1babac772bf88d9967fd73f100449c126fbb"
+            "0d286a7be4078832b9c2b97200e0a31c6fc57fcf17c1d7a645028d8513a364ba"
 
     def test_unwritable_output_fails_before_any_cell(self, tmp_path, monkeypatch):
         calls = []

@@ -5,7 +5,8 @@ their kind each run a frame of ``numpy/_core/fromnumeric.py`` or
 ``numpy/_core/_methods.py`` that costs more than the reduction itself on
 these small arrays.  Only the wrapper frames that these functions call
 themselves count; a numpy routine may use the wrappers internally (the
-prompt's ``rng.integers`` reaches ``np.prod``)."""
+prompt's ``rng.integers`` reaches ``np.prod``).  Likewise a request seeds
+its rng streams without numpy's ``SeedSequence``."""
 
 import os
 import sys
@@ -54,15 +55,18 @@ def _profile(codes, fn, *args):
     return seen, ran
 
 
+DYNAMIC = EngineConfig(policy="dynamic")
+TINY = EngineConfig(vocab_size=16, feat_dim=4, max_new_tokens=3, window=1,
+                    concentration=0.0, logit_scale=20.0, temperature=0.5,
+                    branching=2, depth=2, budget=6, accept_mode="strict", seed=7)
+
+
 def _requests():
     """One default dynamic VVS run, one V=1024 uniform run on stale
     features and one strict tiny AR+SD pair, each with its metrics."""
-    dynamic = EngineConfig(policy="dynamic")
+    dynamic, tiny = DYNAMIC, TINY
     stale = EngineConfig(vocab_size=1024, feat_dim=16, policy="uniform", interval=2,
                          feature_schedule=(FRESH, 0, 1), pool_k=16)
-    tiny = EngineConfig(vocab_size=16, feat_dim=4, max_new_tokens=3, window=1,
-                        concentration=0.0, logit_scale=20.0, temperature=0.5,
-                        branching=2, depth=2, budget=6, accept_mode="strict", seed=7)
     for config in (dynamic, stale):
         engine.compute_metrics(engine.vvs_generate(config))
     pair = models.make_model_pair(tiny)
@@ -86,3 +90,32 @@ def test_the_profile_sees_a_wrapper():
     seen, ran = _profile({uses_wrappers.__code__}, uses_wrappers, np.ones(3))
     assert ran == {uses_wrappers.__code__}
     assert ("uses_wrappers", "_amax") in seen and ("uses_wrappers", "cumsum") in seen
+
+
+def test_requests_construct_no_seed_sequence(monkeypatch):
+    """A dynamic VVS request and a tiny AR+SD pair, on prebuilt models, key
+    every stream from its hash: no ``SeedSequence`` is made, directly or
+    inside a bit generator."""
+    made, streams = [], []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            made.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+
+    def stream(seed, label):
+        streams.append(core.rng_stream(seed, label))
+        return streams[-1]
+
+    dynamic_pair, tiny_pair = models.make_model_pair(DYNAMIC), models.make_model_pair(TINY)
+    monkeypatch.setattr(np.random, "SeedSequence", spy(np.random.SeedSequence))
+    monkeypatch.setattr(np.random, "default_rng", spy(np.random.default_rng))
+    monkeypatch.setattr(engine, "rng_stream", stream)
+    engine.vvs_generate(DYNAMIC, dynamic_pair)
+    engine.vanilla_ar(TINY, tiny_pair)
+    engine.speculative_decode(TINY, tiny_pair)
+    assert made == []
+    assert len(streams) >= 6
+    assert not any(isinstance(g.bit_generator.seed_seq, np.random.bit_generator.SeedSequence)
+                   for g in streams)

@@ -4,12 +4,13 @@ import hashlib
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from specskip import tree as tree_mod
-from specskip.core import EmbeddingCodebook, rng_stream
+from specskip.core import EmbeddingCodebook, param_stream, rng_stream
 from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
@@ -27,6 +28,7 @@ class TableDrafter:
     def __init__(self, table, window=1):
         self.table = {t: np.asarray(d, dtype=np.float64) for t, d in table.items()}
         self.window = window
+        self.codebook = SimpleNamespace(size=len(next(iter(self.table.values()))))
 
     def next_dist(self, features, last_tokens):
         return np.array([self.table[int(t)] for t in last_tokens])
@@ -40,13 +42,15 @@ def _feat():
 
 
 def _golden_trees(cfg, runs=200):
-    """Sampled trees of the golden test, each with its rng after the build."""
+    """Sampled trees of the golden test, each with its rng after the build.
+    Prompts and draws come from ``param_stream``, whose seeding is fixed
+    with the models', so the digest pins the build loop's bits only."""
     target, draft = make_model_pair(cfg)
     for run in range(runs):
-        prompt = [int(t) for t in rng_stream(run, "golden-prompt").integers(
+        prompt = [int(t) for t in param_stream(run, "golden-prompt").integers(
             0, cfg.vocab_size, cfg.window)]
         feat = target.feature_at(prompt, cfg.window - 1)
-        rng = rng_stream(run, "golden-draw")
+        rng = param_stream(run, "golden-draw")
         tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                           cfg.budget, rng=rng)
         yield draft, tree, rng
@@ -395,7 +399,8 @@ class TestBuildTree:
 
     def test_tree_above_the_node_limit_rejected(self):
         """A budget whose clamped count exceeds MAX_NODES is rejected before
-        any draw, the same way every time (no template is memoized)."""
+        any draw or drafter call, the same way every time (no template is
+        memoized)."""
         target, draft = make_model_pair(CFG)
         prompt = [3, 1, 4, 1]
         feat = target.feature_at(prompt, 3)
@@ -406,6 +411,7 @@ class TestBuildTree:
                 with pytest.raises(RejectedInput, match="node limit"):
                     build_tree(draft, feat, prompt, 2, 40, budget, rng=rng)
                 assert rng.bit_generator.state == state
+                assert draft.forward_calls == 0
 
     def test_budget_and_structure_fuzz(self):
         """Sampled trees: node count <= budget, parents precede children,
