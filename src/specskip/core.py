@@ -48,10 +48,10 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     ``sha256((seed mod 2**64) as 8 little-endian bytes + utf-8 label)``:
     the digest's four little-endian uint64 words seed the 128-bit state
     (words 0-1, high first) and the 128-bit increment (words 2-3), the way
-    hash-keyed generators are seeded (Salmon et al. 2011).  One hash per
-    stream replaces ``SeedSequence``'s pool mixing, which cost about four
-    times as much; a short request sets up several streams, so that setup
-    is a visible share of its time.  Model parameters use ``param_stream``.
+    hash-keyed generators are seeded (Salmon et al. 2011).  One hash costs
+    about a quarter of ``SeedSequence``'s pool mixing, and a short request
+    sets up several streams, so that setup is a visible share of its time.
+    Model parameters use ``param_stream``.
     """
     digest = hashlib.sha256((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
                             + label.encode("utf-8")).digest()
@@ -64,10 +64,9 @@ def param_stream(seed: int, label: str) -> np.random.Generator:
     ``np.random.default_rng([seed mod 2**64, salt])``, salt being the first
     8 bytes of the label's sha256, little-endian.
 
-    Parameters keep numpy's own ``SeedSequence`` seeding, so the synthetic
-    models, and with them every workload's acceptance rates and quality,
-    stay byte for byte what they were when request streams were seeded the
-    same way.  It runs once per model pair, not per request.
+    Parameters keep numpy's own ``SeedSequence`` seeding: its models are
+    the ones every workload's acceptance rates and quality were measured
+    on, and it runs once per model pair, not per request.
     """
     salt = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
     return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, salt])

@@ -64,14 +64,13 @@ TINY = EngineConfig(vocab_size=16, feat_dim=4, max_new_tokens=3, window=1,
 def _requests():
     """One default dynamic VVS run, one V=1024 uniform run on stale
     features and one strict tiny AR+SD pair, each with its metrics."""
-    dynamic, tiny = DYNAMIC, TINY
     stale = EngineConfig(vocab_size=1024, feat_dim=16, policy="uniform", interval=2,
                          feature_schedule=(FRESH, 0, 1), pool_k=16)
-    for config in (dynamic, stale):
+    for config in (DYNAMIC, stale):
         engine.compute_metrics(engine.vvs_generate(config))
-    pair = models.make_model_pair(tiny)
+    pair = models.make_model_pair(TINY)
     for run in range(20):
-        config = replace(tiny, run=run)
+        config = replace(TINY, run=run)
         for trace in (engine.vanilla_ar(config, pair),
                       engine.speculative_decode(config, pair)):
             engine.compute_metrics(trace, pair[0])
