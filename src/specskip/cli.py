@@ -20,7 +20,7 @@ def _load_config(args) -> EngineConfig:
     config = parse_config_file(args.config) if args.config else EngineConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config.validate()
+    return config
 
 
 def cmd_generate(args) -> int:

@@ -27,7 +27,8 @@ from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
 from .select import select_path, truncate_path
-from .tree import build_tree, clamped_budget, enumerate_paths, linearize
+from .tree import (MAX_FEAT_DIM, MAX_VOCAB, MAX_WINDOW, build_tree, clamped_budget,
+                   enumerate_paths, linearize)
 from .verify import verify_tree
 
 FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
@@ -38,11 +39,12 @@ class EngineConfig:
     """Every knob of the models, tree, verifier, scheduler, and selector.
 
     The only home of these settings and their defaults: the pipeline
-    modules read them from the config, and ``validate`` checks them.  A
-    mode's own settings are checked only under that mode: ``interval``
-    under the uniform policy, ``alpha`` and ``stride`` under the dynamic
-    one (``alpha`` also when ``log_similarity`` is set), and ``pool_k``
-    under relaxed acceptance, where it must not exceed ``vocab_size``.
+    modules read them from the config, which checks them when it is built
+    (``EngineConfig(...)`` or ``replace``).  A mode's own settings are
+    checked only under that mode: ``interval`` under the uniform policy,
+    ``alpha`` and ``stride`` under the dynamic one (``alpha`` also when
+    ``log_similarity`` is set), and ``pool_k`` under relaxed acceptance,
+    where it must not exceed ``vocab_size``.
     """
 
     # toy models
@@ -80,7 +82,7 @@ class EngineConfig:
     feature_schedule: tuple = (FRESH,)
     log_similarity: bool = False
 
-    def validate(self) -> "EngineConfig":
+    def __post_init__(self):
         for name, kinds in _FIELD_KINDS:
             kind = type(getattr(self, name))
             if kind not in kinds:
@@ -92,6 +94,9 @@ class EngineConfig:
                 raise RejectedInput(f"{name} must be finite")
         if self.vocab_size < 4 or self.feat_dim < 2 or self.window < 1:
             raise RejectedInput("vocab_size >= 4, feat_dim >= 2, window >= 1 required")
+        if self.vocab_size > MAX_VOCAB or self.feat_dim > MAX_FEAT_DIM or self.window > MAX_WINDOW:
+            raise RejectedInput(f"vocab_size <= {MAX_VOCAB}, feat_dim <= {MAX_FEAT_DIM}, "
+                                f"window <= {MAX_WINDOW} required")
         if self.temperature <= 0:
             raise RejectedInput("temperature must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -125,7 +130,6 @@ class EngineConfig:
                 raise RejectedInput("pool size must be >= 1")
             if self.pool_k > self.vocab_size:
                 raise RejectedInput(f"pool_k={self.pool_k} exceeds vocab_size={self.vocab_size}")
-        return self
 
 
 _FLOAT_FIELDS = tuple(f.name for f in fields(EngineConfig) if isinstance(f.default, float))
@@ -198,7 +202,6 @@ def _make_prompt(config: EngineConfig, rng: np.random.Generator) -> list[int]:
 
 def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
     """One target forward pass per generated token; TPF is exactly 1."""
-    config.validate()
     target = models[0] if models else make_model_pair(config)[0]
     streams = _Streams(config)
     prompt = _make_prompt(config, streams["prompt"])
@@ -221,7 +224,6 @@ def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
 def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     """Partial verification-skipping loop; with policy="never" it is
     baseline speculative decoding."""
-    config.validate()
     target, draft = models if models else make_model_pair(config)
     streams = _Streams(config)
     prompt = _make_prompt(config, streams["prompt"])
@@ -368,15 +370,15 @@ def trace_to_csv(trace: GenerationTrace) -> str:
 
 
 def config_from_mapping(values: dict) -> EngineConfig:
-    """Build a validated config from string-keyed values, rejecting unknown
-    keys by name (the contract behind the flat config-file schema)."""
+    """Build a config from string-keyed values, rejecting unknown keys by
+    name (the contract behind the flat config-file schema)."""
     known = {f.name: f.type for f in fields(EngineConfig)}
     kwargs = {}
     for key, raw in values.items():
         if key not in known:
             raise RejectedInput(f"unknown config key {key!r}")
         kwargs[key] = _coerce(key, raw)
-    return EngineConfig(**kwargs).validate()
+    return EngineConfig(**kwargs)
 
 
 def _coerce(key: str, raw):

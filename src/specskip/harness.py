@@ -146,8 +146,9 @@ def _label_value(value) -> str:
 
 
 def _tasks(spec: ExperimentSpec) -> list[tuple]:
-    """One validated (name, cell label, config, rep) task per generation of
-    the full Cartesian sweep, in cell order."""
+    """One (name, cell label, config, rep) task per generation of the full
+    Cartesian sweep, in cell order; an invalid cell is rejected as its
+    config is built, before any cell runs."""
     axis_names = sorted(spec.axes)
     combos = list(itertools.product(*(spec.axes[k] for k in axis_names))) or [()]
     tasks = []
@@ -156,7 +157,7 @@ def _tasks(spec: ExperimentSpec) -> list[tuple]:
         cell_label = ";".join(f"{k}={_label_value(v)}" for k, v in overrides.items())
         for rep in range(spec.repetitions):
             config = replace(spec.base, seed=_cell_seed(spec.base.seed, cell_index, rep),
-                             **overrides).validate()
+                             **overrides)
             tasks.append((spec.name, cell_label, config, rep))
     return tasks
 
@@ -229,7 +230,6 @@ def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dic
     20-bin histogram over [-1, 1] plus the fraction above 0.7."""
     if runs < 1:
         raise RejectedInput("runs must be >= 1")
-    config.validate()
     edges = np.linspace(-1.0, 1.0, 21)
     values = []
     degenerate = 0
@@ -253,7 +253,8 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
     """Mean cosine between target features of token pairs at each positional
     distance 1..max_distance over seeded generations, each of which has
     window + max_new_tokens positions."""
-    config.validate()
+    if runs < 1:
+        raise RejectedInput("runs must be >= 1")
     longest = config.window + config.max_new_tokens - 1
     if not 1 <= max_distance <= longest:
         raise RejectedInput(f"max distance must lie in [1, {longest}], "
@@ -276,7 +277,6 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
 def sample_similarity_gaps(config: EngineConfig, trees: int = 1000) -> np.ndarray:
     """|stride-1 minus stride-2| path similarity of each random tree with
     two or more paths; the measurement behind the frozen stride tolerance."""
-    config.validate()
     gaps = []
     target, draft = make_model_pair(config)
     for run in range(trees):

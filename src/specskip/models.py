@@ -250,8 +250,6 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     at most 1 and a target logit is at most |logit_scale| / temperature in
     size; a drafter logit adds at most |noise_scale| times the largest
     noise-head row norm.  Twice each bound must be finite."""
-    if config.feat_dim < 2 or config.vocab_size < 4:
-        raise RejectedInput("need feat_dim >= 2 and vocab_size >= 4")
     # A raw codebook row's norm is about |concentration|; np.linalg.norm
     # sums its squares.
     if not math.isfinite(2 * config.concentration * config.concentration):

@@ -39,8 +39,8 @@ class PathSimilarity(NamedTuple):
 @dataclass
 class SkipPolicy:
     """One run's scheduling state over the config whose policy, interval,
-    threshold, alpha and stride it reads (``EngineConfig.validate`` checks
-    them)."""
+    threshold, alpha and stride it reads (checked when the config is
+    built)."""
 
     config: EngineConfig
     verified_since_skip: int = 0  # 0 on the first step and after a skip

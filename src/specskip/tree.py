@@ -127,6 +127,12 @@ _TEMPLATES: dict[tuple[int, int, int, int], "_Level"] = {}
 # the 1,364 of the full default tree (k_b = 4, D = 5).  A verify pass's
 # readout holds V * (1 + nodes) floats, about 34 MB at V = 1024.
 MAX_NODES = 4096
+# The largest model sizes a config takes: its models' (V, feat_dim) arrays
+# hold at most 32 MB each, and the widest readout about 134 MB.  V <= 4096 is
+# the range core's dense distributions are meant for.
+MAX_VOCAB = 4096
+MAX_FEAT_DIM = 1024
+MAX_WINDOW = 1024
 
 
 def tree_shape(parents: tuple[int, ...]) -> TreeShape:

@@ -174,11 +174,18 @@ class TestVVS:
         trace = vvs_generate(EngineConfig(policy="uniform", log_similarity=True, **FAST))
         assert len(calls) == len(trace.iterations)
 
-    def test_policy_validation(self):
-        with pytest.raises(RejectedInput):
-            EngineConfig(policy="uniform", interval=1).validate()
-        with pytest.raises(RejectedInput):
-            EngineConfig(feature_schedule=()).validate()
+    def test_generation_builds_no_config(self, monkeypatch):
+        """A config is checked once, when built: no generation checks it."""
+        configs = [EngineConfig(**FAST), EngineConfig(policy="uniform", **FAST)]
+        calls = []
+        monkeypatch.setattr(EngineConfig, "__post_init__", lambda cfg: calls.append(cfg))
+        for cfg in configs:
+            vanilla_ar(cfg)
+            vvs_generate(cfg)
+        speculative_decode(configs[0])
+        assert calls == []
+        EngineConfig()
+        assert len(calls) == 1
 
 
 class TestMetrics:
@@ -269,16 +276,16 @@ class TestValidateTypes:
         ("feature_schedule", (True,))])
     def test_mismatch_names_field(self, field, value):
         with pytest.raises(RejectedInput, match=field):
-            EngineConfig(**{field: value}).validate()
+            EngineConfig(**{field: value})
 
     def test_float_field_takes_int(self):
-        cfg = EngineConfig(delta=0, temperature=2, epsilon=1).validate()
+        cfg = EngineConfig(delta=0, temperature=2, epsilon=1)
         assert cfg.delta == 0 and vvs_generate(replace(cfg, **FAST)).n_tok >= 24
 
 
 class TestValidateModes:
-    """The scheduler, selector and verifier settings are checked once, in
-    validate, and only where their mode reads them."""
+    """Settings are checked once, when the config is built; the scheduler,
+    selector and verifier settings only where their mode reads them."""
 
     @pytest.mark.parametrize("values, message", [
         ({"policy": "sometimes"}, "unknown skip policy"),
@@ -290,14 +297,23 @@ class TestValidateModes:
         ({"strategy": "best"}, "unknown selection strategy"),
         ({"accept_mode": "relaxed", "pool_k": "0"}, "pool size"),
         ({"vocab_size": "4"}, "pool_k"),
-        ({"vocab_size": "16", "pool_k": "17"}, "pool_k")],
+        ({"vocab_size": "16", "pool_k": "17"}, "pool_k"),
+        ({"feature_schedule": ""}, "feature schedule cannot be empty"),
+        ({"vocab_size": "4097"}, "vocab_size <= 4096"),
+        ({"feat_dim": "1025"}, "feat_dim <= 1024"),
+        ({"window": "1025"}, "window <= 1024")],
         ids=["unknown-policy", "uniform-interval", "dynamic-alpha-zero",
              "dynamic-alpha-above-one", "dynamic-stride", "logged-alpha",
              "unknown-strategy", "relaxed-pool-below-one", "relaxed-default-pool-v4",
-             "relaxed-pool-above-vocab"])
+             "relaxed-pool-above-vocab", "empty-feature-schedule", "vocab-above-limit",
+             "feat-dim-above-limit", "window-above-limit"])
     def test_rejected(self, values, message):
         with pytest.raises(RejectedInput, match=message):
             config_from_mapping(values)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(RejectedInput, match="interval"):
+            replace(EngineConfig(), policy="uniform", interval=1)
 
     @pytest.mark.parametrize("values", [
         {"policy": "never", "interval": "1"},
@@ -327,10 +343,10 @@ class TestValidateModes:
        feature_schedule=st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple),
        log_similarity=st.booleans())
 def test_a_config_that_validates_runs(**settings_):
-    """Small configs either fail validate or complete a run and its metrics."""
-    cfg = EngineConfig(**settings_)
+    """Small configs are either rejected when built or complete a run and
+    its metrics."""
     try:
-        cfg.validate()
+        cfg = EngineConfig(**settings_)
     except RejectedInput:
         return
     compute_metrics(vvs_generate(cfg))

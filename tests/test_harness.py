@@ -266,6 +266,10 @@ class TestAnalysisOps:
         assert table[0][0] == 1 and table[-1][0] == 8
         assert table[0][1] > table[-1][1]
 
+    def test_feature_similarity_rejects_runs_below_one(self):
+        with pytest.raises(RejectedInput, match="runs"):
+            measure_feature_similarity(EngineConfig(**SMALL), max_distance=2, runs=0)
+
     def test_staleness_sweep_rows(self):
         spec = ExperimentSpec(name="staleness",
                               base=EngineConfig(max_new_tokens=32),
@@ -354,8 +358,8 @@ class TestCli:
 
     def test_generate_tree_above_the_node_limit(self, capsys, tmp_path, monkeypatch):
         # 2 + 4 + ... + 2**40 nodes do not fit the budget, so it is not
-        # clamped, and no tree that large can be built: validate rejects
-        # the config before anything runs.
+        # clamped, and no tree that large can be built: the config is
+        # rejected as it is built, before anything runs.
         calls = []
         monkeypatch.setattr(cli, "vvs_generate", calls.append)
         cfg = tmp_path / "huge.cfg"

@@ -22,7 +22,7 @@ def _paths(*token_lists):
 
 
 def _policy(**settings):
-    return SkipPolicy(EngineConfig(**settings).validate())
+    return SkipPolicy(EngineConfig(**settings))
 
 
 class TestDecayWeights:

@@ -262,7 +262,8 @@ class TestPendingIsContext:
 
 class TestBranchProbabilityOracle:
     def test_two_level_tree_matches_exhaustive_enumeration(self):
-        cfg = EngineConfig(vocab_size=6, feat_dim=3, window=2, logit_scale=2.0)
+        cfg = EngineConfig(vocab_size=6, feat_dim=3, window=2, logit_scale=2.0,
+                           accept_mode="strict")
         target, _ = make_model_pair(cfg)
         context = [2, 5]
         # Hand 2-level tree: root children 1, 4; node 1 has children 0, 3.
