@@ -26,9 +26,9 @@ from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, ORIGIN_VERIFIED, TokenSequence,
 from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
 from .schedule import SkipPolicy, decide, path_similarity
-from .select import select_path, truncate_path
+from .select import select_leaf, select_path, truncate_path
 from .tree import (MAX_FEAT_DIM, MAX_VOCAB, MAX_WINDOW, build_tree, clamped_budget,
-                   enumerate_paths, linearize)
+                   draw_path, enumerate_paths, full_shape, linearize)
 from .verify import verify_tree
 
 FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
@@ -245,6 +245,15 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     if cache_read:
         update(cache, len(prompt), draft_feat, step=0)
 
+    # A uniform-policy skip decides without a tree, and it draws only the
+    # path it emits when nothing else reads the tree: under the uniform
+    # strategy, with no logged similarity, from a drafter whose every tree
+    # has one shape.
+    path_shape = None
+    if (config.policy == "uniform" and config.strategy == "uniform"
+            and not config.log_similarity and draft.full_support):
+        path_shape = full_shape(draft, config.branching, config.depth, config.budget)
+
     iterations: list[IterationRecord] = []
     n_fwd = 0
     skip_count = 0
@@ -252,20 +261,37 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     draft_calls_start = draft.forward_calls
     while len(emitted) < config.max_new_tokens:
         step += 1
-        tree = build_tree(draft, draft_feat, seq, config.branching,
-                          config.depth, config.budget, rng=streams["draft"])
-        # The paths are enumerated only when something reads them: the
-        # policy's decision, a logged similarity or a skip's selection.
-        paths = enumerate_paths(tree) if policy.reads_paths else None
-
+        # The tree is built before the decision only when the decision reads
+        # its paths, and its paths are enumerated only when something reads
+        # them: the decision, a logged similarity or a skip's selection.
+        tree = paths = None
+        if policy.reads_paths:
+            tree = build_tree(draft, draft_feat, seq, config.branching,
+                              config.depth, config.budget, rng=streams["draft"])
+            paths = enumerate_paths(tree)
         skip = decide(policy, paths, codebook)
         similarity = policy.last_similarity
-        if similarity is None and config.log_similarity:
-            if paths is None:
-                paths = enumerate_paths(tree)
-            # A one-path tree logs no similarity, not the policy's sentinel.
-            logged = path_similarity(paths, codebook, config.alpha, stride=1)
-            similarity = None if logged.degenerate else logged.value
+
+        if skip and path_shape is not None:
+            chosen = draw_path(draft, draft_feat, seq, config.branching, path_shape,
+                               select_leaf(path_shape, config.truncate, streams["select"]),
+                               streams["draft"])
+        else:
+            if tree is None:
+                tree = build_tree(draft, draft_feat, seq, config.branching,
+                                  config.depth, config.budget, rng=streams["draft"])
+            if similarity is None and config.log_similarity:
+                if paths is None:
+                    paths = enumerate_paths(tree)
+                # A one-path tree logs no similarity, not the policy's sentinel.
+                logged = path_similarity(paths, codebook, config.alpha, stride=1)
+                similarity = None if logged.degenerate else logged.value
+            if skip:
+                if paths is None:
+                    paths = enumerate_paths(tree)
+                chosen = select_path(paths, config.strategy, streams["select"])
+                if config.truncate:
+                    chosen = truncate_path(chosen, paths)
 
         if not skip:
             # Skip-accepted tokens are the tail of `seq`: context the pass
@@ -301,11 +327,6 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 accept_length=outcome.accept_length, similarity=similarity,
                 forward_passes=1, feature_source=source))
         else:
-            if paths is None:
-                paths = enumerate_paths(tree)
-            chosen = select_path(paths, config.strategy, streams["select"])
-            if config.truncate:
-                chosen = truncate_path(chosen, paths)
             skip_count += 1
             seq += chosen
             for tok in chosen:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import cosine
 from .engine import (EngineConfig, _coerce, _make_prompt, _Streams,
                      compute_metrics, config_from_mapping, speculative_decode,
                      vanilla_ar, vvs_generate)
-from .errors import RejectedInput
+from .errors import DegenerateVector, RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
 from .tree import build_tree, enumerate_paths
@@ -233,10 +232,11 @@ def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dic
     edges = np.linspace(-1.0, 1.0, 21)
     values = []
     degenerate = 0
+    models = make_model_pair(config)     # a run never changes the parameters
     for run in range(runs):
         cfg = replace(config, policy="never", run=config.run + run,
                       log_similarity=True)
-        trace = speculative_decode(cfg, models=make_model_pair(cfg))
+        trace = speculative_decode(cfg, models=models)
         for it in trace.iterations:
             if it.similarity is None:
                 degenerate += 1
@@ -261,16 +261,21 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
                             "within one generation's positions")
     sums = np.zeros(max_distance)
     counts = np.zeros(max_distance, dtype=int)
+    target, _ = make_model_pair(config)  # a run never changes the parameters
     for run in range(runs):
-        cfg = replace(config, run=config.run + run)
-        target, _ = make_model_pair(cfg)
-        trace = vanilla_ar(cfg, models=(target, None))
+        trace = vanilla_ar(replace(config, run=config.run + run), models=(target, None))
         seq = trace.prompt + trace.final_tokens()
-        feats = [target.feature_at(seq, i) for i in range(len(seq))]
+        feats = np.array([target.feature_at(seq, i) for i in range(len(seq))])
+        norms = np.linalg.norm(feats, axis=1)
+        if not norms.all():
+            raise DegenerateVector("cosine of a zero-norm vector is undefined")
+        unit = feats / norms[:, None]
+        # Diagonal k of the Gram matrix holds the cosines at distance k.
+        gram = np.clip(unit @ unit.T, -1.0, 1.0)
         for dist in range(1, max_distance + 1):
-            for i in range(len(feats) - dist):
-                sums[dist - 1] += cosine(feats[i], feats[i + dist])
-                counts[dist - 1] += 1
+            cosines = np.diagonal(gram, dist)
+            sums[dist - 1] += cosines.sum()
+            counts[dist - 1] += len(cosines)
     return [(d + 1, float(sums[d] / counts[d])) for d in range(max_distance)]
 
 

@@ -206,6 +206,18 @@ class DraftModel:
         # Row t is mixing @ embedding(t), the target's column t.
         self._mixed_rows = np.ascontiguousarray((self.mixing @ codebook.vectors.T).T)
         self.forward_calls = 0
+        # A bound on the size of a drafter logit: codebook rows are unit
+        # and a feature has norm at most 1 (see make_model_pair).
+        self.logit_reach = (abs(self.logit_scale) / self.target_temperature
+                            + abs(self.noise_scale)
+                            * float(np.linalg.norm(self._noise_head, axis=1).max()))
+        # Whether every entry of every row is sure to be positive: a row's
+        # logits span at most 2 * logit_reach nats and its sum is at most
+        # V, so its smallest entry is at least exp(-2 * logit_reach) / V,
+        # here above exp(-600) (about 1e-261).  A race key E / p is then
+        # finite for any exponential E, so no row stops short at its
+        # support and every tree has the same shape (``tree.full_shape``).
+        self.full_support = 2 * self.logit_reach + math.log(codebook.size) <= 600.0
 
     def next_dist(self, features: np.ndarray, last_tokens) -> np.ndarray:
         """Draft distributions for a batch: row i of the (n, V) result
@@ -269,12 +281,10 @@ def make_model_pair(config) -> tuple[TargetModel, DraftModel]:
     draft = DraftModel(codebook, q, config.window, config.temperature,
                        config.logit_scale, config.epsilon, config.noise_scale,
                        config.seed)
-    logit_reach = abs(config.logit_scale) / config.temperature
-    if not math.isfinite(2 * logit_reach):
+    if not math.isfinite(2 * (abs(config.logit_scale) / config.temperature)):
         raise RejectedInput(f"logit_scale={config.logit_scale:g} over "
                             f"temperature={config.temperature:g} overflows float64 logits")
-    noise_reach = abs(config.noise_scale) * float(np.linalg.norm(draft._noise_head, axis=1).max())
-    if not math.isfinite(2 * (logit_reach + noise_reach)):
+    if not math.isfinite(2 * draft.logit_reach):
         raise RejectedInput(f"noise_scale={config.noise_scale:g} overflows float64 "
                             "drafter logits")
     return target, draft

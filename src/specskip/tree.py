@@ -8,8 +8,10 @@ every index read from it: children, root-path windows and the leaf-path
 index.  A tree is arrays over its shape from build to verify (its tokens,
 probs and child distributions), and its paths are rows gathered through the
 leaf-path index, so building, enumerating, linearizing and verifying a tree
-does only its own draws and gathers.  Skip-accepted tokens are not part of
-any shape: the verify pass reads them as context."""
+does only its own draws and gathers.  A skip that reads nothing of a tree
+but the path it emits draws that path alone (``draw_path``), one drafter
+row per node.  Skip-accepted tokens are not part of any shape: the verify
+pass reads them as context."""
 
 from __future__ import annotations
 
@@ -57,13 +59,17 @@ class TreeShape:
     tuple (see ``tree_shape``) is shared by every tree of that shape, so it
     hands out tuples and read-only arrays only."""
 
-    __slots__ = ("parents", "children", "expanding", "_windows", "_paths", "_chains")
+    __slots__ = ("parents", "children", "expanding", "ranks", "_windows", "_paths", "_chains")
 
     def __init__(self, parents: tuple[int, ...],
                  children: tuple[tuple[int, ...], ...], expanding: tuple[int, ...]):
         self.parents = parents          # -1 for the root
         self.children = children        # position 0 holds the root's children
         self.expanding = expanding      # the nodes with children, in index order
+        # Each node's place among its parent's children: in a built tree,
+        # the race rank it was drawn at.
+        rank = {i: r for kids in children for r, i in enumerate(kids)}
+        self.ranks = tuple(rank[i] for i in range(len(parents)))
         self._windows: dict[int, np.ndarray] = {}
         self._paths: tuple[np.ndarray, np.ndarray] | None = None
         self._chains: dict[int, np.ndarray] = {}
@@ -250,10 +256,11 @@ class _Level:
         self.reach = reach
         self.steps: dict[tuple[int, ...] | None, _Step] = {}
 
-    def step(self, stops: np.ndarray) -> "_Step":
-        """What follows a race whose rows stop at ``stops`` picks."""
+    def step(self, stops: np.ndarray | None) -> "_Step":
+        """What follows a race whose rows stop at ``stops`` picks, or, for
+        None, one where no row stops short."""
         key = None
-        if np.minimum.reduce(stops) < self.most:
+        if stops is not None and np.minimum.reduce(stops) < self.most:
             clipped = tuple(map(min, self.counts, stops.tolist()))
             if clipped != self.counts:
                 key = clipped
@@ -337,17 +344,10 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     last node.  Floating-point errors are ignored once for the whole build,
     for the races' divisions by zero mass (see ``_sample_level``).
     """
-    if k_b < 2 or D < 1 or budget < k_b:
-        raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
+    level = _template(draft, k_b, D, budget)
     window = draft.window
     if len(tokens) < window:
         raise RejectedInput(f"context shorter than drafter window {window}")
-    m = min(k_b, draft.codebook.size)
-    key = (m, D, budget, window)
-    level = _TEMPLATES.get(key)
-    if level is None:
-        level = _TEMPLATES[key] = _Level((m, D, clamped_budget(m, D, budget), window),
-                                         1, (), (-1,), (m,), (1.0,))
     budget = level.key[2]
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
@@ -378,6 +378,66 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     for i, row in zip(shape.expanding, itertools.chain.from_iterable(grown)):
         dist[i] = row
     return DraftTree(seq[window:window + n + 1], probs[:n + 1], dist, root_dist, shape)
+
+
+def _template(draft: DraftModel, k_b: int, D: int, budget: int) -> _Level:
+    """The first level of the build template for (min(k_b, V), D, budget,
+    drafter window), from the memo."""
+    if k_b < 2 or D < 1 or budget < k_b:
+        raise RejectedInput("need k_b >= 2, D >= 1, budget >= k_b")
+    m = min(k_b, draft.codebook.size)
+    key = (m, D, budget, draft.window)
+    level = _TEMPLATES.get(key)
+    if level is None:
+        level = _TEMPLATES[key] = _Level((m, D, clamped_budget(m, D, budget), draft.window),
+                                         1, (), (-1,), (m,), (1.0,))
+    return level
+
+
+def full_shape(draft: DraftModel, k_b: int, D: int, budget: int) -> TreeShape:
+    """The shape ``build_tree`` gives a tree when no row stops short at
+    its support: the shape of every tree of a drafter whose rows all have
+    full support (``DraftModel.full_support``)."""
+    level = _template(draft, k_b, D, budget)
+    while (step := level.step(None)).next is not None:
+        level = step.next
+    return step.shape
+
+
+def draw_path(draft: DraftModel, feature, tokens, k_b: int, shape: TreeShape,
+              nodes: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """The tokens of a root path ``nodes`` of ``shape`` (from the root
+    child down), drawn as ``build_tree`` draws them in a tree of that
+    shape, without the rest of the tree.
+
+    Node i is pick ``shape.ranks[i]`` of the race on its parent's row, and
+    a row depends only on the tokens above it.  So each node costs one
+    drafter row, the root's and then each path node's but the last's, and
+    one ``_sample_level`` race on it, with features extended as the build
+    extends them; the path's tokens have the distribution they have in a
+    built tree.  That holds only while the tree's shape does not depend on
+    the draws off the path, so a drafter without full support is
+    rejected.
+    """
+    if not draft.full_support:
+        raise RejectedInput("a path is drawn alone only from a drafter with full support")
+    window = draft.window
+    if len(tokens) < window:
+        raise RejectedInput(f"context shorter than drafter window {window}")
+    # The context's last `window` tokens, then the path's.  Node j's window
+    # is seq[j + 1:j + 1 + window], its parent's slid by one.
+    seq = np.empty(window + len(nodes), dtype=np.intp)
+    seq[:window] = tokens[len(tokens) - window:]
+    feats = np.asarray(feature, dtype=np.float64)[None]
+    dists = draft.next_dist(feats, [int(tokens[-1])])
+    for j, node in enumerate(nodes.tolist()):
+        if j:
+            last = seq[window + j - 1:window + j]
+            feats = draft.extend_feature(feats, seq[j - 1:j], last)
+            dists = draft.next_dist(feats, last)
+        picks, _ = _sample_level(dists, k_b, rng)
+        seq[window + j] = picks[0, shape.ranks[node]]
+    return seq[window:].tolist()
 
 
 def clamped_budget(m: int, D: int, budget: int) -> int:

@@ -19,6 +19,13 @@ from specskip.errors import DegenerateTrace, RejectedInput
 FAST = dict(max_new_tokens=24)
 
 
+def _spy(monkeypatch, name):
+    """The calls of the engine's ``name``, one args tuple each."""
+    calls, real = [], getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 def check_counters(trace):
     """Raw-record recount of every counter invariant."""
     assert trace.n_tok == len(trace.tokens) == sum(i.emitted for i in trace.iterations)
@@ -139,9 +146,7 @@ class TestVVS:
                                                             kwargs, writes):
         """Under never with an all-fresh schedule nothing reads the cache,
         so nothing is written to it; a skip or a stale entry can read it."""
-        calls = []
-        update = engine.update
-        monkeypatch.setattr(engine, "update", lambda *a, **k: calls.append(a) or update(*a, **k))
+        calls = _spy(monkeypatch, "update")
         vvs_generate(EngineConfig(**kwargs, **FAST))
         assert bool(calls) == writes
 
@@ -150,27 +155,43 @@ class TestVVS:
         dict(policy="uniform", interval=3), dict(policy="dynamic", threshold=0.5), dict(policy="dynamic", threshold=0.5, stride=1),
     ])
     def test_paths_enumerated_only_when_read(self, monkeypatch, kwargs):
-        """None under never; one per skip under uniform, where only the
-        selection reads them; one per decided step (every step after a
-        verify) under dynamic."""
-        calls = []
-        enumerate_paths = engine.enumerate_paths
-        monkeypatch.setattr(engine, "enumerate_paths",
-                            lambda tree: calls.append(tree) or enumerate_paths(tree))
+        """None under never; none under uniform either, where a skip draws
+        only the path it emits and builds no tree; one per decided step
+        (every step after a verify) under dynamic, whose every step builds
+        a tree."""
+        calls, builds = _spy(monkeypatch, "enumerate_paths"), _spy(monkeypatch, "build_tree")
         trace = vvs_generate(EngineConfig(**kwargs, max_new_tokens=96))
         decided = sum(it.similarity is not None for it in trace.iterations)
-        expected = {"never": 0, "uniform": trace.skip_count, "dynamic": decided}
+        expected = {"never": 0, "uniform": 0, "dynamic": decided}
         assert len(calls) == expected[kwargs["policy"]]
+        built = trace.n_fwd if kwargs["policy"] == "uniform" else len(trace.iterations)
+        assert len(builds) == built
         assert trace.skip_count > 0 or kwargs["policy"] == "never"
         if kwargs["policy"] == "dynamic":
             steps = trace.iterations
             assert decided == sum(a.kind == "verify" for a in steps[:-1]) > 0
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(strategy="max_confidence"), dict(log_similarity=True), dict(logit_scale=400.0)],
+        ids=["max_confidence", "log_similarity", "short_support"])
+    def test_uniform_skip_builds_the_tree_it_reads(self, monkeypatch, kwargs):
+        """A uniform-policy skip builds and enumerates the whole tree when
+        something reads it: the argmax selection, a logged similarity, or
+        the leaf count of a drafter whose rows can stop short at their
+        support (logit_scale = 400 puts it far past the full-support
+        bound), whose tree's shape depends on draws off the path."""
+        calls, builds = _spy(monkeypatch, "enumerate_paths"), _spy(monkeypatch, "build_tree")
+        draws = _spy(monkeypatch, "draw_path")
+        cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=48, **kwargs)
+        assert engine.make_model_pair(cfg)[1].full_support == ("logit_scale" not in kwargs)
+        trace = vvs_generate(cfg)
+        assert trace.skip_count > 0 and draws == []
+        assert len(builds) == len(trace.iterations)
+        enumerated = len(trace.iterations) if cfg.log_similarity else trace.skip_count
+        assert len(calls) == enumerated
+
     def test_logged_similarity_enumerates_every_tree(self, monkeypatch):
-        calls = []
-        enumerate_paths = engine.enumerate_paths
-        monkeypatch.setattr(engine, "enumerate_paths",
-                            lambda tree: calls.append(tree) or enumerate_paths(tree))
+        calls = _spy(monkeypatch, "enumerate_paths")
         trace = vvs_generate(EngineConfig(policy="uniform", log_similarity=True, **FAST))
         assert len(calls) == len(trace.iterations)
 
@@ -265,7 +286,7 @@ class TestSerialization:
             digest.update(repr((trace.tokens.tokens, trace.tokens.origins)).encode())
             digest.update(trace_to_csv(trace).encode())
         assert digest.hexdigest() == (
-            "4efddf498be146804e49e745663c836a25e48673f30699211ea61a5211aeacf5")
+            "69ff83a5195b308b3fe23d38e4532832c3c119a96a4424f2e4904987aeec6333")
 
 
 class TestValidateTypes:

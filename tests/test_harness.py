@@ -177,7 +177,7 @@ class TestRunExperiment:
                               output=str(out))
         run_experiment(spec)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "0d286a7be4078832b9c2b97200e0a31c6fc57fcf17c1d7a645028d8513a364ba"
+            "9231103fe26b88c6e832452959b24b84caf8551d8ff727b8fd8d596b57b746d8"
 
     def test_unwritable_output_fails_before_any_cell(self, tmp_path, monkeypatch):
         calls = []

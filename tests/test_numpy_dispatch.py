@@ -25,9 +25,9 @@ HOT = {fn.__code__ for fn in (
     core.sample_index, core.nearest_neighbors,
     models._softmax, models.TargetModel.feature_at, models.TargetModel.logprobs,
     models.target_forward_masked, models.normalize_columns, models.DraftModel.next_dist,
-    tree._Level.step, tree._sample_level,
-    schedule.path_similarity, verify.verify_tree, select.truncate_path,
-    engine.compute_metrics)}
+    tree._Level.step, tree._sample_level, tree.draw_path,
+    schedule.path_similarity, verify.verify_tree, select.select_leaf, select.kept_length,
+    select.truncate_path, engine.compute_metrics)}
 
 
 def _profile(codes, fn, *args):
@@ -63,10 +63,13 @@ TINY = EngineConfig(vocab_size=16, feat_dim=4, max_new_tokens=3, window=1,
 
 def _requests():
     """One default dynamic VVS run, one V=1024 uniform run on stale
-    features and one strict tiny AR+SD pair, each with its metrics."""
+    features, whose skips draw one path each, one default uniform run
+    whose skips select the confidence argmax from the whole tree, and one
+    strict tiny AR+SD pair, each with its metrics."""
     stale = EngineConfig(vocab_size=1024, feat_dim=16, policy="uniform", interval=2,
                          feature_schedule=(FRESH, 0, 1), pool_k=16)
-    for config in (DYNAMIC, stale):
+    argmax = EngineConfig(policy="uniform", interval=2, strategy="max_confidence")
+    for config in (DYNAMIC, stale, argmax):
         engine.compute_metrics(engine.vvs_generate(config))
     pair = models.make_model_pair(TINY)
     for run in range(20):

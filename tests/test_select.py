@@ -5,7 +5,8 @@ import pytest
 
 from specskip.core import rng_stream
 from specskip.errors import RejectedInput
-from specskip.select import select_path, truncate_path
+from specskip.select import kept_length, select_leaf, select_path, truncate_path
+from specskip.tree import tree_shape
 from token_rows import as_paths
 
 
@@ -39,6 +40,32 @@ class TestSelectPath:
             select_path(as_paths([]), "uniform", rng_stream(0, "e"))
 
 
+class TestSelectLeaf:
+    # Leaves 1 and 2 are root children and leaf 3 hangs under node 0:
+    # lengths 1, 1, 2, mean 4/3, so truncation keeps one token of each.
+    SHAPE = tree_shape((-1, -1, -1, 0))
+
+    @pytest.mark.parametrize("truncate, kept", [
+        (True, [[1], [2], [0]]), (False, [[1], [2], [0, 3]])])
+    def test_uniform_over_leaves_in_shape_order(self, truncate, kept):
+        rng = rng_stream(2, "leaf")
+        counts = np.zeros(3)
+        for _ in range(6000):
+            nodes = select_leaf(self.SHAPE, truncate, rng).tolist()
+            counts[kept.index(nodes)] += 1
+        assert np.allclose(counts / 6000, 1 / 3, atol=0.02)
+
+    def test_same_draw_as_select_path(self):
+        # Leaf i of the shape is row i of its enumerated paths before they
+        # are ordered, and both draw one integer below the leaf count.
+        a, b = rng_stream(3, "s"), rng_stream(3, "s")
+        index, _ = self.SHAPE.leaf_paths()
+        for _ in range(20):
+            nodes = select_leaf(self.SHAPE, False, a)
+            leaf = int(b.integers(3))
+            assert nodes.tolist() == [i for i in index[leaf].tolist() if i < 4]
+
+
 class TestTruncatePath:
     def test_uniform_lengths_unchanged(self):
         paths = as_paths([range(3)] * 4)
@@ -64,6 +91,12 @@ class TestTruncatePath:
     def test_no_paths_rejected(self):
         with pytest.raises(RejectedInput):
             truncate_path([7], as_paths([]))
+
+    def test_kept_length_is_the_rule_truncation_applies(self):
+        assert [kept_length(n, np.array([2, 3, 5])) for n in (1, 2, 3, 5)] == [1, 2, 3, 3]
+        assert kept_length(4, np.array([1, 1, 2])) == 1
+        with pytest.raises(RejectedInput):
+            kept_length(1, np.array([], dtype=np.intp))
 
     def test_selected_shorter_than_mean_unchanged(self):
         paths = as_paths([range(2), range(6)])

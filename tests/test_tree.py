@@ -15,6 +15,7 @@ from specskip.engine import EngineConfig, vvs_generate
 from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.schedule import path_similarity
+from specskip.select import select_leaf, select_path, truncate_path
 from specskip.tree import (MAX_NODES, DraftNode, DraftTree, _child_counts, _sample_level,
                            build_tree, clamped_budget, enumerate_paths, linearize)
 
@@ -639,6 +640,140 @@ class TestMemoBounds:
         assert list(tree_mod._SHAPES.values()) == [shape]
         assert list(shape._windows) == [4]
         assert shape._paths is not None
+
+
+def _rank_probs(p, rank):
+    """Each token's chance of being pick `rank` of sequential draws without
+    replacement from p, summed over the ordered picks before it."""
+    out = np.zeros(len(p))
+    for picks in itertools.permutations(range(len(p)), rank + 1):
+        chance, left = 1.0, 1.0
+        for t in picks:
+            chance *= p[t] / left
+            left -= p[t]
+        out[picks[-1]] += chance
+    return out
+
+
+def _exact_skip(draft, feat, prompt, shape):
+    """The exact distribution of a uniform, truncated skip's tokens over a
+    tree of `shape`: the mean over its leaves of the product, down the
+    leaf's kept prefix, of the chance that each node's token is the pick at
+    the node's place among its siblings, on the row its ancestors'
+    tokens condition.  Keyed by token tuple."""
+    index, lengths = shape.leaf_paths()
+    keep = max(1, math.floor(sum(lengths.tolist()) / len(lengths)))
+    exact = {}
+    for leaf in range(len(lengths)):
+        nodes = index[leaf, :min(keep, lengths[leaf])].tolist()
+        ranks = [shape.children[shape.parents[i] + 1].index(i) for i in nodes]
+        # (tokens so far, their chance, the feature after them)
+        prefixes = [((), 1.0, np.asarray(feat)[None])]
+        for j, rank in enumerate(ranks):
+            grown = []
+            for toks, chance, f in prefixes:
+                window = [*prompt, *toks][-draft.window - 1:]
+                if toks:
+                    f = draft.extend_feature(f, window[:1], window[-1:])
+                row = _rank_probs(draft.next_dist(f, window[-1:])[0], rank)
+                grown += [((*toks, t), chance * row[t], f) for t in range(len(row))]
+            prefixes = grown
+        for toks, chance, _ in prefixes:
+            exact[toks] = exact.get(toks, 0.0) + chance / len(lengths)
+    return exact
+
+
+def _chi2_bound(dof, z=3.719):
+    """The chi-square quantile at p = 1e-4 (z = 3.719), by Wilson and
+    Hilferty's cube-root normal approximation."""
+    return dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+
+def _chi2(counts, exact, n):
+    """Pearson's statistic of `n` draws against the exact chances, cells
+    expecting fewer than 5 draws pooled into one, and its degrees of
+    freedom."""
+    assert set(counts) <= set(exact)
+    cells = [(counts.get(k, 0), n * p) for k, p in exact.items()]
+    pooled = [c for c in cells if c[1] < 5]
+    cells = [c for c in cells if c[1] >= 5]
+    if pooled:
+        cells.append((sum(c for c, _ in pooled), sum(e for _, e in pooled)))
+    return sum((c - e) ** 2 / e for c, e in cells), len(cells) - 1
+
+
+class TestDrawPath:
+    """A uniform, truncated skip's tokens drawn alone (``select_leaf`` then
+    ``draw_path``) and picked from the whole built tree (``build_tree``,
+    ``enumerate_paths``, ``select_path``, ``truncate_path``) against their
+    exact distribution, on tiny drafters with full support: a V = 6 tree of
+    2 / 4 nodes, all four leaves kept whole (36 outcomes), and a V = 8 tree
+    of 3 / 1 nodes whose mean leaf length 4/3 keeps one token of each leaf
+    (ranks 0, 1 and 2 of the root's race)."""
+
+    CONFIGS = {"keep2": (EngineConfig(vocab_size=6, feat_dim=4, branching=2, depth=3,
+                                      budget=6, pool_k=4), 2),
+               "keep1": (EngineConfig(vocab_size=8, feat_dim=4, branching=3, depth=2,
+                                      budget=4, pool_k=4), 1)}
+
+    def _setup(self, name):
+        cfg, keep = self.CONFIGS[name]
+        target, draft = make_model_pair(cfg)
+        prompt = [1, 3, 0, 2]
+        feat = target.feature_at(prompt, len(prompt) - 1)
+        shape = tree_mod.full_shape(draft, cfg.branching, cfg.depth, cfg.budget)
+        assert draft.full_support
+        return cfg, keep, draft, prompt, feat, shape
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_drawn_and_selected_skips_match_the_exact_distribution(self, name):
+        cfg, keep, draft, prompt, feat, shape = self._setup(name)
+        exact = _exact_skip(draft, feat, prompt, shape)
+        assert math.isclose(sum(exact.values()), 1.0)
+        assert {len(k) for k in exact} == {keep}
+        n = 20_000
+        drawn, built = {}, {}
+        draw_rng, select_rng = rng_stream(1, "draw"), rng_stream(1, "select")
+        for _ in range(n):
+            nodes = select_leaf(shape, True, select_rng)
+            toks = tuple(tree_mod.draw_path(draft, feat, prompt, cfg.branching, shape,
+                                            nodes, draw_rng))
+            drawn[toks] = drawn.get(toks, 0) + 1
+        build_rng, pick_rng = rng_stream(2, "build"), rng_stream(2, "select")
+        for _ in range(n):
+            tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth, cfg.budget,
+                              build_rng)
+            assert tree.shape is shape
+            paths = enumerate_paths(tree)
+            toks = tuple(truncate_path(select_path(paths, "uniform", pick_rng), paths))
+            built[toks] = built.get(toks, 0) + 1
+        for counts in (drawn, built):
+            chi2, dof = _chi2(counts, exact, n)
+            assert dof > 4 and chi2 < _chi2_bound(dof), (chi2, dof)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_draw_makes_one_drafter_row_per_kept_token(self, name, monkeypatch):
+        cfg, keep, draft, prompt, feat, shape = self._setup(name)
+        rows = []
+        next_dist = draft.next_dist
+        monkeypatch.setattr(draft, "next_dist",
+                            lambda f, last: rows.append(len(f)) or next_dist(f, last))
+        rng, select_rng = rng_stream(3, "draw"), rng_stream(3, "select")
+        for _ in range(50):
+            rows.clear()
+            nodes = select_leaf(shape, True, select_rng)
+            assert len(tree_mod.draw_path(draft, feat, prompt, cfg.branching, shape,
+                                          nodes, rng)) == len(nodes) == keep
+            assert rows == [1] * keep
+
+    def test_drafter_without_full_support_is_rejected(self):
+        cfg = EngineConfig(vocab_size=6, feat_dim=4, logit_scale=400.0, pool_k=4)
+        target, draft = make_model_pair(cfg)
+        assert not draft.full_support
+        shape = tree_mod.full_shape(draft, cfg.branching, cfg.depth, cfg.budget)
+        with pytest.raises(RejectedInput, match="full support"):
+            tree_mod.draw_path(draft, np.zeros(4), [0] * 4, cfg.branching, shape,
+                               shape.leaf_paths()[0][0, :1], rng_stream(0, "d"))
 
 
 def _hand_tree():
