@@ -18,7 +18,8 @@ from specskip.harness import (ExperimentSpec, _tasks,
                               measure_feature_similarity,
                               measure_path_similarity_distribution,
                               parse_config_file, parse_kv_file,
-                              parse_spec_file, run_experiment, summary_table)
+                              parse_spec_file, run_experiment,
+                              sample_similarity_gaps, summary_table)
 
 SMALL = dict(max_new_tokens=16)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -259,6 +260,32 @@ class TestAnalysisOps:
         cfg = EngineConfig(logit_scale=1e6, noise_scale=1e6, epsilon=0.0, **SMALL)
         out = measure_path_similarity_distribution(cfg, runs=5)
         assert out["degenerate"] == 15 and out["iterations"] == 0
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        ({}, "b6ad26a15e28f36b18a36b057b6a5a9418d60867108a89664801a5a7cfac2add"),
+        (dict(feature_schedule=(-1, 0, 1)),
+         "1f010e9c82d80aa6f0c4214978f65df9dded31a9fcc0868c8f01310920e92785"),
+        # The stale lookup underflows and falls back to the fresh feature on
+        # each run's first two verifies, 24 times in the 12 runs.
+        (dict(window=1, feature_schedule=(2, 0)),
+         "1104c22f35079378b8abc24dfcd2cb770c52999e42af6304e0708e56fec6f6e1"),
+        # A point-mass drafter: all but 2 of the 264 trees have one path.
+        (dict(logit_scale=1e6, noise_scale=1e6, epsilon=0.0),
+         "ddc42462836efa52055bae0d2088294e8db5ee27ba7b0a1a289dc1525949e54b")],
+        ids=["default", "stale", "underflow", "one-path"])
+    def test_path_similarity_distribution_golden(self, kwargs, digest):
+        # Pins every value of the analysis: the trees it scores, in order,
+        # and how each is counted.
+        out = measure_path_similarity_distribution(EngineConfig(**kwargs), runs=12)
+        key = repr((out["bin_edges"].tolist(), out["counts"].tolist(), out["degenerate"],
+                    out["fraction_above_0.7"], out["iterations"]))
+        assert hashlib.sha256(key.encode()).hexdigest() == digest
+
+    def test_similarity_gaps_golden(self):
+        gaps = sample_similarity_gaps(EngineConfig(), trees=300)
+        assert len(gaps) == 300
+        assert hashlib.sha256(gaps.tobytes()).hexdigest() == (
+            "e231d33ec751ea16b585ade9f15f01eb165dec4c01a8646179a579d70af0ee4e")
 
     def test_feature_similarity_decays(self):
         table = measure_feature_similarity(EngineConfig(max_new_tokens=24),
