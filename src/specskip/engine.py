@@ -25,10 +25,12 @@ from .core import (ORIGIN_SAMPLED, ORIGIN_SKIP, ORIGIN_VERIFIED, TokenSequence,
                    rng_stream, sample_index)
 from .errors import CacheUnderflow, DegenerateTrace, RejectedInput
 from .models import TargetModel, make_model_pair, target_forward
-from .schedule import SkipPolicy, decide, path_similarity
+# path_similarity is unused here, but bench/tracing.py wraps
+# specskip.engine.path_similarity by name.
+from .schedule import SkipPolicy, decide, path_similarity  # noqa: F401
 from .select import select_leaf, select_path, truncate_path
-from .tree import (MAX_FEAT_DIM, MAX_VOCAB, MAX_WINDOW, build_tree, clamped_budget,
-                   draw_path, enumerate_paths, full_shape, linearize)
+from .tree import (MAX_FEAT_DIM, MAX_GATHER, MAX_VOCAB, MAX_WINDOW, build_tree,
+                   clamped_budget, draw_path, enumerate_paths, full_shape, linearize)
 from .verify import verify_tree
 
 FRESH = -1  # feature-schedule marker: use the latest VerifyOutcome feature
@@ -42,9 +44,8 @@ class EngineConfig:
     modules read them from the config, which checks them when it is built
     (``EngineConfig(...)`` or ``replace``).  A mode's own settings are
     checked only under that mode: ``interval`` under the uniform policy,
-    ``alpha`` and ``stride`` under the dynamic one (``alpha`` also when
-    ``log_similarity`` is set), and ``pool_k`` under relaxed acceptance,
-    where it must not exceed ``vocab_size``.
+    ``alpha`` and ``stride`` under the dynamic one, and ``pool_k`` under
+    relaxed acceptance, where it must not exceed ``vocab_size``.
     """
 
     # toy models
@@ -80,7 +81,6 @@ class EngineConfig:
     # feature sourcing per verify iteration, cycled; -1 means fresh,
     # s >= 0 means cached features with extra staleness s
     feature_schedule: tuple = (FRESH,)
-    log_similarity: bool = False
 
     def __post_init__(self):
         for name, kinds in _FIELD_KINDS:
@@ -103,8 +103,14 @@ class EngineConfig:
             raise RejectedInput("epsilon must lie in [0, 1]")
         if self.branching < 2 or self.depth < 1 or self.budget < self.branching:
             raise RejectedInput("invalid tree shape")
-        # Rejects a tree too large to build, as build_tree would.
-        clamped_budget(min(self.branching, self.vocab_size), self.depth, self.budget)
+        # Rejects a tree too large to build, as build_tree would, or whose
+        # verify pass would gather too large a (feat_dim, 1 + nodes, window) array.
+        nodes = clamped_budget(min(self.branching, self.vocab_size), self.depth, self.budget)
+        gather = self.feat_dim * (1 + nodes) * self.window
+        if gather > MAX_GATHER:
+            raise RejectedInput(f"feat_dim * (1 + nodes) * window = {self.feat_dim} * {1 + nodes} * "
+                                f"{self.window} = {gather} floats exceeds the verify pass limit "
+                                f"{MAX_GATHER}")
         if self.accept_mode not in ("strict", "relaxed"):
             raise RejectedInput(f"unknown accept mode {self.accept_mode!r}")
         if not 0.0 <= self.delta <= 1.0:
@@ -119,7 +125,7 @@ class EngineConfig:
             raise RejectedInput(f"unknown skip policy {self.policy!r}")
         if self.policy == "uniform" and self.interval < 2:
             raise RejectedInput("uniform skip interval must be >= 2")
-        if (self.policy == "dynamic" or self.log_similarity) and not 0.0 < self.alpha <= 1.0:
+        if self.policy == "dynamic" and not 0.0 < self.alpha <= 1.0:
             raise RejectedInput("alpha must lie in (0, 1]")
         if self.policy == "dynamic" and self.stride not in (1, 2):
             raise RejectedInput("stride must be 1 or 2")
@@ -247,11 +253,9 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
 
     # A uniform-policy skip decides without a tree, and it draws only the
     # path it emits when nothing else reads the tree: under the uniform
-    # strategy, with no logged similarity, from a drafter whose every tree
-    # has one shape.
+    # strategy, from a drafter whose every tree has one shape.
     path_shape = None
-    if (config.policy == "uniform" and config.strategy == "uniform"
-            and not config.log_similarity and draft.full_support):
+    if config.policy == "uniform" and config.strategy == "uniform" and draft.full_support:
         path_shape = full_shape(draft, config.branching, config.depth, config.budget)
 
     iterations: list[IterationRecord] = []
@@ -263,14 +267,13 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
         step += 1
         # The tree is built before the decision only when the decision reads
         # its paths, and its paths are enumerated only when something reads
-        # them: the decision, a logged similarity or a skip's selection.
+        # them: the decision or a skip's selection.
         tree = paths = None
         if policy.reads_paths:
             tree = build_tree(draft, draft_feat, seq, config.branching,
                               config.depth, config.budget, rng=streams["draft"])
             paths = enumerate_paths(tree)
         skip = decide(policy, paths, codebook)
-        similarity = policy.last_similarity
 
         if skip and path_shape is not None:
             chosen = draw_path(draft, draft_feat, seq, config.branching, path_shape,
@@ -280,12 +283,6 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             if tree is None:
                 tree = build_tree(draft, draft_feat, seq, config.branching,
                                   config.depth, config.budget, rng=streams["draft"])
-            if similarity is None and config.log_similarity:
-                if paths is None:
-                    paths = enumerate_paths(tree)
-                # A one-path tree logs no similarity, not the policy's sentinel.
-                logged = path_similarity(paths, codebook, config.alpha, stride=1)
-                similarity = None if logged.degenerate else logged.value
             if skip:
                 if paths is None:
                     paths = enumerate_paths(tree)
@@ -324,8 +321,9 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
 
             iterations.append(IterationRecord(
                 index=step, kind="verify", emitted=len(new_tokens),
-                accept_length=outcome.accept_length, similarity=similarity,
-                forward_passes=1, feature_source=source))
+                accept_length=outcome.accept_length,
+                similarity=policy.last_similarity, forward_passes=1,
+                feature_source=source))
         else:
             skip_count += 1
             seq += chosen
@@ -336,7 +334,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
             draft_feat = retrieve_latest(cache).feature
             iterations.append(IterationRecord(
                 index=step, kind="skip", emitted=len(chosen),
-                similarity=similarity, forward_passes=0))
+                similarity=policy.last_similarity, forward_passes=0))
 
     return GenerationTrace(config=config, prompt=prompt, tokens=emitted,
                            iterations=iterations, n_tok=len(emitted),

@@ -11,18 +11,19 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .engine import (EngineConfig, _coerce, _make_prompt, _Streams,
-                     compute_metrics, config_from_mapping, speculative_decode,
-                     vanilla_ar, vvs_generate)
+from .engine import (FRESH, EngineConfig, GenerationTrace, Metrics, _coerce,
+                     _Streams, compute_metrics, config_from_mapping,
+                     speculative_decode, vanilla_ar, vvs_generate)
 from .errors import DegenerateVector, RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
-from .tree import build_tree, enumerate_paths
+from .tree import DraftTree, build_tree, enumerate_paths
 
 # One schema for every experiment type.  The last column, extra, is written
 # empty so that sweep CSVs keep their layout.
@@ -59,17 +60,13 @@ class ResultRow:
     rep: int
     seed: int
     pipeline: str
-    n_tok: int
-    n_fwd: int
-    tpf: float
-    mal: float
-    skip_fraction: float
-    quality_proxy: float
+    metrics: Metrics
 
     def as_csv(self) -> list:
+        m = self.metrics
         return [self.name, self.cell, self.rep, self.seed, self.pipeline,
-                self.n_tok, self.n_fwd, f"{self.tpf:.10g}", f"{self.mal:.10g}",
-                f"{self.skip_fraction:.10g}", f"{self.quality_proxy:.10g}", ""]
+                m.n_tok, m.n_fwd, f"{m.tpf:.10g}", f"{m.mal:.10g}",
+                f"{m.skip_fraction:.10g}", f"{m.quality_proxy:.10g}", ""]
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -129,14 +126,9 @@ def _cell_seed(master: int, cell_index: int, rep: int) -> int:
 
 def _run_cell(args) -> ResultRow:
     name, cell_label, config, rep = args
-    trace = vvs_generate(config)
-    metrics = compute_metrics(trace)
     return ResultRow(name=name, cell=cell_label, rep=rep, seed=config.seed,
                      pipeline="sd" if config.policy == "never" else "vvs",
-                     n_tok=metrics.n_tok, n_fwd=metrics.n_fwd, tpf=metrics.tpf,
-                     mal=metrics.mal,
-                     skip_fraction=metrics.skip_fraction,
-                     quality_proxy=metrics.quality_proxy)
+                     metrics=compute_metrics(vvs_generate(config)))
 
 
 def _label_value(value) -> str:
@@ -212,10 +204,10 @@ def summary_table(rows: list[ResultRow]) -> str:
         cells.setdefault((row.name, row.cell), []).append(row)
     lines = [f"{'name':<20} {'cell':<38} {'tpf':>7} {'mal':>7} {'skip%':>7} {'quality':>9}"]
     for (name, cell), group in cells.items():
-        tpf = np.mean([r.tpf for r in group])
-        mal = np.mean([r.mal for r in group])
-        sf = np.mean([r.skip_fraction for r in group])
-        q = np.mean([r.quality_proxy for r in group])
+        tpf = np.mean([r.metrics.tpf for r in group])
+        mal = np.mean([r.metrics.mal for r in group])
+        sf = np.mean([r.metrics.skip_fraction for r in group])
+        q = np.mean([r.metrics.quality_proxy for r in group])
         lines.append(f"{name:<20} {cell:<38} {tpf:>7.3f} {mal:>7.3f} {sf:>7.3f} {q:>9.4f}")
     return "\n".join(lines)
 
@@ -224,24 +216,48 @@ def summary_table(rows: list[ResultRow]) -> str:
 # Drafting-stage analysis measurements
 # ---------------------------------------------------------------------------
 
+def _sd_trees(trace: GenerationTrace, models) -> Iterator[DraftTree]:
+    """The trees an SD run built, in order, rebuilt from its trace: tree k
+    is drawn on the context before iteration k, from the feature at the end
+    of the context that iteration k - 1's ``feature_source`` names.  Under
+    the never policy only tree builds read the draft stream, so a fresh one
+    draws them again."""
+    target, draft = models
+    config = trace.config
+    rng = _Streams(config)["draft"]
+    seq = trace.prompt + trace.tokens.tokens
+    ends = [len(trace.prompt)]      # each context's length, the prompt's first
+    source = FRESH                  # an underflow fallback is recorded as FRESH
+    for it in trace.iterations:
+        # ends[-1] is this tree's context, ends[-2 - s] the one s + 1 back.
+        feature = target.feature_at(seq, ends[-2 - source] - 1)
+        yield build_tree(draft, feature, seq[:ends[-1]], config.branching,
+                         config.depth, config.budget, rng=rng)
+        ends.append(ends[-1] + it.emitted)
+        source = it.feature_source
+
+
 def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dict:
-    """Per-iteration stride-1 path similarity across seeded SD runs: a
-    20-bin histogram over [-1, 1] plus the fraction above 0.7."""
+    """Per-iteration stride-1 path similarity across seeded SD runs, of the
+    trees each run's records rebuild: a 20-bin histogram over [-1, 1] plus
+    the fraction above 0.7.  A one-path tree counts as degenerate."""
     if runs < 1:
         raise RejectedInput("runs must be >= 1")
+    if not 0.0 < config.alpha <= 1.0:
+        raise RejectedInput("alpha must lie in (0, 1]")
     edges = np.linspace(-1.0, 1.0, 21)
     values = []
     degenerate = 0
     models = make_model_pair(config)     # a run never changes the parameters
+    codebook = models[0].codebook
     for run in range(runs):
-        cfg = replace(config, policy="never", run=config.run + run,
-                      log_similarity=True)
-        trace = speculative_decode(cfg, models=models)
-        for it in trace.iterations:
-            if it.similarity is None:
+        trace = speculative_decode(replace(config, run=config.run + run), models=models)
+        for tree in _sd_trees(trace, models):
+            sim = path_similarity(enumerate_paths(tree), codebook, config.alpha, stride=1)
+            if sim.degenerate:
                 degenerate += 1
             else:
-                values.append(it.similarity)
+                values.append(sim.value)
     counts, _ = np.histogram(values, bins=edges)
     frac = float(np.mean([v > 0.7 for v in values])) if values else float("nan")
     return {"bin_edges": edges, "counts": counts, "degenerate": degenerate,
@@ -281,19 +297,17 @@ def measure_feature_similarity(config: EngineConfig, max_distance: int,
 
 def sample_similarity_gaps(config: EngineConfig, trees: int = 1000) -> np.ndarray:
     """|stride-1 minus stride-2| path similarity of each random tree with
-    two or more paths; the measurement behind the frozen stride tolerance."""
+    two or more paths, the first tree of a one-token SD run; the
+    measurement behind the frozen stride tolerance."""
     gaps = []
-    target, draft = make_model_pair(config)
+    models = make_model_pair(config)
+    codebook = models[0].codebook
     for run in range(trees):
-        cfg = replace(config, run=config.run + run)
-        streams = _Streams(cfg)
-        prompt = _make_prompt(cfg, streams["prompt"])
-        feat = target.feature_at(prompt, len(prompt) - 1)
-        tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
-                          cfg.budget, rng=streams["draft"])
+        cfg = replace(config, run=config.run + run, max_new_tokens=1)
+        tree = next(_sd_trees(speculative_decode(cfg, models=models), models))
         paths = enumerate_paths(tree)
-        s1 = path_similarity(paths, target.codebook, cfg.alpha, stride=1)
-        s2 = path_similarity(paths, target.codebook, cfg.alpha, stride=2)
+        s1 = path_similarity(paths, codebook, cfg.alpha, stride=1)
+        s2 = path_similarity(paths, codebook, cfg.alpha, stride=2)
         if not s1.degenerate and not s2.degenerate:
             gaps.append(abs(s1.value - s2.value))
     return np.array(gaps)

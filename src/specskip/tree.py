@@ -131,14 +131,18 @@ _TEMPLATES: dict[tuple[int, int, int, int], "_Level"] = {}
 
 # The most nodes a tree may hold after the budget's clamp: about three times
 # the 1,364 of the full default tree (k_b = 4, D = 5).  A verify pass's
-# readout holds V * (1 + nodes) floats, about 34 MB at V = 1024.
+# readout holds V * (1 + nodes) floats, at most about 134 MB.
 MAX_NODES = 4096
 # The largest model sizes a config takes: its models' (V, feat_dim) arrays
-# hold at most 32 MB each, and the widest readout about 134 MB.  V <= 4096 is
-# the range core's dense distributions are meant for.
+# hold at most 32 MB each.  V <= 4096 is the range core's dense
+# distributions are meant for.
 MAX_VOCAB = 4096
 MAX_FEAT_DIM = 1024
 MAX_WINDOW = 1024
+# The most floats a verify pass's window gather may hold, (feat_dim,
+# 1 + nodes, window): about 134 MB, the readout's bound.  Each factor's own
+# limit allows a product 256 times that.
+MAX_GATHER = 2**24
 
 
 def tree_shape(parents: tuple[int, ...]) -> TreeShape:

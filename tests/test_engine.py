@@ -172,14 +172,14 @@ class TestVVS:
             assert decided == sum(a.kind == "verify" for a in steps[:-1]) > 0
 
     @pytest.mark.parametrize("kwargs", [
-        dict(strategy="max_confidence"), dict(log_similarity=True), dict(logit_scale=400.0)],
-        ids=["max_confidence", "log_similarity", "short_support"])
+        dict(strategy="max_confidence"), dict(logit_scale=400.0)],
+        ids=["max_confidence", "short_support"])
     def test_uniform_skip_builds_the_tree_it_reads(self, monkeypatch, kwargs):
         """A uniform-policy skip builds and enumerates the whole tree when
-        something reads it: the argmax selection, a logged similarity, or
-        the leaf count of a drafter whose rows can stop short at their
-        support (logit_scale = 400 puts it far past the full-support
-        bound), whose tree's shape depends on draws off the path."""
+        something reads it: the argmax selection, or the leaf count of a
+        drafter whose rows can stop short at their support (logit_scale =
+        400 puts it far past the full-support bound), whose tree's shape
+        depends on draws off the path."""
         calls, builds = _spy(monkeypatch, "enumerate_paths"), _spy(monkeypatch, "build_tree")
         draws = _spy(monkeypatch, "draw_path")
         cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=48, **kwargs)
@@ -187,13 +187,7 @@ class TestVVS:
         trace = vvs_generate(cfg)
         assert trace.skip_count > 0 and draws == []
         assert len(builds) == len(trace.iterations)
-        enumerated = len(trace.iterations) if cfg.log_similarity else trace.skip_count
-        assert len(calls) == enumerated
-
-    def test_logged_similarity_enumerates_every_tree(self, monkeypatch):
-        calls = _spy(monkeypatch, "enumerate_paths")
-        trace = vvs_generate(EngineConfig(policy="uniform", log_similarity=True, **FAST))
-        assert len(calls) == len(trace.iterations)
+        assert len(calls) == trace.skip_count
 
     def test_generation_builds_no_config(self, monkeypatch):
         """A config is checked once, when built: no generation checks it."""
@@ -314,7 +308,6 @@ class TestValidateModes:
         ({"policy": "dynamic", "alpha": "0"}, "alpha"),
         ({"policy": "dynamic", "alpha": "1.5"}, "alpha"),
         ({"policy": "dynamic", "stride": "3"}, "stride"),
-        ({"log_similarity": "true", "alpha": "0"}, "alpha"),
         ({"strategy": "best"}, "unknown selection strategy"),
         ({"accept_mode": "relaxed", "pool_k": "0"}, "pool size"),
         ({"vocab_size": "4"}, "pool_k"),
@@ -322,15 +315,27 @@ class TestValidateModes:
         ({"feature_schedule": ""}, "feature schedule cannot be empty"),
         ({"vocab_size": "4097"}, "vocab_size <= 4096"),
         ({"feat_dim": "1025"}, "feat_dim <= 1024"),
-        ({"window": "1025"}, "window <= 1024")],
+        ({"window": "1025"}, "window <= 1024"),
+        # Each factor within its own limit, but the first verify pass would
+        # gather 1024 * 4097 * 1024 floats (34 GB).
+        ({"feat_dim": "1024", "window": "1024", "branching": "64", "depth": "2",
+          "budget": "4096"}, r"1024 \* 4097 \* 1024 = 4296015872 floats")],
         ids=["unknown-policy", "uniform-interval", "dynamic-alpha-zero",
-             "dynamic-alpha-above-one", "dynamic-stride", "logged-alpha",
-             "unknown-strategy", "relaxed-pool-below-one", "relaxed-default-pool-v4",
-             "relaxed-pool-above-vocab", "empty-feature-schedule", "vocab-above-limit",
-             "feat-dim-above-limit", "window-above-limit"])
+             "dynamic-alpha-above-one", "dynamic-stride", "unknown-strategy",
+             "relaxed-pool-below-one", "relaxed-default-pool-v4", "relaxed-pool-above-vocab",
+             "empty-feature-schedule", "vocab-above-limit", "feat-dim-above-limit",
+             "window-above-limit", "verify-gather-above-limit"])
     def test_rejected(self, values, message):
         with pytest.raises(RejectedInput, match=message):
             config_from_mapping(values)
+
+    def test_verify_gather_limit_is_inclusive(self):
+        # 1024 * (1 + 1023) * 16 floats is exactly the limit; building a
+        # config allocates nothing.
+        at_limit = dict(feat_dim=1024, window=16, branching=32, depth=2, budget=1023)
+        assert EngineConfig(**at_limit).budget == 1023
+        with pytest.raises(RejectedInput, match="verify pass"):
+            EngineConfig(**{**at_limit, "window": 17})
 
     def test_replace_checks_the_new_config(self):
         with pytest.raises(RejectedInput, match="interval"):
@@ -361,8 +366,7 @@ class TestValidateModes:
        threshold=st.floats(-1.0, 1.0), alpha=st.floats(0.0, 1.0), stride=st.integers(1, 3),
        strategy=st.sampled_from(["uniform", "max_confidence"]), truncate=st.booleans(),
        max_new_tokens=st.integers(1, 8), seed=st.integers(0, 3),
-       feature_schedule=st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple),
-       log_similarity=st.booleans())
+       feature_schedule=st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple))
 def test_a_config_that_validates_runs(**settings_):
     """Small configs are either rejected when built or complete a run and
     its metrics."""

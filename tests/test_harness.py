@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from specskip import cli, harness
+from specskip import cli, engine, harness
 from specskip.cli import main
-from specskip.engine import FRESH, EngineConfig
+from specskip.engine import FRESH, EngineConfig, speculative_decode
 from specskip.errors import RejectedInput, SpecskipError
 from specskip.harness import (ExperimentSpec, _tasks,
                               measure_feature_similarity,
@@ -20,6 +20,7 @@ from specskip.harness import (ExperimentSpec, _tasks,
                               parse_config_file, parse_kv_file,
                               parse_spec_file, run_experiment,
                               sample_similarity_gaps, summary_table)
+from specskip.models import make_model_pair
 
 SMALL = dict(max_new_tokens=16)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -287,6 +288,37 @@ class TestAnalysisOps:
         assert hashlib.sha256(gaps.tobytes()).hexdigest() == (
             "e231d33ec751ea16b585ade9f15f01eb165dec4c01a8646179a579d70af0ee4e")
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_path_similarity_rejects_alpha_before_any_run(self, monkeypatch, alpha):
+        monkeypatch.setattr(harness, "speculative_decode", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(RejectedInput, match=re.escape("alpha must lie in (0, 1]")):
+            measure_path_similarity_distribution(EngineConfig(alpha=alpha), runs=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(feature_schedule=(-1, 0, 1)), dict(window=1, feature_schedule=(2, 0))],
+        ids=["stale", "underflow"])
+    def test_rebuilt_trees_are_the_engines(self, monkeypatch, kwargs):
+        """The trees rebuilt from an SD run's trace are those the run built,
+        bit for bit, through stale lookups and their underflow fallbacks."""
+        built, real = [], engine.build_tree
+        monkeypatch.setattr(engine, "build_tree",
+                            lambda *a, **k: built.append(real(*a, **k)) or built[-1])
+        cfg = EngineConfig(max_new_tokens=48, **kwargs)
+        models = make_model_pair(cfg)
+        trace = speculative_decode(cfg, models=models)
+        monkeypatch.undo()
+        sources = [it.feature_source for it in trace.iterations]
+        assert FRESH in sources and set(sources) - {FRESH}
+        rebuilt = list(harness._sd_trees(trace, models))
+        assert len(rebuilt) == len(built) == len(trace.iterations)
+        for ours, theirs in zip(rebuilt, built):
+            assert ours.shape is theirs.shape
+            for a, b in [(ours.tokens, theirs.tokens), (ours.probs, theirs.probs),
+                         (ours.root_dist, theirs.root_dist),
+                         *zip(ours.dists, theirs.dists)]:
+                assert (a is None) == (b is None)
+                assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
     def test_feature_similarity_decays(self):
         table = measure_feature_similarity(EngineConfig(max_new_tokens=24),
                                            max_distance=8, runs=4)
@@ -482,6 +514,13 @@ class TestCli:
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: RejectedInput")
         assert name in err[0]
+
+    def test_path_similarity_alpha_is_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 1.5\n")
+        assert main(["analyze", "path-similarity", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: RejectedInput: alpha must lie in (0, 1]"]
 
     def test_error_exit_code_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
