@@ -15,7 +15,7 @@ from .models import (DraftModel, ModelOutput, TargetModel, make_model_pair,
 from .schedule import (PathSimilarity, SkipPolicy, decay_weights, decide,
                        path_similarity)
 from .select import select_path, truncate_path
-from .tree import (DraftNode, DraftTree, LinearizedTree, TreePaths, build_tree,
+from .tree import (DraftTree, LinearizedTree, TreePaths, build_tree,
                    enumerate_paths, linearize)
 from .verify import VerifyOutcome, accept, pooled_mass, verify_tree
 

@@ -14,6 +14,7 @@ from .harness import (measure_feature_similarity,
                       measure_path_similarity_distribution, open_output,
                       parse_config_file, parse_spec_file, run_experiment,
                       summary_table)
+from .models import make_model_pair
 
 
 def _load_config(args) -> EngineConfig:
@@ -27,8 +28,9 @@ def cmd_generate(args) -> int:
     config = _load_config(args)
     # Opened first, so an unwritable path fails before the generation runs.
     with open_output(args.output) if args.output else contextlib.nullcontext() as fh:
-        trace = vanilla_ar(config) if args.vanilla else vvs_generate(config)
-        metrics = compute_metrics(trace)
+        models = make_model_pair(config)
+        trace = (vanilla_ar if args.vanilla else vvs_generate)(config, models)
+        metrics = compute_metrics(trace, models[0])
         if fh is not None:
             fh.write(trace_to_csv(trace))
     print(f"tokens={metrics.n_tok} forwards={metrics.n_fwd} "

@@ -221,7 +221,7 @@ def vanilla_ar(config: EngineConfig, models=None) -> GenerationTrace:
         tok = sample_index(out.dist, streams["ar"])
         context.append(tok)
         tokens.append(tok, ORIGIN_SAMPLED)
-        iterations.append(IterationRecord(index=t, kind="verify", emitted=1,
+        iterations.append(IterationRecord(index=t + 1, kind="verify", emitted=1,
                                           accept_length=0, forward_passes=1))
     return GenerationTrace(config=config, prompt=prompt, tokens=tokens,
                            iterations=iterations, n_tok=len(tokens), n_fwd=n_fwd)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -126,9 +127,10 @@ def _cell_seed(master: int, cell_index: int, rep: int) -> int:
 
 def _run_cell(args) -> ResultRow:
     name, cell_label, config, rep = args
+    models = make_model_pair(config)
     return ResultRow(name=name, cell=cell_label, rep=rep, seed=config.seed,
                      pipeline="sd" if config.policy == "never" else "vvs",
-                     metrics=compute_metrics(vvs_generate(config)))
+                     metrics=compute_metrics(vvs_generate(config, models), models[0]))
 
 
 def _label_value(value) -> str:
@@ -168,8 +170,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
             writer = _csv_writer(fh)
             fh.flush()
         if jobs > 1:
-            # The pool forks all its workers at once: no more than tasks.
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(jobs, len(tasks))))
+            # The pool forks all its workers at once: no more than tasks,
+            # nor than the CPUs this process may use.
+            workers = min(jobs, len(tasks), _usable_cpus())
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_run_cell, tasks)
         else:
             results = map(_run_cell, tasks)
@@ -179,6 +183,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
                 writer.writerow(row.as_csv())
                 fh.flush()
     return rows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the host's where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def open_output(path):

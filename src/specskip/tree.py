@@ -16,7 +16,6 @@ pass reads them as context."""
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,18 +27,6 @@ from .errors import RejectedInput
 
 if TYPE_CHECKING:
     from .models import DraftModel
-
-
-@dataclass
-class DraftNode:
-    """One node, to put a tree together by hand (``DraftTree.from_nodes``)
-    or to read one (``DraftTree.nodes``)."""
-
-    token: int
-    parent: int            # index into DraftTree.nodes, -1 for the root
-    prob: float             # drafter probability of this token at its parent
-    # Set only on the nodes that get children: the dist they are drawn from.
-    dist: np.ndarray = field(repr=False, default=None)
 
 
 def _root_windows(parents: tuple[int, ...], w: int) -> list[tuple[int, ...]]:
@@ -175,36 +162,10 @@ class DraftTree:
     root_dist: np.ndarray
     shape: TreeShape = field(repr=False)
 
-    @classmethod
-    def from_nodes(cls, nodes: list[DraftNode], root_dist: np.ndarray) -> "DraftTree":
-        """A tree put together by hand, its shape looked up from its nodes'
-        parents."""
-        shape = tree_shape(tuple(node.parent for node in nodes))
-        return cls(np.array([*(node.token for node in nodes), -1], dtype=np.intp),
-                   np.array([*(node.prob for node in nodes), 1.0]),
-                   [node.dist for node in nodes], root_dist, shape)
-
     @property
-    def nodes(self) -> "_Nodes":
-        return _Nodes(self)
-
-
-class _Nodes(Sequence):
-    """A tree's nodes as a sequence of ``DraftNode``s, each made when read."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: DraftTree):
-        self._tree = tree
-
-    def __len__(self) -> int:
-        return len(self._tree.dists)
-
-    def __getitem__(self, i: int) -> DraftNode:
-        tree = self._tree
-        i = range(len(tree.dists))[i]   # IndexError past either end
-        return DraftNode(int(tree.tokens[i]), tree.shape.parents[i],
-                         float(tree.probs[i]), tree.dists[i])
+    def nodes(self) -> range:
+        # The node indices; bench/tracing.py counts nodes with len(tree.nodes).
+        return range(len(self.dists))
 
 
 @dataclass(eq=False)
@@ -326,7 +287,7 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     rank reach is the product of 2**-r over the race ranks r on its root
     path (the root's is 1), so it reads no draft probability.  Only the
     nodes with a positive count get a drafter feature and a child
-    distribution (``DraftNode.dist``), from one batched ``extend_feature``
+    distribution (``dists[i]``), from one batched ``extend_feature``
     and one batched ``next_dist`` call, and only their rows are raced (see
     ``_sample_level``): a node's children are the first count picks of its
     row, drawn sequentially without replacement from its draft

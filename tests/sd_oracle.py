@@ -71,8 +71,8 @@ def tree_distribution(target, context, tree):
     children = tree.shape.children
 
     def walk(slot, prefix):
-        by_token = {tree.nodes[i].token: i for i in children[slot + 1]}
-        p = tree.root_dist if slot == -1 else tree.nodes[slot].dist
+        by_token = {int(tree.tokens[i]): i for i in children[slot + 1]}
+        p = tree.root_dist if slot == -1 else tree.dists[slot]
         return node_walk(target.score_prefix(context + prefix).dist, p, list(by_token),
                          lambda tok: walk(by_token[tok], prefix + [tok]))
 

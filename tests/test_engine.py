@@ -15,6 +15,7 @@ from specskip.engine import (EngineConfig, GenerationTrace, compute_metrics,
                              config_from_mapping, speculative_decode,
                              trace_to_csv, vanilla_ar, vvs_generate)
 from specskip.errors import DegenerateTrace, RejectedInput
+from specskip.models import make_model_pair
 
 FAST = dict(max_new_tokens=24)
 
@@ -228,13 +229,40 @@ class TestMetrics:
         assert metrics.quality_proxy < 0.0
 
 
+class TestPassCount:
+    @pytest.mark.parametrize("pipeline, kwargs", [
+        (vanilla_ar, {}), (speculative_decode, {}),
+        (vvs_generate, dict(policy="uniform", interval=2)),
+        (vvs_generate, dict(policy="dynamic", threshold=0.5)),
+        (vvs_generate, dict(feature_schedule=(-1, 0, 3)))],
+        ids=["ar", "sd", "uniform-2", "dynamic-0.5", "stale"])
+    def test_trace_counts_the_targets_own_passes(self, pipeline, kwargs):
+        """``trace.n_fwd`` is the change over the run in the target's own
+        pass counter, which ``target_forward`` and ``target_forward_masked``
+        advance, and the metrics' rescoring leaves that counter as it was."""
+        config = EngineConfig(max_new_tokens=64, **kwargs)
+        models = make_model_pair(config)
+        target = models[0]
+        before = target.forward_passes
+        trace = pipeline(config, models)
+        assert target.forward_passes - before == trace.n_fwd > 0
+        after = target.forward_passes
+        compute_metrics(trace, target)
+        assert target.forward_passes == after
+
+
 class TestSerialization:
     def test_trace_line_format(self):
-        trace = speculative_decode(EngineConfig(**FAST))
-        lines = trace_to_csv(trace).strip().split("\n")[1:]
-        assert len(lines) == len(trace.iterations)
-        first = lines[0].split(",")
-        assert first[0] == "1" and first[1] == "verify"
+        # Every pipeline numbers its iterations from 1.
+        for trace in (speculative_decode(EngineConfig(**FAST)),
+                      vanilla_ar(EngineConfig(**FAST))):
+            lines = trace_to_csv(trace).splitlines()[1:]
+            assert len(lines) == len(trace.iterations)
+            first = lines[0].split(",")
+            assert first[0] == "1" and first[1] == "verify"
+            assert [line.split(",")[0] for line in lines] == \
+                [str(i) for i in range(1, len(lines) + 1)]
+        assert lines[0] == "1,verify,1,0,,1,-1"   # vanilla AR's first row
 
     def test_csv_header_and_rows(self):
         trace = vvs_generate(EngineConfig(policy="uniform", interval=2, **FAST))

@@ -191,11 +191,10 @@ class TestRunExperiment:
             run_experiment(spec)
         assert calls == []
 
-    @pytest.mark.parametrize("jobs, workers", [(8, 2), (2, 2), (3, 2)])
-    def test_jobs_capped_at_task_count(self, monkeypatch, jobs, workers):
-        """The pool forks all its workers at the first submit, so it gets
-        no more workers than there are tasks.  The executor stand-in maps
-        serially and starts no process."""
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each pool run_experiment makes, through an
+        executor stand-in that maps serially and starts no process."""
         made = []
 
         class SerialPool:
@@ -212,12 +211,54 @@ class TestRunExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        return made
+
+    @pytest.mark.parametrize("jobs, workers", [(8, 2), (2, 2), (3, 2)])
+    def test_jobs_capped_at_task_count(self, monkeypatch, pools, jobs, workers):
+        """The pool forks all its workers at the first submit, so it gets
+        no more workers than there are tasks, on a host of any size."""
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
         spec = ExperimentSpec(name="cap", base=EngineConfig(max_new_tokens=4),
                               axes={"interval": [2, 3]}, repetitions=1)
         rows = run_experiment(spec, jobs=jobs)
-        assert made == [workers]
+        assert pools == [workers]
         assert [row.as_csv() for row in rows] == \
             [row.as_csv() for row in run_experiment(spec, jobs=1)]
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [(8, 2, 2), (8, 1, 1), (3, 8, 3)])
+    def test_jobs_capped_at_usable_cpus(self, monkeypatch, pools, jobs, cpus, workers):
+        """Nor more workers than the CPUs the process may use: 4 tasks."""
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        spec = ExperimentSpec(name="cpus", base=EngineConfig(max_new_tokens=4),
+                              axes={"interval": [2, 3, 4, 5]}, repetitions=1)
+        assert len(run_experiment(spec, jobs=jobs)) == 4
+        assert pools == [workers]
+
+    def test_usable_cpus_from_affinity_else_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3},
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+        assert harness._usable_cpus() == 2
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness._usable_cpus() == 6
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
+
+    def test_one_model_pair_per_cell(self, monkeypatch):
+        """A cell builds its model pair once and hands it to the generation
+        and to its metrics, which build none of their own."""
+        seeds, real = [], harness.make_model_pair
+
+        def spy(config):
+            seeds.append(config.seed)
+            return real(config)
+
+        monkeypatch.setattr(harness, "make_model_pair", spy)
+        monkeypatch.setattr(engine, "make_model_pair", spy)
+        spec = ExperimentSpec(name="pairs", base=EngineConfig(**SMALL),
+                              axes={"policy": ["never", "uniform"]}, repetitions=2)
+        rows = run_experiment(spec)
+        assert len(rows) == 4 and seeds == [row.seed for row in rows]
 
     def test_rows_stream_in_cell_order(self, tmp_path, monkeypatch):
         """When a cell runs, the output already holds the header and one
@@ -402,6 +443,20 @@ class TestCli:
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: RejectedInput")
+
+    @pytest.mark.parametrize("vanilla", [[], ["--vanilla"]], ids=["vvs", "vanilla"])
+    def test_generate_builds_one_model_pair(self, capsys, monkeypatch, vanilla):
+        seeds, real = [], cli.make_model_pair
+
+        def spy(config):
+            seeds.append(config.seed)
+            return real(config)
+
+        monkeypatch.setattr(cli, "make_model_pair", spy)
+        monkeypatch.setattr(engine, "make_model_pair", spy)
+        assert main(["generate", "--seed", "3", *vanilla]) == 0
+        assert "tpf=" in capsys.readouterr().out
+        assert seeds == [3]
 
     def test_generate_budget_above_the_full_tree(self, capsys, tmp_path):
         # Budgets at and far above the default full tree (1364 nodes) run

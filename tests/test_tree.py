@@ -16,8 +16,10 @@ from specskip.errors import RejectedInput
 from specskip.models import make_model_pair
 from specskip.schedule import path_similarity
 from specskip.select import select_leaf, select_path, truncate_path
-from specskip.tree import (MAX_NODES, DraftNode, DraftTree, _child_counts, _sample_level,
-                           build_tree, clamped_budget, enumerate_paths, linearize)
+from specskip.tree import (MAX_NODES, _child_counts, _sample_level, build_tree,
+                           clamped_budget, enumerate_paths, linearize)
+
+from token_rows import hand_tree
 
 CFG = EngineConfig()
 
@@ -60,15 +62,15 @@ def _golden_trees(cfg, runs=200):
 def _depths(tree):
     """Each node's depth, from the parent pointers (a root child's is 1)."""
     depths = []
-    for node in tree.nodes:
-        depths.append(1 if node.parent == -1 else depths[node.parent] + 1)
+    for parent in tree.shape.parents:
+        depths.append(1 if parent == -1 else depths[parent] + 1)
     return depths
 
 
 def _node_tuples(tree):
     """Each node's (token, parent, depth, prob.hex()): probs bit for bit."""
-    return [(n.token, n.parent, depth, n.prob.hex())
-            for n, depth in zip(tree.nodes, _depths(tree))]
+    return [(int(tree.tokens[i]), tree.shape.parents[i], depth, float(tree.probs[i]).hex())
+            for i, depth in enumerate(_depths(tree))]
 
 
 def _race(dists, k_b, rng):
@@ -100,48 +102,52 @@ def _reference_build(draft, feature, tokens, k_b, D, budget, rng):
     """Per-node oracle for build_tree: the level loop that recomputes the
     shape in every tree, placing each node as it is drawn, with counts from
     ``_child_counts`` on the rank reaches and each growing node's drafter
-    window carried as a tuple of tokens."""
+    window carried as a tuple of tokens.  Each node's parent, token, prob
+    and dist are kept in parallel lists."""
     window = draft.window
     feats = np.asarray(feature, dtype=np.float64)[None]
     root_dist = draft.next_dist(feats, [int(tokens[-1])])[0]
     m = min(k_b, len(root_dist))
-    nodes = []
+    node_parents, node_tokens, node_probs, node_dists = [], [], [], []
     parents, counts, reach, dists = [-1], [m], [1.0], root_dist[None]
     tails = [tuple(map(int, tokens[len(tokens) - window:]))]
     for depth in range(1, D + 1):
         picks, stops = _race(dists, k_b, rng)
         probs = dists[np.arange(len(dists))[:, None], picks].tolist()
-        start = len(nodes)
+        start = len(node_tokens)
         born, new_reach = [], []
         for row, (toks, ps, stop) in enumerate(zip(picks.tolist(), probs, stops.tolist())):
             c = min(counts[row], stop)
             for rank, (tok, p) in enumerate(zip(toks[:c], ps[:c])):
-                nodes.append(DraftNode(token=tok, parent=parents[row], prob=p))
+                node_parents.append(parents[row])
+                node_tokens.append(tok)
+                node_probs.append(p)
+                node_dists.append(None)
                 born.append(row)
                 new_reach.append(reach[row] * 0.5 ** rank)
-        if depth == D or len(nodes) == budget:
+        if depth == D or len(node_tokens) == budget:
             break
-        counts = _child_counts(new_reach, m, budget - len(nodes))
+        counts = _child_counts(new_reach, m, budget - len(node_tokens))
         grow = [i for i, c in enumerate(counts) if c]
-        new = [nodes[start + i] for i in grow]
+        new = [start + i for i in grow]
         rows = [born[i] for i in grow]
-        toks = np.array([node.token for node in new])
+        toks = np.array([node_tokens[j] for j in new])
         feats = draft.extend_feature(feats.take(rows, axis=0),
                                      np.array([tails[r][0] for r in rows]), toks)
         dists = draft.next_dist(feats, toks)
-        for node, dist in zip(new, dists):
-            node.dist = dist
-        tails = [tails[r][1:] + (node.token,) for r, node in zip(rows, new)]
-        parents = [start + i for i in grow]
+        for j, dist in zip(new, dists):
+            node_dists[j] = dist
+        tails = [tails[r][1:] + (node_tokens[j],) for r, j in zip(rows, new)]
+        parents = new
         counts = [counts[i] for i in grow]
         reach = [new_reach[i] for i in grow]
-    return DraftTree.from_nodes(nodes, root_dist)
+    return hand_tree(node_parents, node_tokens, node_probs, root_dist, node_dists)
 
 
 def _node_bytes(tree):
     """Each node's token, parent, prob and dist, bit for bit."""
-    return [(n.token, n.parent, n.prob.hex(),
-             None if n.dist is None else n.dist.tobytes()) for n in tree.nodes]
+    return [(int(tree.tokens[i]), tree.shape.parents[i], float(tree.probs[i]).hex(),
+             None if dist is None else dist.tobytes()) for i, dist in enumerate(tree.dists)]
 
 
 def _assert_builds_match(draft, feat, prompt, k_b, D, budget, rng_key):
@@ -248,9 +254,9 @@ class TestBuildTree:
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8,
                           rng=rng_stream(0, "chain"))
-        assert [n.token for n in tree.nodes] == [1, 2, 3]
-        assert [n.parent for n in tree.nodes] == [-1, 0, 1]
-        assert all(n.prob == 1.0 for n in tree.nodes)
+        assert tree.tokens[:-1].tolist() == [1, 2, 3]
+        assert tree.shape.parents == (-1, 0, 1)
+        assert all(p == 1.0 for p in tree.probs[:-1].tolist())
 
     def test_sampled_point_mass_chain_draws_once_per_node(self):
         # One positive entry per distribution: each node's race yields one
@@ -258,7 +264,7 @@ class TestBuildTree:
         table = {t: np.eye(6)[min(t + 1, 5)] for t in range(6)}
         rng = rng_stream(0, "support")
         tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=3, budget=8, rng=rng)
-        assert [n.token for n in tree.nodes] == [1, 2, 3]
+        assert tree.tokens[:-1].tolist() == [1, 2, 3]
         ref = rng_stream(0, "support")
         ref.standard_exponential((3, 6))
         assert rng.random() == ref.random()
@@ -279,11 +285,11 @@ class TestBuildTree:
         for run in range(16):
             tree = build_tree(TableDrafter(table), _feat(), [0], k_b=2, D=2,
                               budget=budget, rng=rng_stream(run, "counts"))
-            kids = tree.shape.children
-            assert sorted(n.token for n in tree.nodes if n.parent == -1) == [1, 2]
+            kids, toks = tree.shape.children, tree.tokens.tolist()
+            assert sorted(t for t, p in zip(toks, tree.shape.parents) if p == -1) == [1, 2]
             assert [len(kids[i + 1]) for i in kids[0]] == counts
-            firsts.add(tree.nodes[kids[0][0]].token)
-            drawn.add(tuple(tree.nodes[j].token for j in kids[kids[0][0] + 1]))
+            firsts.add(toks[kids[0][0]])
+            drawn.add(tuple(toks[j] for j in kids[kids[0][0] + 1]))
         assert firsts == {1, 2}
         assert len(drawn) > 1 or counts[0] == 0
 
@@ -328,18 +334,18 @@ class TestBuildTree:
                     break
                 counts = _child_counts([reach[i] for i in level], m, budget - placed)
                 grow = [i for i, c in zip(level, counts) if c]
-                dists = np.array([tree.root_dist if i == -1 else tree.nodes[i].dist
+                dists = np.array([tree.root_dist if i == -1 else tree.dists[i]
                                   for i in grow])
                 picks, stops = _race(dists, k_b, ref)
                 expected = {i: toks[:min(c, stop)] for i, c, toks, stop in
                             zip(grow, [c for c in counts if c], picks.tolist(), stops)}
                 for i in level:
-                    assert [tree.nodes[j].token for j in kids[i + 1]] == expected.get(i, [])
+                    assert [int(tree.tokens[j]) for j in kids[i + 1]] == expected.get(i, [])
                     for rank, j in enumerate(kids[i + 1]):
                         reach[j] = reach[i] * 0.5 ** rank
                 level = [j for i in level for j in kids[i + 1]]
                 placed += len(level)
-            assert placed == len(tree.nodes) <= budget
+            assert placed == len(tree.dists) <= budget
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
@@ -357,8 +363,8 @@ class TestBuildTree:
             tree = build_tree(draft, feat, prompt, cfg.branching, cfg.depth,
                               cfg.budget, rng=rng_stream(run, "rows-draw"))
             kids = tree.shape.children
-            for i, node in enumerate(tree.nodes):
-                assert (node.dist is not None) == bool(kids[i + 1])
+            for i, dist in enumerate(tree.dists):
+                assert (dist is not None) == bool(kids[i + 1])
             parents = sum(1 for group in kids[1:] if group)
             assert draft.forward_calls - before == 1 + parents
 
@@ -424,11 +430,11 @@ class TestBuildTree:
             feat = target.feature_at(prompt, CFG.window - 1)
             tree = build_tree(draft, feat, prompt, CFG.branching, CFG.depth,
                               CFG.budget, rng=rng_stream(run, "draw"))
-            assert 1 <= len(tree.nodes) <= CFG.budget
-            for i, node in enumerate(tree.nodes):
-                assert node.parent < i
-                dist = tree.root_dist if node.parent == -1 else tree.nodes[node.parent].dist
-                assert node.prob == dist[node.token]
+            assert 1 <= len(tree.dists) <= CFG.budget
+            for i, parent in enumerate(tree.shape.parents):
+                assert parent < i
+                dist = tree.root_dist if parent == -1 else tree.dists[parent]
+                assert float(tree.probs[i]) == dist[int(tree.tokens[i])]
             assert max(_depths(tree)) <= CFG.depth
 
     def test_sampled_children_distinct_and_deterministic(self):
@@ -440,7 +446,7 @@ class TestBuildTree:
         assert _node_tuples(t1) == _node_tuples(t2)
         kids = t1.shape.children
         for group in kids:
-            toks = [t1.nodes[i].token for i in group]
+            toks = [int(t1.tokens[i]) for i in group]
             assert len(toks) == len(set(toks))
 
     @pytest.mark.parametrize("cfg, digest, forward_calls", [
@@ -473,12 +479,12 @@ class TestBuildTree:
         for _, tree, _ in _golden_trees(cfg):
             kids = tree.shape.children
             rank_path = {-1: ()}
-            for i in range(-1, len(tree.nodes)):
+            for i in range(-1, len(tree.dists)):
                 for rank, j in enumerate(kids[i + 1]):
                     rank_path[j] = rank_path[i] + (rank,)
             depths = _depths(tree)
             assert [depths.count(d) for d in (1, 2, 3)] == [4, 16, 4]
-            assert sorted(rank_path[node.parent] for node, depth in zip(tree.nodes, depths)
+            assert sorted(rank_path[p] for p, depth in zip(tree.shape.parents, depths)
                           if depth == 3) == [(0, 0), (0, 0), (0, 1), (1, 0)]
 
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)])
@@ -488,12 +494,12 @@ class TestBuildTree:
         product of its probs, exactly."""
         for _, tree, _ in _golden_trees(cfg):
             conf_of_path, probs_of_path = {}, {}
-            for i, node in enumerate(tree.nodes):
+            for i in range(len(tree.dists)):
                 toks, probs, j = [], [], i
                 while j != -1:
-                    toks.append(tree.nodes[j].token)
-                    probs.append(tree.nodes[j].prob)
-                    j = tree.nodes[j].parent
+                    toks.append(int(tree.tokens[j]))
+                    probs.append(float(tree.probs[j]))
+                    j = tree.shape.parents[j]
                 conf = 1.0
                 for p in probs[::-1]:
                     conf *= p
@@ -778,15 +784,8 @@ class TestDrawPath:
 
 def _hand_tree():
     # 5 nodes: 0 and 1 are root children; 2,3 children of 0; 4 child of 1.
-    nodes = [
-        DraftNode(token=5, parent=-1, prob=0.6),
-        DraftNode(token=9, parent=-1, prob=0.4),
-        DraftNode(token=2, parent=0, prob=0.5),
-        DraftNode(token=7, parent=0, prob=0.2),
-        DraftNode(token=1, parent=1, prob=0.9),
-    ]
-    root = np.full(10, 0.1)
-    return DraftTree.from_nodes(nodes, root)
+    return hand_tree([-1, -1, 0, 0, 1], [5, 9, 2, 7, 1], [0.6, 0.4, 0.5, 0.2, 0.9],
+                     np.full(10, 0.1))
 
 
 def test_hand_built_tree_takes_its_shape_from_its_parents():
@@ -805,18 +804,17 @@ def test_hand_built_tree_takes_its_shape_from_its_parents():
     assert tree.shape.windows(2).tolist() == [[0, 1], [1, 2], [1, 3], [2, 4], [2, 5], [3, 6]]
     for _ in range(2):
         with pytest.raises(RejectedInput):
-            DraftTree.from_nodes([DraftNode(token=1, parent=0, prob=0.5)], np.ones(2) / 2)
+            tree_mod.tree_shape((0,))
 
 
 def test_nodes_are_read_from_the_arrays():
+    # A tree holds no node objects: ``nodes`` is the range of node indices.
     tree = _hand_tree()
-    nodes = tree.nodes
-    assert len(nodes) == 5 and tree.tokens.tolist() == [5, 9, 2, 7, 1, -1]
-    assert tree.probs[-1] == 1.0
-    assert nodes[-1] == DraftNode(token=1, parent=1, prob=0.9)
-    assert [(n.token, n.parent) for n in nodes] == [(5, -1), (9, -1), (2, 0), (7, 0), (1, 1)]
-    with pytest.raises(IndexError):
-        nodes[5]
+    assert tree.nodes == range(5)
+    assert tree.tokens.tolist() == [5, 9, 2, 7, 1, -1]
+    assert tree.probs.tolist() == [0.6, 0.4, 0.5, 0.2, 0.9, 1.0]
+    assert tree.shape.parents == (-1, -1, 0, 0, 1)
+    assert tree.dists == [None] * 5
 
 
 class TestEnumeratePaths:
@@ -840,32 +838,32 @@ class TestEnumeratePaths:
         assert [round(c, 12) for c in paths.confidence.tolist()] == [0.36, 0.3, 0.12]
 
     def test_confidence_is_prob_product(self):
-        nodes = [DraftNode(token=1, parent=-1, prob=0.5), DraftNode(token=2, parent=0, prob=0.5),
-                 DraftNode(token=3, parent=1, prob=0.4)]
-        paths = enumerate_paths(DraftTree.from_nodes(nodes, np.full(4, 0.25)))
+        paths = enumerate_paths(hand_tree([-1, 0, 1], [1, 2, 3], [0.5, 0.5, 0.4],
+                                          np.full(4, 0.25)))
         assert abs(paths.confidence[0] - 0.1) < 1e-15
 
     def test_empty_tree_rejected(self):
         with pytest.raises(RejectedInput):
-            enumerate_paths(DraftTree.from_nodes([], np.full(4, 0.25)))
+            enumerate_paths(hand_tree([], [], [], np.full(4, 0.25)))
 
 
 def _reference_paths(tree):
     """Per-leaf oracle for enumerate_paths: the walk up the parent pointers
     from each leaf and the sort by (-confidence, tokens) it replaced, as
     (tokens, probs, confidence) with the confidence from ``math.prod``."""
-    nodes = list(tree.nodes)
-    parents = {node.parent for node in nodes}
+    node_tokens, node_probs = tree.tokens.tolist(), tree.probs.tolist()
+    node_parents = tree.shape.parents
+    parents = set(node_parents)
     paths = []
-    for i in range(len(nodes)):
+    for i in range(len(node_parents)):
         if i in parents:
             continue
         toks, probs = [], []
         j = i
         while j != -1:
-            toks.append(nodes[j].token)
-            probs.append(nodes[j].prob)
-            j = nodes[j].parent
+            toks.append(node_tokens[j])
+            probs.append(node_probs[j])
+            j = node_parents[j]
         paths.append((toks[::-1], probs[::-1], math.prod(probs[::-1])))
     paths.sort(key=lambda p: (-p[2], p[0]))
     return paths
@@ -927,10 +925,8 @@ class TestEnumerateMatchesReference:
     def test_tied_confidences(self):
         # Four paths of confidence 0.25 exactly, two of them one token
         # shorter: the order is by tokens alone.
-        nodes = [DraftNode(token=6, parent=-1, prob=0.5), DraftNode(token=3, parent=-1, prob=0.25),
-                 DraftNode(token=8, parent=-1, prob=0.25), DraftNode(token=2, parent=0, prob=0.5),
-                 DraftNode(token=1, parent=0, prob=0.5), DraftNode(token=4, parent=2, prob=1.0)]
-        tree = DraftTree.from_nodes(nodes, np.full(10, 0.1))
+        tree = hand_tree([-1, -1, -1, 0, 0, 2], [6, 3, 8, 2, 1, 4],
+                         [0.5, 0.25, 0.25, 0.5, 0.5, 1.0], np.full(10, 0.1))
         codebook = EmbeddingCodebook(rng_stream(0, "tied-cb").standard_normal((10, 3)))
         paths = _assert_paths_match(tree, codebook)
         assert list(paths) == [[3], [6, 1], [6, 2], [8, 4]]
@@ -950,12 +946,12 @@ def _old_ancestor_sets(tree, n_pending):
     """The ancestor sets linearize built before parent pointers, over the
     pending tokens (a chain) followed by the nodes."""
     sets = [frozenset(range(i)) for i in range(n_pending)]
-    for node in tree.nodes:
+    for parent in tree.shape.parents:
         anc = set(range(n_pending))
-        j = node.parent
+        j = parent
         while j != -1:
             anc.add(n_pending + j)
-            j = tree.nodes[j].parent
+            j = tree.shape.parents[j]
         sets.append(frozenset(anc))
     return sets
 

@@ -8,10 +8,11 @@ from specskip.core import EmbeddingCodebook, rng_stream
 from specskip.engine import EngineConfig
 from specskip.errors import DegenerateProposal, RejectedInput
 from specskip.models import make_model_pair
-from specskip.tree import DraftNode, DraftTree, build_tree, linearize
+from specskip.tree import build_tree, linearize
 from specskip.verify import accept, pooled_mass, verify_tree
 
 from sd_oracle import tree_distribution, two_token_tv
+from token_rows import hand_tree
 
 FOUR_TOKEN_CB = EmbeddingCodebook(
     np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.0]]))
@@ -115,8 +116,7 @@ class TestVerifyTree:
         q_root = target.score_prefix(context).dist
         dead = int(np.argmin(q_root))
         assert q_root[dead] == 0.0
-        node = DraftNode(token=dead, parent=-1, prob=1.0)
-        tree = DraftTree.from_nodes([node], root_dist=np.eye(8)[dead])
+        tree = hand_tree([-1], [dead], [1.0], np.eye(8)[dead])
         outcome = verify_tree(linearize(tree), target, context, STRICT,
                               rng_stream(0, "a"), rng_stream(0, "r"))
         assert outcome.accept_length == 0
@@ -139,7 +139,7 @@ class TestVerifyTree:
         masked = verify.target_forward_masked
         monkeypatch.setattr(verify, "target_forward_masked",
                             lambda *args: passes.append(masked(*args)) or passes[-1])
-        empty = DraftTree.from_nodes([], np.full(target.vocab_size, 1 / target.vocab_size))
+        empty = hand_tree([], [], [], np.full(target.vocab_size, 1 / target.vocab_size))
         for pending in ([], [3, 9]):
             outcome = verify_tree(linearize(empty), target, context + pending, STRICT,
                                   rng_stream(0, "a"), rng_stream(0, "r"))
@@ -182,8 +182,7 @@ class TestVerifyTree:
         assert q_root[dead] == 0.0
         root_dist = np.zeros(8)
         root_dist[[dead, best]] = 0.5
-        tree = DraftTree.from_nodes([DraftNode(dead, -1, 0.5), DraftNode(best, -1, 0.5)],
-                                    root_dist=root_dist)
+        tree = hand_tree([-1, -1], [dead, best], [0.5, 0.5], root_dist)
         blocks, drawn_from, readouts = [], [], []
         normalize = verify.normalize_columns
         monkeypatch.setattr(verify, "normalize_columns",
@@ -269,13 +268,8 @@ class TestBranchProbabilityOracle:
         # Hand 2-level tree: root children 1, 4; node 1 has children 0, 3.
         d_root = np.array([0.1, 0.4, 0.1, 0.1, 0.25, 0.05])
         d_n1 = np.array([0.3, 0.05, 0.15, 0.3, 0.1, 0.1])
-        nodes = [
-            DraftNode(token=1, parent=-1, prob=0.4, dist=d_n1),
-            DraftNode(token=4, parent=-1, prob=0.25),
-            DraftNode(token=0, parent=0, prob=0.3),
-            DraftNode(token=3, parent=0, prob=0.3),
-        ]
-        tree = DraftTree.from_nodes(nodes, root_dist=d_root)
+        tree = hand_tree([-1, -1, 0, 0], [1, 4, 0, 3], [0.4, 0.25, 0.3, 0.3], d_root,
+                         [d_n1, None, None, None])
         oracle = tree_distribution(target, context, tree)
         assert abs(sum(oracle.values()) - 1.0) < 1e-9
 
