@@ -50,15 +50,16 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     config = _load_config(args)
+    runs = {} if args.runs is None else {"runs": args.runs}  # else the analysis's default
     if args.what == "path-similarity":
-        out = measure_path_similarity_distribution(config, runs=args.runs)
+        out = measure_path_similarity_distribution(config, **runs)
         print(f"iterations={out['iterations']} degenerate={out['degenerate']} "
               f"fraction_above_0.7={out['fraction_above_0.7']:.4f}")
         for lo, hi, count in zip(out["bin_edges"][:-1], out["bin_edges"][1:],
                                  out["counts"]):
             print(f"[{lo:+.2f},{hi:+.2f}) {count}")
     else:  # feature-similarity
-        for dist, sim in measure_feature_similarity(config, args.max_distance):
+        for dist, sim in measure_feature_similarity(config, args.max_distance, **runs):
             print(f"distance={dist} mean_cosine={sim:.4f}")
     return 0
 
@@ -88,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("what", choices=["path-similarity", "feature-similarity"])
     ana.add_argument("--config", help="key=value config file")
     ana.add_argument("--seed", type=int, help="override the config seed")
-    ana.add_argument("--runs", type=int, default=50,
-                     help="generations for path-similarity")
+    ana.add_argument("--runs", type=int,
+                     help="generations (default 50 for path-similarity, 8 for "
+                          "feature-similarity)")
     ana.add_argument("--max-distance", type=int, default=8,
                      help="largest positional distance for feature-similarity")
     ana.set_defaults(func=cmd_analyze)

@@ -2,9 +2,10 @@
 
 Vanilla autoregressive decoding has its own loop.  Baseline speculative
 decoding (draft then always verify) and the partial verification-skipping
-pipeline, where some iterations accept a drafted path outright and the
-following verification step ratifies it (post verification) while
-restoring exact conditioning, share one draft-and-verify loop.
+pipeline share one draft-and-verify loop.  There some iterations accept a
+drafted path outright, and the following verification step (post
+verification) restores exact conditioning: it never tests the accepted
+tokens, which are plain context for its target pass.
 
 Counters follow the device-independent speedup measure: TPF is generated
 tokens per target forward pass, with prompt prefill and post-hoc quality
@@ -42,10 +43,12 @@ class EngineConfig:
 
     The only home of these settings and their defaults: the pipeline
     modules read them from the config, which checks them when it is built
-    (``EngineConfig(...)`` or ``replace``).  A mode's own settings are
-    checked only under that mode: ``interval`` under the uniform policy,
-    ``alpha`` and ``stride`` under the dynamic one, and ``pool_k`` under
-    relaxed acceptance, where it must not exceed ``vocab_size``.
+    (``EngineConfig(...)`` or ``replace``), every check that reads only
+    settings included.  A mode's own settings are checked only under that
+    mode: ``interval`` under the uniform policy, ``alpha`` under the
+    dynamic one, and ``pool_k`` under relaxed acceptance, where it must
+    not exceed ``vocab_size``.  Only the checks that read model parameters
+    wait for ``make_model_pair``.
     """
 
     # toy models
@@ -70,7 +73,6 @@ class EngineConfig:
     interval: int = 3
     threshold: float = 0.75
     alpha: float = 0.8
-    stride: int = 2
     # selection at skipped steps
     strategy: str = "uniform"      # "uniform" | "max_confidence"
     truncate: bool = True
@@ -78,8 +80,9 @@ class EngineConfig:
     max_new_tokens: int = 128
     seed: int = 0
     run: int = 0                   # varies sampling streams, not parameters
-    # feature sourcing per verify iteration, cycled; -1 means fresh,
-    # s >= 0 means cached features with extra staleness s
+    # feature sourcing per verify iteration, cycled; -1 means fresh, s >= 0
+    # the feature of the newest verify at least s + 1 iterations back (a
+    # skip counts as an iteration but caches no feature)
     feature_schedule: tuple = (FRESH,)
 
     def __post_init__(self):
@@ -99,6 +102,17 @@ class EngineConfig:
                                 f"window <= {MAX_WINDOW} required")
         if self.temperature <= 0:
             raise RejectedInput("temperature must be positive")
+        # The models' codebook rows are unit and their mixing orthonormal, so
+        # a feature has norm at most 1 and a target logit is at most
+        # |logit_scale| / temperature in size; a raw codebook row's norm is
+        # about |concentration|, and np.linalg.norm sums its squares.  Twice
+        # each bound must be finite, so no call meets an inf or a NaN.
+        if not math.isfinite(2 * self.concentration * self.concentration):
+            raise RejectedInput(f"concentration={self.concentration:g} overflows float64 "
+                                "codebook norms")
+        if not math.isfinite(2 * (abs(self.logit_scale) / self.temperature)):
+            raise RejectedInput(f"logit_scale={self.logit_scale:g} over "
+                                f"temperature={self.temperature:g} overflows float64 logits")
         if not 0.0 <= self.epsilon <= 1.0:
             raise RejectedInput("epsilon must lie in [0, 1]")
         if self.branching < 2 or self.depth < 1 or self.budget < self.branching:
@@ -127,8 +141,6 @@ class EngineConfig:
             raise RejectedInput("uniform skip interval must be >= 2")
         if self.policy == "dynamic" and not 0.0 < self.alpha <= 1.0:
             raise RejectedInput("alpha must lie in (0, 1]")
-        if self.policy == "dynamic" and self.stride not in (1, 2):
-            raise RejectedInput("stride must be 1 or 2")
         if self.strategy not in ("uniform", "max_confidence"):
             raise RejectedInput(f"unknown selection strategy {self.strategy!r}")
         if self.accept_mode == "relaxed":
@@ -291,8 +303,8 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                     chosen = truncate_path(chosen, paths)
 
         if not skip:
-            # Skip-accepted tokens are the tail of `seq`: context the pass
-            # ratifies as it scores the tree.
+            # Skip-accepted tokens are the tail of `seq`: context for the
+            # pass that scores the tree, which never tests them.
             outcome = verify_tree(linearize(tree), target, seq, config,
                                   streams["accept"], streams["residual"])
             n_fwd += 1

@@ -140,8 +140,10 @@ def _label_value(value) -> str:
 
 def _tasks(spec: ExperimentSpec) -> list[tuple]:
     """One (name, cell label, config, rep) task per generation of the full
-    Cartesian sweep, in cell order; an invalid cell is rejected as its
-    config is built, before any cell runs."""
+    Cartesian sweep, in cell order; a cell with an invalid setting is
+    rejected as its config is built, before any cell runs.  Only the checks
+    that read model parameters (``make_model_pair``'s) wait for the cell's
+    run."""
     axis_names = sorted(spec.axes)
     combos = list(itertools.product(*(spec.axes[k] for k in axis_names))) or [()]
     tasks = []
@@ -249,7 +251,7 @@ def _sd_trees(trace: GenerationTrace, models) -> Iterator[DraftTree]:
         source = it.feature_source
 
 
-def measure_path_similarity_distribution(config: EngineConfig, runs: int) -> dict:
+def measure_path_similarity_distribution(config: EngineConfig, runs: int = 50) -> dict:
     """Per-iteration stride-1 path similarity across seeded SD runs, of the
     trees each run's records rebuild: a 20-bin histogram over [-1, 1] plus
     the fraction above 0.7.  A one-path tree counts as degenerate."""

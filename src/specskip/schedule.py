@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 # 0.085-0.102.  See sample_similarity_gaps in the harness module and the repo
 # README.
 STRIDE2_SIMILARITY_TOLERANCE = 0.2
+# The dynamic rule's stride: the tolerance above bounds its gap from stride 1.
+DECISION_STRIDE = 2
 
 
 class PathSimilarity(NamedTuple):
@@ -39,8 +41,8 @@ class PathSimilarity(NamedTuple):
 @dataclass
 class SkipPolicy:
     """One run's scheduling state over the config whose policy, interval,
-    threshold, alpha and stride it reads (checked when the config is
-    built)."""
+    threshold and alpha it reads (checked when the config is built); the
+    dynamic rule's stride is ``DECISION_STRIDE``."""
 
     config: EngineConfig
     verified_since_skip: int = 0  # 0 on the first step and after a skip
@@ -102,7 +104,7 @@ def decide(policy: SkipPolicy, paths: TreePaths | None,
     cfg = policy.config
     policy.last_similarity = None
     if policy.reads_paths:
-        sim = path_similarity(paths, codebook, cfg.alpha, cfg.stride)
+        sim = path_similarity(paths, codebook, cfg.alpha, DECISION_STRIDE)
         policy.last_similarity = sim.value
         skip = sim.value >= cfg.threshold
     else:

@@ -128,7 +128,8 @@ MAX_FEAT_DIM = 1024
 MAX_WINDOW = 1024
 # The most floats a verify pass's window gather may hold, (feat_dim,
 # 1 + nodes, window): about 134 MB, the readout's bound.  Each factor's own
-# limit allows a product 256 times that.
+# limit allows a product 256 times that.  Metric rescoring
+# (``TargetModel.logprobs``) scores its positions in chunks of this size.
 MAX_GATHER = 2**24
 
 

@@ -113,7 +113,7 @@ class TestVVS:
         assert kinds == [("verify", "skip")[j % 2] for j in range(len(kinds))]
         check_counters(trace)
 
-    def test_skip_tokens_ratified_next_verify(self):
+    def test_skip_tokens_are_context_of_next_verify(self):
         cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=40)
         trace = vvs_generate(cfg)
         assert any(i.kind == "skip" for i in trace.iterations)
@@ -136,6 +136,23 @@ class TestVVS:
         assert 3 in sources           # later iterations really use offset 3
         check_counters(trace)
 
+    @pytest.mark.parametrize("interval, same", [(2, True), (3, False)])
+    def test_stale_offset_counts_skips(self, interval, same):
+        """An offset counts iterations, skips included, and a skip caches no
+        feature.  So under interval-2 skipping, where every verify follows a
+        skip, offsets 0 and 1 name the same feature and emit the same
+        tokens; under interval 3 a verify can follow a verify, and they
+        differ."""
+        cfg = EngineConfig(policy="uniform", interval=interval, max_new_tokens=48)
+        models = make_model_pair(cfg)
+        emitted = {}
+        for schedule in ((-1, 0, 1), (-1, 0, 0)):
+            emitted[schedule] = [vvs_generate(replace(cfg, run=run, feature_schedule=schedule),
+                                              models).tokens for run in range(8)]
+        pairs = [(a.tokens, a.origins) == (b.tokens, b.origins)
+                 for a, b in zip(emitted[-1, 0, 1], emitted[-1, 0, 0])]
+        assert all(pairs) if same else not all(pairs)
+
     @pytest.mark.parametrize("kwargs, writes", [
         ({}, False),
         (dict(feature_schedule=(-1, -1)), False),
@@ -153,7 +170,7 @@ class TestVVS:
 
     @pytest.mark.parametrize("kwargs", [
         dict(policy="never"), dict(policy="uniform", interval=2),
-        dict(policy="uniform", interval=3), dict(policy="dynamic", threshold=0.5), dict(policy="dynamic", threshold=0.5, stride=1),
+        dict(policy="uniform", interval=3), dict(policy="dynamic", threshold=0.5),
     ])
     def test_paths_enumerated_only_when_read(self, monkeypatch, kwargs):
         """None under never; none under uniform either, where a skip draws
@@ -335,7 +352,6 @@ class TestValidateModes:
         ({"policy": "uniform", "interval": "1"}, "interval"),
         ({"policy": "dynamic", "alpha": "0"}, "alpha"),
         ({"policy": "dynamic", "alpha": "1.5"}, "alpha"),
-        ({"policy": "dynamic", "stride": "3"}, "stride"),
         ({"strategy": "best"}, "unknown selection strategy"),
         ({"accept_mode": "relaxed", "pool_k": "0"}, "pool size"),
         ({"vocab_size": "4"}, "pool_k"),
@@ -347,12 +363,18 @@ class TestValidateModes:
         # Each factor within its own limit, but the first verify pass would
         # gather 1024 * 4097 * 1024 floats (34 GB).
         ({"feat_dim": "1024", "window": "1024", "branching": "64", "depth": "2",
-          "budget": "4096"}, r"1024 \* 4097 \* 1024 = 4296015872 floats")],
+          "budget": "4096"}, r"1024 \* 4097 \* 1024 = 4296015872 floats"),
+        # The overflow bounds read only settings, so the config checks them.
+        ({"logit_scale": "1e308", "temperature": "0.5"},
+         r"^logit_scale=1e\+308 over temperature=0\.5 overflows float64 logits$"),
+        ({"concentration": "1e200"},
+         r"^concentration=1e\+200 overflows float64 codebook norms$")],
         ids=["unknown-policy", "uniform-interval", "dynamic-alpha-zero",
-             "dynamic-alpha-above-one", "dynamic-stride", "unknown-strategy",
+             "dynamic-alpha-above-one", "unknown-strategy",
              "relaxed-pool-below-one", "relaxed-default-pool-v4", "relaxed-pool-above-vocab",
              "empty-feature-schedule", "vocab-above-limit", "feat-dim-above-limit",
-             "window-above-limit", "verify-gather-above-limit"])
+             "window-above-limit", "verify-gather-above-limit", "logit-overflow",
+             "concentration-overflow"])
     def test_rejected(self, values, message):
         with pytest.raises(RejectedInput, match=message):
             config_from_mapping(values)
@@ -372,13 +394,13 @@ class TestValidateModes:
     @pytest.mark.parametrize("values", [
         {"policy": "never", "interval": "1"},
         {"policy": "dynamic", "interval": "0"},
-        {"policy": "uniform", "alpha": "0", "stride": "3"},
-        {"policy": "never", "alpha": "1.5", "stride": "0"},
+        {"policy": "uniform", "alpha": "0"},
+        {"policy": "never", "alpha": "1.5"},
         {"accept_mode": "strict", "pool_k": "0"},
         {"accept_mode": "strict", "vocab_size": "4"},
         {"vocab_size": "8", "pool_k": "8"}],
-        ids=["never-interval", "dynamic-interval", "uniform-alpha-stride",
-             "never-alpha-stride", "strict-pool", "strict-v4", "pool-equals-vocab"])
+        ids=["never-interval", "dynamic-interval", "uniform-alpha",
+             "never-alpha", "strict-pool", "strict-v4", "pool-equals-vocab"])
     def test_out_of_scope_values_accepted(self, values):
         cfg = config_from_mapping({**values, "max_new_tokens": "4"})
         assert vvs_generate(cfg).n_tok >= 4
@@ -391,7 +413,7 @@ class TestValidateModes:
        accept_mode=st.sampled_from(["strict", "relaxed"]), delta=st.floats(0.0, 1.0),
        pool_k=st.integers(1, 16),
        policy=st.sampled_from(["never", "uniform", "dynamic"]), interval=st.integers(1, 5),
-       threshold=st.floats(-1.0, 1.0), alpha=st.floats(0.0, 1.0), stride=st.integers(1, 3),
+       threshold=st.floats(-1.0, 1.0), alpha=st.floats(0.0, 1.0),
        strategy=st.sampled_from(["uniform", "max_confidence"]), truncate=st.booleans(),
        max_new_tokens=st.integers(1, 8), seed=st.integers(0, 3),
        feature_schedule=st.lists(st.integers(-1, 3), min_size=1, max_size=3).map(tuple))

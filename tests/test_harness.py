@@ -539,6 +539,15 @@ class TestCli:
                      "--max-distance", "3"]) == 0
         assert "distance=1" in capsys.readouterr().out
 
+    def test_feature_similarity_takes_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("max_new_tokens = 12\n")
+        assert main(["analyze", "feature-similarity", "--config", str(cfg),
+                     "--max-distance", "3", "--runs", "2"]) == 0
+        expect = measure_feature_similarity(EngineConfig(max_new_tokens=12), 3, runs=2)
+        assert capsys.readouterr().out.splitlines() == \
+            [f"distance={d} mean_cosine={sim:.4f}" for d, sim in expect]
+
     def test_feature_similarity_reaches_the_longest_distance(self, capsys, tmp_path):
         # max_new_tokens = 4 after a 4-token prompt: 8 positions, so 7 is
         # the longest distance with a pair and 8 has none.
@@ -559,7 +568,8 @@ class TestCli:
         (["analyze", "path-similarity", "--runs", "0"], "runs"),
         (["analyze", "path-similarity", "--runs", "-3"], "runs"),
         (["sweep", "SPEC", "--jobs", "0"], "jobs"),
-        (["sweep", "SPEC", "--jobs", "-2"], "jobs")])
+        (["sweep", "SPEC", "--jobs", "-2"], "jobs"),
+        (["analyze", "feature-similarity", "--runs", "0"], "runs")])
     def test_count_below_one_is_one_error_line(self, capsys, tmp_path, args, name):
         spec = tmp_path / "e.spec"
         spec.write_text(f"name = cli\nmax_new_tokens = 8\noutput = {tmp_path / 'r.csv'}\n")
@@ -576,6 +586,15 @@ class TestCli:
         assert main(["analyze", "path-similarity", "--config", str(cfg)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == ["error: RejectedInput: alpha must lie in (0, 1]"]
+
+    def test_stride_is_no_config_key(self, capsys, tmp_path):
+        """The dynamic rule's stride is a constant of the scheduler."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("policy = dynamic\nstride = 2\n")
+        assert main(["generate", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == \
+            ["error: RejectedInput: unknown config key 'stride'"]
 
     def test_error_exit_code_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -651,8 +670,9 @@ class TestCli:
         ("concentration = 1e200", "concentration")])
     def test_overflowing_scale_is_one_error_line(self, capsys, tmp_path, lines, name, vanilla):
         """Finite settings whose logits or codebook norms overflow float64
-        are rejected when the models are built, under either pipeline,
-        before a NaN reaches a draw."""
+        are rejected before anything runs, under either pipeline: the
+        noise head's when the models are built, the others when the config
+        is."""
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"max_new_tokens = 12\n{lines}\n")
         assert main(["generate", "--config", str(cfg), *vanilla]) == 2
@@ -660,6 +680,18 @@ class TestCli:
         err = err.splitlines()
         assert out == "" and len(err) == 1 and err[0].startswith("error: RejectedInput")
         assert name in err[0] and "overflows float64" in err[0]
+
+    def test_overflowing_sweep_cell_fails_before_any_cell(self, capsys, tmp_path):
+        """An overflow reads only settings, so the cell's config rejects it
+        before the first cell runs and writes its row."""
+        spec = tmp_path / "e.spec"
+        spec.write_text("name = cli\nmax_new_tokens = 8\nsweep.concentration = 1.0, 1e200\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", str(spec), "--output", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.splitlines() == \
+            ["error: RejectedInput: concentration=1e+200 overflows float64 codebook norms"]
+        assert not out.exists() or out.read_text().count("\n") <= 1
 
     @pytest.mark.parametrize("args, name", [
         (["generate", "--config", "MISSING"], "MISSING"),

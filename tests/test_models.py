@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from specskip import models
 from specskip.core import cosine, rng_stream
 from specskip.engine import EngineConfig, compute_metrics, vvs_generate
 from specskip.errors import RejectedInput
@@ -297,6 +298,49 @@ class TestLogprobs:
             assert np.array_equal(target.logprobs(prompt, tokens[:2]),
                                   self._loop(target, prompt, tokens[:2]))
 
+    @pytest.mark.parametrize("vocab, dim, window", [(64, 8, 4), (1024, 16, 1)])
+    @pytest.mark.parametrize("per_chunk", [1, 3, 7])
+    def test_chunks_keep_every_bit(self, monkeypatch, vocab, dim, window, per_chunk):
+        """With the float limit patched small the positions are scored in
+        several chunks, each gather and readout within the limit, with the
+        bits of one chunk; the workloads' sizes fit one chunk."""
+        target = make_model_pair(EngineConfig(vocab_size=vocab, feat_dim=dim,
+                                              window=window))[0]
+        rng = rng_stream(vocab + per_chunk, "chunks")
+        prompt = [int(t) for t in rng.integers(0, vocab, window)]
+        tokens = [int(t) for t in rng.integers(0, vocab, 40)]
+
+        class Gathers:
+            """The target's mixed columns, recording each gather's floats."""
+            def __init__(self, mixed):
+                self.mixed, self.sizes = mixed, []
+
+            def __len__(self):
+                return len(self.mixed)
+
+            def __getitem__(self, index):
+                out = self.mixed[index]
+                self.sizes.append(out.size)
+                return out
+
+        monkeypatch.setattr(target, "_mixed", Gathers(target._mixed))
+        whole = target.logprobs(prompt, tokens)
+        assert len(target._mixed.sizes) == 1
+        limit = per_chunk * (dim * window + vocab)
+        monkeypatch.setattr(models, "MAX_GATHER", limit)
+        target._mixed.sizes.clear()
+        got = target.logprobs(prompt, tokens)
+        sizes = target._mixed.sizes
+        assert got == whole and len(sizes) == -(-len(tokens) // per_chunk) > 1
+        # A chunk of c positions gathers d * c * w floats and reads out c * V.
+        assert all(size + size // (dim * window) * vocab <= limit for size in sizes)
+
+    @pytest.mark.parametrize("cfg", WORKLOAD_CONFIGS, ids=["v64", "v1024", "v16"])
+    def test_workloads_score_in_one_chunk(self, cfg):
+        target = make_model_pair(cfg)[0]
+        per_position = target.codebook.dim * cfg.window + cfg.vocab_size
+        assert models.MAX_GATHER // per_position >= cfg.max_new_tokens
+
     def test_quality_proxy_of_a_generation(self):
         cfg = EngineConfig(policy="uniform", interval=2, max_new_tokens=48)
         target = make_model_pair(cfg)[0]
@@ -453,11 +497,24 @@ class TestMakeModelPair:
     def test_scales_near_the_float64_bound(self, inside, outside, name):
         """Settings inside the overflow bound decode without a NaN or a
         numpy warning (an error under this suite); settings past it are
-        rejected when the models are built, by name."""
+        rejected by name: a target logit bound, which reads only settings,
+        when the config is built, and the drafter's, which reads the noise
+        head, when the models are built."""
         config = EngineConfig(max_new_tokens=16, policy="dynamic", **inside)
         assert len(vvs_generate(config).final_tokens()) == 16
         with pytest.raises(RejectedInput, match=f"{name}=.* overflows float64"):
             make_model_pair(EngineConfig(**outside))
+        if name == "logit_scale":
+            with pytest.raises(RejectedInput, match=f"{name}=.* overflows float64"):
+                EngineConfig(**outside)
+
+    def test_concentration_that_collapses_the_codebook(self):
+        """A concentration of 1e20 builds a config, since its norms are
+        finite, but drowns every codebook row's noise in the shared anchor,
+        and the codebook rejects the coinciding rows."""
+        config = EngineConfig(concentration=1e20)
+        with pytest.raises(RejectedInput, match="pairwise distinct"):
+            make_model_pair(config)
 
 
 class TestFeatureLocality:
