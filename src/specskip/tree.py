@@ -15,6 +15,7 @@ pass reads them as context."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -115,6 +116,9 @@ class TreeShape:
 # template and, unless rows stop short at their support, one shape.
 _SHAPES: dict[tuple[int, ...], TreeShape] = {}
 _TEMPLATES: dict[tuple[int, int, int, int], "_Level"] = {}
+# The races' read-only (n, 1) row indices by row count n: a level's frontier
+# size, at most MAX_NODES.
+_ROWS: dict[int, np.ndarray] = {}
 
 # The most nodes a tree may hold after the budget's clamp: about three times
 # the 1,364 of the full default tree (k_b = 4, D = 5).  A verify pass's
@@ -307,8 +311,12 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     tree's node count (``clamped_budget``, which rejects a count above
     ``MAX_NODES``), which sizes the build's arrays.  The tree keeps the
     build's token and prob arrays, with the sentinel's entries after the
-    last node.  Floating-point errors are ignored once for the whole build,
-    for the races' divisions by zero mass (see ``_sample_level``).
+    last node.  Only a drafter without full support (see
+    ``DraftModel.full_support``) has rows that can stop short, so only its
+    races count their stops, and only its build ignores floating-point
+    errors, once for the whole build, for the races' divisions by zero mass
+    (see ``_sample_level``).  A full-support drafter's races divide by no
+    zero, and each of its levels takes the template's no-stop step.
     """
     level = _template(draft, k_b, D, budget)
     window = draft.window
@@ -323,9 +331,11 @@ def build_tree(draft: DraftModel, feature, tokens, k_b: int, D: int,
     seq[:window] = tokens[len(tokens) - window:]
     probs = np.empty(budget + 1)
     dists, grown = root_dist[None], []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    count = not draft.full_support
+    with (np.errstate(divide="ignore", over="ignore", invalid="ignore") if count
+          else contextlib.nullcontext()):
         while True:
-            picks, stops = _sample_level(dists, k_b, rng)
+            picks, stops = _sample_level(dists, k_b, rng, count)
             step = level.step(stops)
             toks = picks[step.rows, step.ranks]
             seq[window + step.lo:window + step.hi] = toks
@@ -440,8 +450,8 @@ def _child_counts(reach: list[float], m: int, room: int) -> list[int]:
     return np.bincount(kept // m, minlength=n).tolist()
 
 
-def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator,
+                  count: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Draw children without replacement for each row of a level's (n, V)
     distributions, in sampling order, by one exponential race per row.
 
@@ -453,7 +463,10 @@ def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
     2019), so its children are its m = min(k_b, V) smallest keys, in key
     order: row i of the (n, m) picks.  A zero-mass token's key is inf, so a
     row with fewer than m positive entries stops at its support: only the
-    first stops[i] picks of row i are children.  The caller ignores
+    first stops[i] picks of row i are children.  Stops are counted only
+    when ``count`` is set, and otherwise returned as None: a drafter with
+    full support (``DraftModel.full_support``) has no zero entry, so every
+    key is finite and no row stops short.  A caller that counts ignores
     floating-point errors (``np.errstate``), so E / 0 is inf without a
     warning.
     """
@@ -461,10 +474,14 @@ def _sample_level(dists: np.ndarray, k_b: int, rng: np.random.Generator
     m = min(k_b, V)
     keys = rng.standard_exponential((n, V))
     keys /= dists
-    rows = np.arange(n)[:, None]
+    rows = _ROWS.get(n)
+    if rows is None:
+        rows = _ROWS[n] = np.arange(n)[:, None]
+        rows.flags.writeable = False
     part = keys.argpartition(m - 1, axis=1)[:, :m]
     top = keys[rows, part]
-    return part[rows, top.argsort(axis=1)], np.add.reduce(np.isfinite(top), axis=1)
+    picks = part[rows, top.argsort(axis=1)]
+    return picks, (np.add.reduce(np.isfinite(top), axis=1) if count else None)
 
 
 def enumerate_paths(tree: DraftTree) -> TreePaths:

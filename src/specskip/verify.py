@@ -58,10 +58,12 @@ def pooled_mass(q: np.ndarray, t: int, codebook: EmbeddingCodebook,
     acceptance; delta=0 degenerates to strict acceptance.
     """
     total = float(q[t])
-    for nb in nearest_neighbors(codebook, t, pool_k)[1:]:
-        if total + q[nb] > delta:
+    # One gather of the pool's masses, as Python floats: the same doubles,
+    # summed in the same order.
+    for mass in q[nearest_neighbors(codebook, t, pool_k)[1:]].tolist():
+        if total + mass > delta:
             break
-        total += float(q[nb])
+        total += mass
     return total
 
 

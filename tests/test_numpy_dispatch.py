@@ -15,19 +15,23 @@ from dataclasses import replace
 
 import numpy as np
 
-from specskip import core, engine, models, schedule, select, tree, verify
+from specskip import cache, core, engine, models, schedule, select, tree, verify
 from specskip.engine import FRESH, EngineConfig
 
 WRAPPER_FILES = tuple(os.path.join("numpy", "_core", name)
                       for name in ("fromnumeric.py", "_methods.py"))
 
 HOT = {fn.__code__ for fn in (
-    core.sample_index, core.nearest_neighbors,
+    core.rng_stream, core.sample_index, core.nearest_neighbors,
     models._softmax, models.TargetModel.feature_at, models.TargetModel.logprobs,
     models.target_forward_masked, models.normalize_columns, models.DraftModel.next_dist,
-    tree._Level.step, tree._sample_level, tree.draw_path,
-    schedule.path_similarity, verify.verify_tree, select.select_leaf, select.kept_length,
-    select.truncate_path, engine.compute_metrics)}
+    models.DraftModel.extend_feature,
+    tree.build_tree, tree._Level.step, tree._sample_level, tree.draw_path,
+    tree.enumerate_paths, tree.TreePaths.order, tree.linearize,
+    schedule.decide, schedule.path_similarity, verify.verify_tree, verify.pooled_mass,
+    verify.accept, select.select_leaf, select.kept_length, select.truncate_path,
+    cache.update, cache.retrieve_with_offset,
+    engine.vvs_generate, engine.vanilla_ar, engine.compute_metrics)}
 
 
 def _profile(codes, fn, *args):

@@ -26,7 +26,10 @@ CFG = EngineConfig()
 
 class TableDrafter:
     """Drafter stub with a fixed next-token table keyed by the last token,
-    behind the batch interface of DraftModel."""
+    behind the batch interface of DraftModel.  Its tables may have zero
+    entries, so it claims no full support and builds count their stops."""
+
+    full_support = False
 
     def __init__(self, table, window=1):
         self.table = {t: np.asarray(d, dtype=np.float64) for t, d in table.items()}
@@ -59,6 +62,26 @@ def _golden_trees(cfg, runs=200):
         yield draft, tree, rng
 
 
+# Default config: k_b=4, D=5, budget=24, so the budget sets the counts:
+# levels of 4, 16 and 4 nodes, and a drafter row for the root, each level-1
+# node and the three level-2 nodes with children: 8 rows per tree.
+GOLDEN = [
+    (CFG, "a12e08162f11efa00be09616e1bf1bc8f6981887311c4ee0376100a781007707", 1600),
+    (EngineConfig(vocab_size=1024, feat_dim=16),
+     "3469ce86a2f18888dfa58ff4b7c28a115565b0e8c07a9868b8c7d265d78bb8e4", 1600),
+]
+
+
+def _golden_digest(cfg):
+    """The sha256 of the golden trees' nodes, each followed by the next draw
+    of its rng, and the drafter that built them."""
+    h = hashlib.sha256()
+    for draft, tree, rng in _golden_trees(cfg):
+        h.update(repr(_node_tuples(tree)).encode())
+        h.update(f"{rng.random()!r}\n".encode())
+    return h.hexdigest(), draft
+
+
 def _depths(tree):
     """Each node's depth, from the parent pointers (a root child's is 1)."""
     depths = []
@@ -74,10 +97,10 @@ def _node_tuples(tree):
 
 
 def _race(dists, k_b, rng):
-    """``_sample_level`` under the floating-point error state build_tree
-    enters around its races."""
+    """``_sample_level`` counting stops, under the floating-point error state
+    build_tree enters around the races of a drafter without full support."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _sample_level(dists, k_b, rng)
+        return _sample_level(dists, k_b, rng, count=True)
 
 
 def _children(dists, k_b, rng):
@@ -174,13 +197,17 @@ class TestSampleLevel:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 24])
     def test_full_support_matches_per_node_loop(self, vocab, n):
         """A level's picks are those of racing node by node, and it takes
-        exactly standard_exponential((n, V)) from the stream."""
+        exactly standard_exponential((n, V)) from the stream; the uncounted
+        race gives the same picks and no stops."""
         dists = _softmax_level(vocab * 100 + n, n, vocab)
-        got_rng, ref_rng = rng_stream(n, "u"), rng_stream(n, "u")
-        assert _children(dists, 4, got_rng) == _reference_race(dists, 4, ref_rng)
+        got_rng, ref_rng, uncounted_rng = (rng_stream(n, "u") for _ in range(3))
+        got = _children(dists, 4, got_rng)
+        assert got == _reference_race(dists, 4, ref_rng)
+        picks, stops = _sample_level(dists, 4, uncounted_rng)
+        assert picks.tolist() == got and stops is None
         bulk = rng_stream(n, "u")
         bulk.standard_exponential((n, vocab))
-        assert got_rng.random() == ref_rng.random() == bulk.random()
+        assert got_rng.random() == ref_rng.random() == uncounted_rng.random() == bulk.random()
 
     def test_fewer_entries_than_k_b_matches_per_node_loop(self):
         # V = 4 < k_b = 5: every row is a permutation of the vocabulary.
@@ -449,26 +476,29 @@ class TestBuildTree:
             toks = [int(t1.tokens[i]) for i in group]
             assert len(toks) == len(set(toks))
 
-    @pytest.mark.parametrize("cfg, digest, forward_calls", [
-        # Default config: k_b=4, D=5, budget=24, so the budget sets the
-        # counts: levels of 4, 16 and 4 nodes, and a drafter row for the
-        # root, each level-1 node and the three level-2 nodes with children:
-        # 8 rows per tree.
-        (CFG, "a12e08162f11efa00be09616e1bf1bc8f6981887311c4ee0376100a781007707", 1600),
-        (EngineConfig(vocab_size=1024, feat_dim=16),
-         "3469ce86a2f18888dfa58ff4b7c28a115565b0e8c07a9868b8c7d265d78bb8e4", 1600),
-    ], ids=["v64", "v1024"])
+    @pytest.mark.parametrize("cfg, digest, forward_calls", GOLDEN, ids=["v64", "v1024"])
     def test_sampled_trees_golden(self, cfg, digest, forward_calls):
         """200 sampled trees, each followed by the next draw of its rng,
         hash to recorded bytes with a recorded number of drafter calls:
         tree shape, probs (bit for bit) and rng consumption are pinned
         across rewrites of the build loop."""
-        h = hashlib.sha256()
-        for draft, tree, rng in _golden_trees(cfg):
-            h.update(repr(_node_tuples(tree)).encode())
-            h.update(f"{rng.random()!r}\n".encode())
-        assert h.hexdigest() == digest
+        got, draft = _golden_digest(cfg)
+        assert got == digest
         assert draft.forward_calls == forward_calls
+
+    @pytest.mark.parametrize("cfg, digest, forward_calls", GOLDEN, ids=["v64", "v1024"])
+    def test_builds_raise_no_floating_point_error(self, cfg, digest, forward_calls):
+        """The golden trees build to the same bytes with every floating-point
+        error raising: a full-support drafter's races divide by no zero
+        mass.  A sparse table's builds still succeed in that state, because
+        their races ignore the errors themselves."""
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got, draft = _golden_digest(cfg)
+            assert draft.full_support
+            assert got == digest and draft.forward_calls == forward_calls
+            drafter = TableDrafter(_sparse_table(0, 7, [1, 2, 3, 7]))
+            for run in range(20):
+                build_tree(drafter, _feat(), [run % 7], 3, 4, 9, rng_stream(run, "stop-draw"))
 
     @pytest.mark.parametrize("cfg", [CFG, EngineConfig(vocab_size=1024, feat_dim=16)],
                              ids=["v64", "v1024"])

@@ -84,6 +84,23 @@ class TestRelaxedAccept:
         q = np.array([0.6, 0.2, 0.1, 0.1])
         assert pooled_mass(q, 0, FOUR_TOKEN_CB, 0.1, 4) == pytest.approx(0.6)
 
+    def test_pooled_sum_matches_neighbour_loop_bitwise(self):
+        """The pool is summed neighbour by neighbour, in ranking order, as
+        Python floats: the value and type of a per-neighbour loop."""
+        rng = rng_stream(6, "pool")
+        codebook = EmbeddingCodebook(rng.standard_normal((64, 8)))
+        for _ in range(300):
+            q = rng.dirichlet(np.full(64, rng.choice([0.05, 0.5, 5.0])))
+            t, k = int(rng.integers(64)), int(rng.integers(1, 33))
+            delta = float(rng.choice([0.0, 0.05, 0.2, 1.0, rng.random()]))
+            total = float(q[t])
+            for nb in verify.nearest_neighbors(codebook, t, k)[1:]:
+                if total + q[nb] > delta:
+                    break
+                total += float(q[nb])
+            got = pooled_mass(q, t, codebook, delta, k)
+            assert type(got) is float and got.hex() == total.hex()
+
 
 def _full_tree_outcome(cfg, run):
     target, draft = make_model_pair(cfg)
