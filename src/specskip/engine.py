@@ -7,6 +7,13 @@ drafted path outright, and the following verification step (post
 verification) restores exact conditioning: it never tests the accepted
 tokens, which are plain context for its target pass.
 
+Each draft conditions on one target feature, by default the one the last
+verify hands back.  A skip, and a verify whose ``feature_schedule`` entry
+is stale, reads it from the feature cache instead, which holds the
+prompt's feature at step 0 and each verify's at its iteration.  A stale
+lookup in the first s iterations finds no write that old and falls back to
+the fresh feature, recorded as -1.
+
 Counters follow the device-independent speedup measure: TPF is generated
 tokens per target forward pass, with prompt prefill and post-hoc quality
 scoring excluded from the pass count.
@@ -261,7 +268,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
     # decode-phase forward pass.
     draft_feat = target.feature_at(prompt, len(prompt) - 1)
     if cache_read:
-        update(cache, len(prompt), draft_feat, step=0)
+        update(cache, draft_feat, step=0)
 
     # A uniform-policy skip decides without a tree, and it draws only the
     # path it emits when nothing else reads the tree: under the uniform
@@ -314,7 +321,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 emitted.append(tok, ORIGIN_VERIFIED)
             emitted.append(outcome.terminal, outcome.terminal_origin)
             if cache_read:
-                update(cache, len(seq), outcome.feature, step)
+                update(cache, outcome.feature, step)
 
             # The feature for the next draft, per the cycled schedule.
             source = config.feature_schedule[(n_fwd - 1) % len(config.feature_schedule)]
@@ -323,11 +330,10 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 try:
                     # The paper-style offset s counts from the step before
                     # this one, hence the +1 against the freshly written step.
-                    # Fewer positions with features at that cutoff than
-                    # tokens just emitted is an underflow, which falls back
-                    # to the fresh feature.
-                    draft_feat = retrieve_with_offset(cache, len(new_tokens),
-                                                      source + 1).feature
+                    # In the first s iterations no write is that old, not
+                    # even the prompt's at step 0: those fall back to the
+                    # fresh feature.
+                    draft_feat = retrieve_with_offset(cache, source + 1)
                 except CacheUnderflow:
                     source = FRESH
 
@@ -343,7 +349,7 @@ def vvs_generate(config: EngineConfig, models=None) -> GenerationTrace:
                 emitted.append(tok, ORIGIN_SKIP)
             # The latest cached (stale) feature stands in for the unverified
             # positions; the prompt's entry means there always is one.
-            draft_feat = retrieve_latest(cache).feature
+            draft_feat = retrieve_latest(cache)
             iterations.append(IterationRecord(
                 index=step, kind="skip", emitted=len(chosen),
                 similarity=policy.last_similarity, forward_passes=0))
@@ -399,45 +405,3 @@ def trace_to_csv(trace: GenerationTrace) -> str:
                          it.forward_passes, it.feature_source])
     return buf.getvalue()
 
-
-def config_from_mapping(values: dict) -> EngineConfig:
-    """Build a config from string-keyed values, rejecting unknown keys by
-    name (the contract behind the flat config-file schema)."""
-    known = {f.name: f.type for f in fields(EngineConfig)}
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in known:
-            raise RejectedInput(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, raw)
-    return EngineConfig(**kwargs)
-
-
-def _coerce(key: str, raw):
-    """Convert a raw value to the type of the field's default; text that
-    does not parse is rejected.  Tuple text separates its elements by
-    commas or whitespace.  Unknown keys pass through unchanged for
-    the caller to reject by name."""
-    default = getattr(EngineConfig, key, None)
-    if isinstance(raw, str):
-        if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise RejectedInput(f"bad boolean for {key!r}: {raw!r}")
-        try:
-            if isinstance(default, int):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-            if isinstance(default, tuple):
-                return tuple(int(part) for part in raw.replace(",", " ").split())
-        except ValueError:
-            raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
-        return raw
-    if isinstance(default, tuple) and not isinstance(raw, tuple):
-        try:
-            return tuple(raw)
-        except TypeError:
-            raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
-    return raw

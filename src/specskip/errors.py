@@ -18,11 +18,7 @@ class DegenerateProposal(SpecskipError, ValueError):
 
 
 class CacheUnderflow(SpecskipError):
-    """The feature cache holds fewer usable entries than requested."""
-
-    def __init__(self, deficit: int, message: str = ""):
-        self.deficit = deficit
-        super().__init__(message or f"feature cache underflow, missing {deficit} entries")
+    """The feature cache holds no feature as old as a lookup asks for."""
 
 
 class DegenerateTrace(SpecskipError):

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .engine import (FRESH, EngineConfig, GenerationTrace, Metrics, _coerce,
-                     _Streams, compute_metrics, config_from_mapping,
-                     speculative_decode, vanilla_ar, vvs_generate)
+from .engine import (FRESH, EngineConfig, GenerationTrace, Metrics, _Streams,
+                     compute_metrics, speculative_decode, vanilla_ar, vvs_generate)
 from .errors import DegenerateVector, RejectedInput
 from .models import make_model_pair
 from .schedule import path_similarity
@@ -30,6 +29,8 @@ from .tree import DraftTree, build_tree, enumerate_paths
 # empty so that sweep CSVs keep their layout.
 CSV_FIELDS = ["name", "cell", "rep", "seed", "pipeline", "n_tok", "n_fwd",
               "tpf", "mal", "skip_fraction", "quality_proxy", "extra"]
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(EngineConfig))
 
 
 @dataclass
@@ -41,9 +42,8 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self):
-        known = {f.name for f in fields(EngineConfig)}
         for key, values in self.axes.items():
-            if key not in known:
+            if key not in _CONFIG_KEYS:
                 raise RejectedInput(f"unknown sweep parameter {key!r}")
             if key == "seed":
                 raise RejectedInput("'seed' cannot be a sweep axis: every cell "
@@ -86,8 +86,49 @@ def parse_kv_file(path) -> dict[str, str]:
         if "=" not in line:
             raise RejectedInput(f"{path}:{lineno}: expected key = value")
         key, raw = line.split("=", 1)
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in values:
+            raise RejectedInput(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = raw.strip()
     return values
+
+
+def config_from_mapping(values: dict) -> EngineConfig:
+    """Build a config from string-keyed values, rejecting unknown keys by
+    name (the contract behind the flat config-file schema)."""
+    kwargs = {}
+    for key, raw in values.items():
+        if key not in _CONFIG_KEYS:
+            raise RejectedInput(f"unknown config key {key!r}")
+        kwargs[key] = _coerce(key, raw)
+    return EngineConfig(**kwargs)
+
+
+def _coerce(key: str, raw):
+    """Convert config text to the type of the field's default; text that
+    does not parse is rejected.  Tuple text separates its elements by
+    commas or whitespace.  A value that is not text, and the text of an
+    unknown key, pass through unchanged, for the config to reject by type
+    or the caller by name."""
+    if not isinstance(raw, str):
+        return raw
+    default = getattr(EngineConfig, key, None)
+    if isinstance(default, bool):
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise RejectedInput(f"bad boolean for {key!r}: {raw!r}")
+    try:
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+        if isinstance(default, tuple):
+            return tuple(int(part) for part in raw.replace(",", " ").split())
+    except ValueError:
+        raise RejectedInput(f"bad value for {key!r}: {raw!r}") from None
+    return raw
 
 
 def parse_config_file(path) -> EngineConfig:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from specskip import engine
 from specskip.core import TokenSequence
 from specskip.engine import (EngineConfig, GenerationTrace, compute_metrics,
-                             config_from_mapping, speculative_decode,
-                             trace_to_csv, vanilla_ar, vvs_generate)
+                             speculative_decode, trace_to_csv, vanilla_ar,
+                             vvs_generate)
 from specskip.errors import DegenerateTrace, RejectedInput
+from specskip.harness import config_from_mapping
 from specskip.models import make_model_pair
 
 FAST = dict(max_new_tokens=24)
@@ -299,8 +300,9 @@ class TestSerialization:
          "e0094065c337fa4e72a298b796e87aea16ff601e1fca6ef446a85860371876c9"),
         ("dynamic", {},
          "a5900397985150b3ecfe14df9cfa683af342bba3b8aa5579a38320abcc8d1587"),
-        # Stale lookups that underflow and fall back to the fresh feature:
-        # 3 of 16 verifies here, and one among pending tokens below.
+        # Stale lookups that underflow and fall back to the fresh feature,
+        # in each run's first s iterations: 3 of 16 verifies here, 1 of 11
+        # below.
         ("never", dict(feature_schedule=(3,)),
          "2f57d83ec2ca6f7be96667fa5bf8d27ba84a4eae3ef5fcd40127599a00206b94"),
         ("uniform", dict(interval=2, feature_schedule=(0, 3)),

@@ -88,6 +88,10 @@ class TestParsing:
             "feature_schedule=-1 0", "feature_schedule=0 0"]
         assert [cfg.feature_schedule for _, _, cfg, _ in _tasks(spec)] == schedules
 
+    def test_package_exports_config_from_mapping(self):
+        from specskip import config_from_mapping
+        assert config_from_mapping is harness.config_from_mapping
+
     def test_tuple_config_value_takes_commas(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("feature_schedule = -1,0\n")
@@ -308,9 +312,9 @@ class TestAnalysisOps:
         (dict(feature_schedule=(-1, 0, 1)),
          "1f010e9c82d80aa6f0c4214978f65df9dded31a9fcc0868c8f01310920e92785"),
         # The stale lookup underflows and falls back to the fresh feature on
-        # each run's first two verifies, 24 times in the 12 runs.
+        # each run's first verify (s = 2 there), 12 times in the 12 runs.
         (dict(window=1, feature_schedule=(2, 0)),
-         "1104c22f35079378b8abc24dfcd2cb770c52999e42af6304e0708e56fec6f6e1"),
+         "4d07d52344d4ffaaae77b70ec23abfdf4d0c41fe522d1f33fa8dd37050150165"),
         # A point-mass drafter: all but 2 of the 264 trees have one path.
         (dict(logit_scale=1e6, noise_scale=1e6, epsilon=0.0),
          "ddc42462836efa52055bae0d2088294e8db5ee27ba7b0a1a289dc1525949e54b")],
@@ -335,12 +339,16 @@ class TestAnalysisOps:
         with pytest.raises(RejectedInput, match=re.escape("alpha must lie in (0, 1]")):
             measure_path_similarity_distribution(EngineConfig(alpha=alpha), runs=1)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(feature_schedule=(-1, 0, 1)), dict(window=1, feature_schedule=(2, 0))],
-        ids=["stale", "underflow"])
-    def test_rebuilt_trees_are_the_engines(self, monkeypatch, kwargs):
+    @pytest.mark.parametrize("kwargs, first_sources", [
+        (dict(feature_schedule=(-1, 0, 1)), [FRESH, 0, 1]),
+        (dict(window=1, feature_schedule=(2, 0)), [FRESH, 0, 2]),
+        (dict(window=1, feature_schedule=(0,)), [0, 0, 0])],
+        ids=["stale", "underflow", "prompt"])
+    def test_rebuilt_trees_are_the_engines(self, monkeypatch, kwargs, first_sources):
         """The trees rebuilt from an SD run's trace are those the run built,
-        bit for bit, through stale lookups and their underflow fallbacks."""
+        bit for bit, through stale lookups, their underflow fallbacks (only
+        in the first s iterations) and lookups of the prompt's feature,
+        however few tokens the prompt has."""
         built, real = [], engine.build_tree
         monkeypatch.setattr(engine, "build_tree",
                             lambda *a, **k: built.append(real(*a, **k)) or built[-1])
@@ -348,8 +356,7 @@ class TestAnalysisOps:
         models = make_model_pair(cfg)
         trace = speculative_decode(cfg, models=models)
         monkeypatch.undo()
-        sources = [it.feature_source for it in trace.iterations]
-        assert FRESH in sources and set(sources) - {FRESH}
+        assert [it.feature_source for it in trace.iterations[:3]] == first_sources
         rebuilt = list(harness._sd_trees(trace, models))
         assert len(rebuilt) == len(built) == len(trace.iterations)
         for ours, theirs in zip(rebuilt, built):
@@ -635,6 +642,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: RejectedInput")
         assert name in err[0]
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("generate", "delta = 0.1\nmax_new_tokens = 8\ndelta = 0.3\n", "delta"),
+        ("sweep", "repetitions = 1\nmax_new_tokens = 8\nrepetitions = 2\n", "repetitions"),
+        ("sweep", "sweep.delta = 0.1\nmax_new_tokens = 8\nsweep.delta = 0.3\n",
+         "sweep.delta")],
+        ids=["config-key", "spec-key", "sweep-axis"])
+    def test_duplicate_key_is_one_error_line(self, capsys, tmp_path, command, text, key):
+        """A key given twice is rejected at its second line, not settled by
+        the last value."""
+        path = tmp_path / "twice.txt"
+        path.write_text(text)
+        args = (["generate", "--config", str(path)] if command == "generate"
+                else ["sweep", str(path), "--output", str(tmp_path / "r.csv")])
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == \
+            [f"error: RejectedInput: {path}:3: duplicate key {key!r}"]
 
     def test_seed_override_changes_output(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -62,6 +62,18 @@ def test_traced_dynamic_runs_record_the_skip_layers():
     assert traced.tokens.tokens == plain.tokens.tokens
 
 
+def test_underflow_count_is_the_recorded_fallbacks():
+    # cache.underflow counts the stale lookups that fell back to the fresh
+    # feature: here the first s = 3 of 16 verifies.
+    cfg = EngineConfig(seed=11, max_new_tokens=64, feature_schedule=(3,))
+    tracer = tracing.Tracer()
+    with tracer:
+        trace = vvs_generate(cfg)
+    fallbacks = sum(it.feature_source == -1 for it in trace.iterations)
+    assert (fallbacks, trace.n_fwd) == (3, 16)
+    assert tracer.counts["cache.underflow"] == fallbacks
+
+
 def test_positions_count_scored_tokens(monkeypatch):
     # The tracer reads the masked forward's third positional argument as
     # the tree tokens one verify pass scores (skip-accepted tokens are
